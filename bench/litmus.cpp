@@ -5,6 +5,7 @@
 // with --all --race-detect on: 0 iff every racy program was flagged and
 // every race-free program was quiet (the positive half of the oracle
 // scripts/race_smoke.sh runs; the figures provide the zero-race half).
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 
@@ -56,8 +57,9 @@ int main(int argc, char** argv) {
   obs.configure(cli, "litmus");
 
   int verdict_failures = 0;
-  std::printf("# litmus: %s %s nodes=%d workers=%d reps=%d\n", cli.get_string("cluster").c_str(),
-              proto_name.c_str(), cli.get_int("nodes"), params.workers, params.reps);
+  std::printf("# litmus: %s %s nodes=%" PRId64 " workers=%d reps=%d\n",
+              cli.get_string("cluster").c_str(), proto_name.c_str(), cli.get_int("nodes"),
+              params.workers, params.reps);
   for (const auto& name : to_run) {
     apps::VmConfig cfg = apps::make_config(cli.get_string("cluster"), protocol,
                                            cli.get_int("nodes"));

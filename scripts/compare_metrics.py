@@ -15,20 +15,11 @@ Pairs experiment points by (cluster, protocol, nodes), then reports, per pair:
 Exit codes:  0 all deltas within threshold,  1 threshold exceeded or answers
 diverged or points unmatched,  2 usage / schema error.
 
-With --bench A_LABEL B_LABEL the single positional argument is instead a
-BENCH_host_perf.json file (one JSON object per line, as appended by
-scripts/bench_host.sh), and the two named rows are compared as host-perf
-results: throughput fields (events/sec, accesses/sec, diff pages/sec) fail
-when B is *slower* than A beyond --threshold, wall-clock and peak-RSS fields
-fail when B is *larger*. Improvements never fail.
-
 Typical uses:
   scripts/compare_metrics.py base.json opt.json --threshold 5
       did the optimisation change any counter or timing by more than 5%?
   scripts/compare_metrics.py quiet.json faulty.json --ignore 'net_|retrans|ack|dup|rpc_'
       faults may retry traffic, but answers and non-transport counters must hold.
-  scripts/compare_metrics.py BENCH_host_perf.json --bench pr4-ha pr6 --threshold 10
-      did this PR regress host throughput, e2e wall time, or peak RSS by >10%?
 """
 
 import argparse
@@ -76,28 +67,10 @@ def fmt_delta(d):
     return "new" if d == float("inf") else f"{d:+.2f}%".replace("+", "")
 
 
-# --- BENCH_host_perf.json row gating (--bench) ------------------------------
-#
-# Regression direction per field: "up" = bigger is better (a drop fails),
-# "down" = smaller is better (a rise fails).
-BENCH_FIELDS = [
-    ("events_per_sec", "up"),
-    ("ic_accesses_per_sec", "up"),
-    ("pf_accesses_per_sec", "up"),
-    ("diff_pages_per_sec", "up"),
-    ("jacobi_ic_wall_s", "down"),
-    ("jacobi_pf_wall_s", "down"),
-    ("asp_ic_wall_s", "down"),
-    ("asp_pf_wall_s", "down"),
-    ("e2e_wall_s", "down"),
-    ("peak_rss_kb", "down"),
-]
-
-
 # --- serve SLO rows (docs/SERVING.md): direction-aware counter gating -------
 #
 # The serving harness publishes its SLO summary as named counters. They are
-# performance verdicts, not event tallies, so they gate like --bench fields:
+# performance verdicts, not event tallies, so they gate by direction:
 # latency quantiles fail only when the candidate is *slower*, throughput only
 # when it *drops* — improvements never fail, whatever their magnitude.
 SERVE_FIELDS = {
@@ -116,87 +89,10 @@ SERVE_FIELDS = {
 }
 
 
-def load_bench_rows(path):
-    rows = []
-    try:
-        with open(path) as f:
-            for ln, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rows.append(json.loads(line))
-                except json.JSONDecodeError as e:
-                    sys.exit(f"compare_metrics: {path}:{ln}: bad JSON row: {e}")
-    except OSError as e:
-        sys.exit(f"compare_metrics: cannot read {path}: {e}")
-    if not rows:
-        sys.exit(f"compare_metrics: {path}: no rows")
-    return rows
-
-
-def pick_row(rows, label, path):
-    matches = [r for r in rows if r.get("label") == label]
-    if not matches:
-        known = ", ".join(sorted(str(r.get("label")) for r in rows))
-        sys.exit(f"compare_metrics: no row labelled {label!r} in {path} "
-                 f"(have: {known})")
-    return matches[-1]  # re-runs append; the latest row under a label wins
-
-
-def run_bench(args):
-    rows = load_bench_rows(args.base)
-    a = pick_row(rows, args.bench[0], args.base)
-    b = pick_row(rows, args.bench[1], args.base)
-    if a.get("quick") != b.get("quick"):
-        print(f"compare_metrics: warning: comparing quick={a.get('quick')} "
-              f"against quick={b.get('quick')} rows", file=sys.stderr)
-
-    failures = []
-    table = []
-    for field, direction in BENCH_FIELDS:
-        x, y = a.get(field), b.get(field)
-        if x is None or y is None:
-            table.append((field, x, y, "absent"))
-            continue
-        if x == 0:
-            table.append((field, x, y, "n/a"))
-            continue
-        # Positive = regressed (slower / bigger), negative = improved.
-        regressed = (x - y) / x * 100.0 if direction == "up" else (y - x) / x * 100.0
-        table.append((field, x, y, f"{regressed:+.2f}%"))
-        if regressed > args.threshold:
-            worse = "slower" if direction == "up" else "larger"
-            failures.append(f"{field}: {x} -> {y} ({regressed:+.2f}% {worse} "
-                            f"> {args.threshold}%)")
-
-    if not args.quiet:
-        w = max(len(t[0]) for t in table)
-        print(f"{'field':<{w}}  {args.bench[0]:>16}  {args.bench[1]:>16}  regressed")
-        for field, x, y, verdict in table:
-            print(f"{field:<{w}}  {x!s:>16}  {y!s:>16}  {verdict}")
-
-    if failures:
-        print(f"\ncompare_metrics: {len(failures)} host-perf regression(s):",
-              file=sys.stderr)
-        for f in failures:
-            print(f"  {f}", file=sys.stderr)
-        return 1
-    print(f"compare_metrics: OK ({args.bench[0]} -> {args.bench[1]}, "
-          f"threshold {args.threshold}%)")
-    return 0
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("base", help="baseline hyp-metrics-v1 JSON (the 'A' side), "
-                                 "or the BENCH_host_perf.json file with --bench")
-    ap.add_argument("other", nargs="?", default=None,
-                    help="candidate hyp-metrics-v1 JSON (the 'B' side); "
-                         "omitted with --bench")
-    ap.add_argument("--bench", nargs=2, metavar=("A_LABEL", "B_LABEL"),
-                    help="compare two labelled rows of a BENCH_host_perf.json "
-                         "file instead of two metrics files")
+    ap.add_argument("base", help="baseline hyp-metrics-v1 JSON (the 'A' side)")
+    ap.add_argument("other", help="candidate hyp-metrics-v1 JSON (the 'B' side)")
     ap.add_argument("--threshold", type=float, default=0.0, metavar="PCT",
                     help="max allowed relative delta in %% for elapsed time and "
                          "counters (default 0: any drift fails)")
@@ -209,11 +105,6 @@ def main():
     ap.add_argument("-q", "--quiet", action="store_true",
                     help="print only failures and the final verdict")
     args = ap.parse_args()
-
-    if args.bench:
-        return run_bench(args)
-    if args.other is None:
-        ap.error("two metrics files required (or use --bench A_LABEL B_LABEL)")
 
     ignore = re.compile(args.ignore) if args.ignore else None
     a_doc, b_doc = load(args.base), load(args.other)

@@ -12,15 +12,15 @@ namespace hyp::dsm {
 NodeDsm::NodeDsm(const Layout* layout, NodeId node)
     : layout_(layout),
       node_(node),
-      presence_(layout->total_pages(), 0),
+      presence_(layout->total_pages()),
       twins_(layout->total_pages()),
       alloc_next_(layout->zone_begin(node)) {
-  // Pre-fold home-ness into the presence table: the zone split is static, so
-  // the expensive home_of_page division runs once per page here instead of
-  // once per access on the hot path.
-  for (PageId p = 0; p < layout->total_pages(); ++p) {
-    if (layout->home_of_page(p) == node) presence_[p] = kPresentBit | kHomeBit;
-  }
+  // Pre-fold home-ness into the presence table, so the hot path never runs
+  // the home_of_page division. Zones are page-aligned and the node is home to
+  // exactly its own zone's pages; every other entry stays zero (absent).
+  const auto first = static_cast<PageId>(layout->zone_begin(node) >> layout->page_shift());
+  const auto last = static_cast<PageId>(layout->zone_end(node) >> layout->page_shift());
+  std::memset(presence_.data() + first, kPresentBit | kHomeBit, last - first);
   void* mem = mmap(nullptr, layout_->total_bytes(), PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
   HYP_CHECK_MSG(mem != MAP_FAILED, "DSM arena mmap failed");
@@ -28,7 +28,26 @@ NodeDsm::NodeDsm(const Layout* layout, NodeId node)
 }
 
 NodeDsm::~NodeDsm() {
+  // Every twin belongs to a cached page (invalidate_all, promote_to_home and
+  // demote_home drop a page's twin with its replica), so the cached list
+  // reaches all of them without a scan of the page table.
+  for (PageId p : cached_list_) drop_twin(p);
+  HYP_CHECK_MSG(live_twins_ == 0, "a twin outlived its cached page");
   if (arena_ != nullptr) munmap(arena_, layout_->total_bytes());
+}
+
+void NodeDsm::snapshot_twin(PageId p) {
+  auto* twin = new std::byte[layout_->page_bytes()];
+  std::memcpy(twin, page_ptr(p), layout_->page_bytes());
+  twins_[p] = twin;
+  ++live_twins_;
+}
+
+void NodeDsm::drop_twin(PageId p) {
+  if (twins_[p] == nullptr) return;
+  delete[] twins_[p];
+  twins_[p] = nullptr;
+  --live_twins_;
 }
 
 void NodeDsm::mark_cached(PageId p, bool with_twin) {
@@ -37,11 +56,7 @@ void NodeDsm::mark_cached(PageId p, bool with_twin) {
   HYP_CHECK_MSG((presence_[p] & kPresentBit) == 0, "page already cached");
   presence_[p] |= kPresentBit;  // |= preserves a hybrid kIcModeBit
   cached_list_.push_back(p);
-  if (with_twin) {
-    auto twin = std::make_unique<std::byte[]>(layout_->page_bytes());
-    std::memcpy(twin.get(), page_ptr(p), layout_->page_bytes());
-    twins_[p] = std::move(twin);
-  }
+  if (with_twin) snapshot_twin(p);
 }
 
 std::size_t NodeDsm::invalidate_all() {
@@ -50,7 +65,7 @@ std::size_t NodeDsm::invalidate_all() {
     // The hybrid mode bit survives invalidation (the page's learned detection
     // mode outlives the replica); for java_ic/java_pf the mask is a no-op.
     presence_[p] &= kIcModeBit;
-    twins_[p].reset();
+    drop_twin(p);
   }
   cached_list_.clear();
   return dropped;
@@ -65,7 +80,7 @@ void NodeDsm::promote_to_home(PageId first, PageId last) {
                                     }),
                      cached_list_.end());
   for (PageId p = first; p < last; ++p) {
-    twins_[p].reset();
+    drop_twin(p);
     presence_[p] = kPresentBit | kHomeBit;
   }
 }
@@ -75,7 +90,7 @@ void NodeDsm::demote_home(PageId first, PageId last) {
   for (PageId p = first; p < last; ++p) {
     HYP_CHECK_MSG((presence_[p] & kHomeBit) != 0 || (presence_[p] & kPresentBit) == 0,
                   "demoting a page this node had cached");
-    twins_[p].reset();
+    drop_twin(p);
     presence_[p] = ic_default_ ? kIcModeBit : 0;
   }
 }
@@ -89,15 +104,12 @@ void NodeDsm::set_ic_default() {
 
 void NodeDsm::ensure_twin(PageId p) {
   HYP_DCHECK(p < twins_.size());
-  if (twins_[p] != nullptr) return;
-  auto twin = std::make_unique<std::byte[]>(layout_->page_bytes());
-  std::memcpy(twin.get(), page_ptr(p), layout_->page_bytes());
-  twins_[p] = std::move(twin);
+  if (twins_[p] == nullptr) snapshot_twin(p);
 }
 
 void NodeDsm::refresh_twin(PageId p) {
   HYP_CHECK(has_twin(p));
-  std::memcpy(twins_[p].get(), page_ptr(p), layout_->page_bytes());
+  std::memcpy(twins_[p], page_ptr(p), layout_->page_bytes());
 }
 
 Gva NodeDsm::alloc(std::size_t bytes, std::size_t align) {

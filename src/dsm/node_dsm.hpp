@@ -11,14 +11,18 @@
 //   * absent         — any access must first load the page.
 // java_pf additionally keeps a *twin* (pristine copy at fetch time) per
 // cached page so updateMainMemory can diff out the modified words.
+//
+// The per-page tables are lazily committed (common/lazy_array.hpp): set-up
+// and tear-down follow the node's own zone and live twins, never the region
+// size, so a node pays only for the pages it touches.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/lazy_array.hpp"
 #include "dsm/address.hpp"
 
 namespace hyp::sim {
@@ -71,7 +75,7 @@ class NodeDsm {
   }
 
   // Raw presence table, cached on ThreadCtx so the access fast paths skip
-  // the NodeDsm indirection. The table never reallocates after construction.
+  // the NodeDsm indirection. The table never remaps after construction.
   const std::uint8_t* presence_data() const { return presence_.data(); }
 
   // Marks a freshly fetched page cached. `with_twin` snapshots a twin
@@ -85,8 +89,11 @@ class NodeDsm {
   bool has_twin(PageId p) const { return p < twins_.size() && twins_[p] != nullptr; }
   std::byte* twin(PageId p) {
     HYP_DCHECK(p < twins_.size());
-    return twins_[p].get();
+    return twins_[p];
   }
+  // Twins currently allocated. Every twin belongs to a cached page, which is
+  // what lets the destructor free them by walking the cached list.
+  std::size_t live_twins() const { return live_twins_; }
 
   // Snapshots a twin of a cached page that was fetched without one (hybrid
   // mid-generation ic -> pf flip). No-op if the twin already exists.
@@ -148,13 +155,19 @@ class NodeDsm {
   void finish_fetch(PageId p);
 
  private:
+  // Allocate page p's twin as a copy of its arena bytes / free it (no-op
+  // without one), keeping live_twins_ in step.
+  void snapshot_twin(PageId p);
+  void drop_twin(PageId p);
+
   const Layout* layout_;
   NodeId node_;
   bool ic_default_ = false;  // hybrid: demoted/fresh non-home pages start ic
   std::byte* arena_ = nullptr;
-  std::vector<std::uint8_t> presence_;               // indexed by page; see bits above
-  std::vector<PageId> cached_list_;                  // pages with presence_[p]==kPresentBit
-  std::vector<std::unique_ptr<std::byte[]>> twins_;  // indexed by page
+  LazyArray<std::uint8_t> presence_;  // indexed by page; see bits above
+  std::vector<PageId> cached_list_;   // pages with presence_[p]==kPresentBit
+  LazyArray<std::byte*> twins_;       // indexed by page; owning, null = no twin
+  std::size_t live_twins_ = 0;
   Gva alloc_next_;
 
   struct Inflight {

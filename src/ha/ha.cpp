@@ -64,6 +64,12 @@ void HaManager::zone_pages(NodeId zone, dsm::PageId* first, dsm::PageId* last) c
   *last = static_cast<dsm::PageId>(layout.zone_end(zone) / layout.page_bytes());
 }
 
+std::size_t HaManager::live_prefix(NodeId zone) const {
+  const std::size_t page_bytes = dsm_->layout().page_bytes();
+  const std::size_t used = dsm_->node_dsm(zone).allocated_bytes();
+  return (used + page_bytes - 1) & ~(page_bytes - 1);
+}
+
 void HaManager::start() {
   const auto& f = cluster_->params().fault;
   const int count = cluster_->node_count();
@@ -396,7 +402,9 @@ void HaManager::move_zone(NodeId zone, NodeId dead, NodeId new_home) {
   const dsm::Gva zend = layout.zone_end(zone);
   const std::size_t zbytes = static_cast<std::size_t>(zend - zbegin);
   // The dying home's arena holds the zone's authoritative bytes (for a zone
-  // that had moved before, the previous promotion copied them there).
+  // that had moved before, the previous promotion copied them there). Only
+  // the live prefix can differ from zero, so only it is mirrored.
+  const std::size_t live = live_prefix(zone);
   dsm::NodeDsm& dnd = dsm_->node_dsm(dead);
   dsm::NodeDsm& bnd = dsm_->node_dsm(new_home);
 
@@ -430,8 +438,8 @@ void HaManager::move_zone(NodeId zone, NodeId dead, NodeId new_home) {
   ZoneSnap& snap = zone_snaps_[static_cast<std::size_t>(zone)];
   snap.from = dead;
   insert_sorted(snap_zones_[static_cast<std::size_t>(dead)], zone);
-  snap.bytes.assign(dnd.arena() + zbegin, dnd.arena() + zend);
-  std::memcpy(bnd.arena() + zbegin, dnd.arena() + zbegin, zbytes);
+  snap.bytes.assign(dnd.arena() + zbegin, dnd.arena() + zbegin + live);
+  std::memcpy(bnd.arena() + zbegin, dnd.arena() + zbegin, live);
   bnd.promote_to_home(first, last);
 
   // (3) The new home's own unflushed modifications win over the mirrored
@@ -451,10 +459,10 @@ void HaManager::move_zone(NodeId zone, NodeId dead, NodeId new_home) {
 
   // Installing the final checkpoint delta occupies the new home's service
   // queue: requests against it serve after the install. Charged over the
-  // zone's *live* bytes — the page frames themselves were already mirrored.
-  const std::size_t live = dsm_->node_dsm(zone).allocated_bytes();
-  if (live > 0) {
-    cluster_->node(new_home).service_queue().reserve(cluster_->params().cpu.copy_cost(live));
+  // zone's allocated bytes — the page frames themselves were already mirrored.
+  const std::size_t used = dsm_->node_dsm(zone).allocated_bytes();
+  if (used > 0) {
+    cluster_->node(new_home).service_queue().reserve(cluster_->params().cpu.copy_cost(used));
   }
 
   cluster_->node(new_home).stats().add(Counter::kHaPromotions);
@@ -487,18 +495,29 @@ void HaManager::rejoin_node(NodeId n, Time now) {
     // snapshot and fold the deltas into the current home. Under
     // data-race-free programs these bytes are disjoint from anything the new
     // home served in the meantime (the writers still hold their monitors).
+    // The isolated or frozen node may have allocated during the window, so
+    // the diff covers the live prefix as of now; the snapshot reads as zero
+    // past its own length.
     const dsm::Layout& layout = dsm_->layout();
     dsm::PageId first = 0;
     dsm::PageId last = 0;
     zone_pages(z, &first, &last);
     const dsm::Gva zbegin = layout.zone_begin(z);
-    const std::size_t zbytes = snap.bytes.size();
+    const std::size_t zbytes = live_prefix(z);
+    snap.bytes.resize(zbytes);  // zero-extends: the prefix only grows
+    const std::size_t page_bytes = layout.page_bytes();
     dsm::NodeDsm& dnd = dsm_->node_dsm(n);
     dsm::NodeDsm& hnd = dsm_->node_dsm(zone_home_[static_cast<std::size_t>(z)]);
     const std::byte* cur = dnd.arena() + zbegin;
     const std::byte* base = snap.bytes.data();
     std::size_t i = 0;
     while (i < zbytes) {
+      // Skipping a whole equal page skips only bytes the scan below would
+      // skip one at a time, so the runs and their copies are unchanged.
+      if ((i & (page_bytes - 1)) == 0 && std::memcmp(cur + i, base + i, page_bytes) == 0) {
+        i += page_bytes;
+        continue;
+      }
       if (cur[i] == base[i]) {
         ++i;
         continue;

@@ -140,9 +140,10 @@ class HaManager final : public cluster::HaHooks {
     bool confirmed = false;
   };
 
-  // Per-zone snapshot taken at promotion time from the dying home's arena;
-  // the restart event diffs against it to realize the *final* checkpoint
-  // (see on_restart). `from` is the node the zone moved away from.
+  // Per-zone snapshot of the zone's live prefix (see live_prefix), taken at
+  // promotion time from the dying home's arena; the restart event diffs
+  // against it to realize the *final* checkpoint (see on_restart). `from` is
+  // the node the zone moved away from.
   struct ZoneSnap {
     cluster::NodeId from = -1;
     std::vector<std::byte> bytes;
@@ -191,6 +192,9 @@ class HaManager final : public cluster::HaHooks {
   void move_zone(cluster::NodeId zone, cluster::NodeId dead, cluster::NodeId new_home);
   // Zone page range of `zone` as [first, last).
   void zone_pages(cluster::NodeId zone, dsm::PageId* first, dsm::PageId* last) const;
+  // The zone's allocated bytes rounded up to whole pages. Nothing is ever
+  // written past it, so failover copies and diffs only this prefix.
+  std::size_t live_prefix(cluster::NodeId zone) const;
   // Emits (or forwards) one checkpoint message of the modeled stream:
   // `from` -> chain_member(origin, hop), paced by the ckpt_bw budget.
   void send_checkpoint(cluster::NodeId from, cluster::NodeId origin, std::uint32_t hop,

@@ -6,9 +6,10 @@
 // run; a run whose fetches concentrate on consecutively allocated pages is
 // the prefetch effect working. This table makes both visible per benchmark.
 //
-// Recording discipline: init() preallocates three flat arrays (one slot per
-// page of the shared region); record_*() is a bounds check plus an indexed
-// add — no allocation, no clock access, no perturbation of virtual time.
+// Recording discipline: init() maps three flat lazily committed arrays (one
+// slot per page of the shared region, common/lazy_array.hpp); record_*() is a
+// bounds check plus an indexed add — no allocation, no clock access, no
+// perturbation of virtual time.
 // DsmSystem holds an optional pointer; detached cost is one pointer test.
 #pragma once
 
@@ -16,6 +17,8 @@
 #include <cstdint>
 #include <ostream>
 #include <vector>
+
+#include "common/lazy_array.hpp"
 
 namespace hyp::obs {
 
@@ -31,9 +34,9 @@ class PageHeatTable {
   // (Re)sizes for a region of `total_pages` pages and zeroes all heat. The
   // only allocating call; record_*() never allocates.
   void init(std::size_t total_pages, std::size_t page_bytes) {
-    fetches_.assign(total_pages, 0);
-    faults_.assign(total_pages, 0);
-    update_bytes_.assign(total_pages, 0);
+    fetches_.reset(total_pages);
+    faults_.reset(total_pages);
+    update_bytes_.reset(total_pages);
     page_bytes_ = page_bytes;
   }
 
@@ -74,9 +77,9 @@ class PageHeatTable {
   void write_report(std::ostream& os, std::size_t n) const;
 
  private:
-  std::vector<std::uint64_t> fetches_;
-  std::vector<std::uint64_t> faults_;
-  std::vector<std::uint64_t> update_bytes_;
+  LazyArray<std::uint64_t> fetches_;
+  LazyArray<std::uint64_t> faults_;
+  LazyArray<std::uint64_t> update_bytes_;
   std::size_t page_bytes_ = 0;
 };
 
@@ -97,10 +100,10 @@ class PageHeatTable {
 class WindowedHeat {
  public:
   void init(std::size_t total_pages) {
-    raw_.assign(total_pages, 0);
-    acc_.assign(total_pages, 0);
-    miss_.assign(total_pages, 0);
-    stamp_.assign(total_pages, 0);
+    raw_.reset(total_pages);
+    acc_.reset(total_pages);
+    miss_.reset(total_pages);
+    stamp_.reset(total_pages);
   }
 
   std::size_t total_pages() const { return raw_.size(); }
@@ -136,10 +139,11 @@ class WindowedHeat {
   }
 
  private:
-  std::vector<std::uint64_t> raw_;    // accesses since the last fold
-  std::vector<std::uint64_t> acc_;    // decayed access window
-  std::vector<std::uint64_t> miss_;   // decayed miss window
-  std::vector<std::uint64_t> stamp_;  // epoch of the last fold, per page
+  // Lazily committed: a node pays only for the pages its threads touch.
+  LazyArray<std::uint64_t> raw_;    // accesses since the last fold
+  LazyArray<std::uint64_t> acc_;    // decayed access window
+  LazyArray<std::uint64_t> miss_;   // decayed miss window
+  LazyArray<std::uint64_t> stamp_;  // epoch of the last fold, per page
 };
 
 }  // namespace hyp::obs

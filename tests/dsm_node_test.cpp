@@ -101,6 +101,37 @@ TEST_F(NodeDsmTest, CachingHomePageAborts) {
   EXPECT_DEATH(nd_.mark_cached(64, false), "never 'cached'");
 }
 
+// The constructor folds home-ness over the node's own zone only; the fold must
+// agree with Layout::home_of_page everywhere, including the remainder tail
+// that belongs to the last node.
+TEST(NodeDsmHomeFold, PresenceMatchesLayoutHomeOfEveryPage) {
+  const Layout layout(67 * 4096, 4096, 4);  // 16 pages per zone, 3-page tail
+  for (NodeId n = 0; n < 4; ++n) {
+    const NodeDsm nd(&layout, n);
+    for (PageId p = 0; p < layout.total_pages(); ++p) {
+      EXPECT_EQ(nd.is_home(p), layout.home_of_page(p) == n) << "node " << n << " page " << p;
+      EXPECT_EQ(nd.present(p), nd.is_home(p));
+    }
+  }
+}
+
+TEST_F(NodeDsmTest, LiveTwinsFollowTheirCachedPages) {
+  nd_.mark_cached(0, true);
+  nd_.mark_cached(1, true);
+  nd_.mark_cached(2, false);
+  EXPECT_EQ(nd_.live_twins(), 2u);
+  nd_.ensure_twin(2);  // hybrid ic -> pf flip of a cached page
+  EXPECT_EQ(nd_.live_twins(), 3u);
+  nd_.promote_to_home(1, 2);  // the page becomes home: its twin goes
+  EXPECT_EQ(nd_.live_twins(), 2u);
+  EXPECT_FALSE(nd_.has_twin(1));
+  nd_.invalidate_all();
+  EXPECT_EQ(nd_.live_twins(), 0u);
+  // Twins left on cached pages are freed by the destructor (fixture teardown).
+  nd_.mark_cached(3, true);
+  EXPECT_EQ(nd_.live_twins(), 1u);
+}
+
 TEST(WriteLog, RecordAndClear) {
   WriteLog log;
   EXPECT_TRUE(log.empty());

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <fstream>
 #include <memory>
 #include <string>
 
@@ -364,6 +367,68 @@ TEST(DsmSystem, ConcurrentSamePageMissesFetchOnce) {
   c.run();
   EXPECT_EQ(done, 3);
   EXPECT_EQ(c.node(1).stats().get(Counter::kPageFetches), 1u);
+}
+
+// Resident set size of this process, from /proc/self/statm.
+std::size_t rss_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t total_pages = 0;
+  std::size_t resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+std::size_t rss_growth_since(std::size_t before) {
+  const std::size_t now = rss_bytes();
+  return now > before ? now - before : 0;
+}
+
+// Per-page DSM state is lazily committed: a node pays for the pages it
+// touches, never region size x nodes. Eager tables cost 41 B per page per
+// node under hybrid (presence, twin pointer, four heat counters): 688 MB for
+// this shape.
+TEST(DsmFootprint, HybridSystemAt256NodesCostsTouchedStateOnly) {
+  constexpr int kNodes = 256;
+  constexpr std::size_t kPages = 65536;
+  cluster::Cluster c(test_params(), kNodes);
+  const std::size_t page_bytes = c.params().page_bytes;
+  const std::size_t before = rss_bytes();
+  {
+    DsmSystem dsm(&c, kPages * page_bytes, ProtocolKind::kHybrid);
+    EXPECT_LT(rss_growth_since(before), std::size_t{64} << 20);
+    const Layout& layout = dsm.layout();
+    for (NodeId n : {0, 1, kNodes - 1}) {
+      NodeDsm& nd = dsm.node_dsm(n);
+      const std::uint64_t* window = dsm.access_window(n);
+      for (PageId p = 0; p < layout.total_pages(); ++p) {
+        const bool home = layout.home_of_page(p) == n;
+        ASSERT_EQ(int{nd.presence_data()[p]},
+                  home ? NodeDsm::kPresentBit | NodeDsm::kHomeBit : NodeDsm::kIcModeBit);
+        ASSERT_FALSE(nd.has_twin(p));
+        ASSERT_EQ(window[p], 0u);
+      }
+      EXPECT_EQ(nd.live_twins(), 0u);
+    }
+  }
+  EXPECT_LT(rss_growth_since(before), std::size_t{64} << 20);
+}
+
+// Twins are freed with their cached pages when the system goes away: the
+// NodeDsm destructor walks the cached list and checks that no twin is left.
+TEST(DsmFootprint, TwinsOfCachedPagesAreFreedAtTeardown) {
+  cluster::Cluster c(test_params(), 2);
+  auto dsm = std::make_unique<DsmSystem>(&c, kRegion, ProtocolKind::kJavaPf);
+  const Gva a = dsm->alloc(0, 3 * 4096);
+  c.spawn_thread(1, "reader", [&] {
+    auto t = dsm->make_thread(1);
+    for (Gva off = 0; off < 3 * 4096; off += 4096) {
+      EXPECT_EQ((PfPolicy::get<std::int64_t>(*t, a + off)), 0);
+    }
+  });
+  c.run();
+  EXPECT_EQ(dsm->node_dsm(1).live_twins(), 3u);
+  EXPECT_EQ(dsm->node_dsm(1).cached_pages().size(), 3u);
+  dsm.reset();  // aborts if a twin outlived its cached page
 }
 
 TEST(DsmSystemDeath, UnknownProtocolNameAborts) {

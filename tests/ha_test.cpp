@@ -523,6 +523,61 @@ TEST(HaPartition, HealThenResplitReconfirmsWithoutDoubleHome) {
   }
 }
 
+// Failover copies and diffs only the zone's allocated prefix. The isolated
+// home keeps allocating in its own zone after the majority side promoted its
+// backup, so the heal's fold must reach past the promotion-time prefix: an
+// object allocated and written inside the window must arrive at the current
+// home byte for byte.
+TEST(HaPartition, HealFoldsObjectsAllocatedPastThePromotionPrefix) {
+  for (auto kind : {dsm::ProtocolKind::kJavaIc, dsm::ProtocolKind::kJavaPf,
+                    dsm::ProtocolKind::kHybrid}) {
+    hyperion::VmConfig cfg;
+    cfg.cluster = cluster::ClusterParams::myrinet200();
+    cfg.cluster.fault = cluster::FaultProfile::parse(
+        "partition@1ms+800us:2|0.1.3,hb=50us,suspect=200us,confirm=400us,seed=7");
+    cfg.nodes = kNodes;
+    cfg.protocol = kind;
+    cfg.region_bytes = std::size_t{16} << 20;
+    hyperion::HyperionVM vm(cfg);
+    const std::size_t page_bytes = vm.dsm().layout().page_bytes();
+    const std::size_t words = 2 * page_bytes / sizeof(std::int64_t);
+    std::size_t promoted_prefix = 0;
+    dsm::Gva fresh = 0;
+    dsm::with_policy(kind, [&](auto policy) {
+      using P = decltype(policy);
+      vm.run_main([&](hyperion::JavaEnv& main) {
+        auto writer = main.start_thread("isolated", [&](hyperion::JavaEnv& env) {
+          env.migrate_to(kCrashNode);
+          env.new_cell<std::int64_t>(1);  // the zone's prefix at promotion
+          // Inside the window, after the majority side took the zone over.
+          sim::Engine::current()->sleep_until(1700 * kMicrosecond);
+          ASSERT_EQ(vm.ha()->home_node(kCrashNode), kCrashNode + 1);
+          promoted_prefix = vm.dsm().node_dsm(kCrashNode).allocated_bytes();
+          fresh = env.alloc_raw(words * sizeof(std::int64_t));
+          hyperion::Mem<P> mem(env.ctx());
+          for (std::size_t w = 0; w < words; ++w) {
+            mem.put(hyperion::GRef<std::int64_t>{fresh + w * sizeof(std::int64_t)},
+                    static_cast<std::int64_t>(1000 + w));
+          }
+          sim::Engine::current()->sleep_until(2 * kMillisecond);  // past the heal
+        });
+        main.join(writer);
+      });
+    });
+    const char* name = dsm::protocol_name(kind);
+    // The object reaches past the last page the promotion mirrored.
+    ASSERT_LE(promoted_prefix, page_bytes) << name;
+    ASSERT_GT(fresh + words * sizeof(std::int64_t),
+              vm.dsm().layout().zone_begin(kCrashNode) + page_bytes) << name;
+    EXPECT_EQ(vm.ha()->home_node(kCrashNode), kCrashNode + 1) << name;
+    for (std::size_t w = 0; w < words; ++w) {
+      ASSERT_EQ(vm.dsm().read_home<std::int64_t>(fresh + w * sizeof(std::int64_t)),
+                static_cast<std::int64_t>(1000 + w))
+          << name << " word " << w;
+    }
+  }
+}
+
 TEST(HaPartition, QuorumReadsServeSuspectedHomeWindow) {
   // A majority-side reader fetches a page homed on the isolated node DURING
   // the suspected-but-unconfirmed window (~[1.2ms, 1.6ms)): the read is
