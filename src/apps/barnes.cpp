@@ -60,13 +60,10 @@ void child_center(int oct, double half, double& cx, double& cy, double& cz) {
 
 struct Blocks {
   int n, workers;
-  int start(int w) const { return static_cast<int>(static_cast<std::int64_t>(n) * w / workers); }
+  int start(int w) const { return barnes_block_start(n, workers, w); }
   int owner(int b) const {
-    // Inverse of start(); workers <= 12 so a linear scan is exact and cheap.
-    for (int w = workers - 1; w >= 0; --w) {
-      if (b >= start(w)) return w;
-    }
-    HYP_PANIC("body out of range");
+    HYP_DCHECK(b >= 0 && b < n);
+    return barnes_body_owner(n, workers, b);
   }
 };
 

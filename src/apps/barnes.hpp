@@ -42,6 +42,18 @@ struct BarnesBodies {
   std::vector<double> mass, px, py, pz, vx, vy, vz;
 };
 
+// Body blocks: worker w of `workers` owns bodies [start(w), start(w + 1)) of
+// `n`, with start(w) = n * w / workers.
+inline int barnes_block_start(int n, int workers, int w) {
+  return static_cast<int>(std::int64_t{n} * w / workers);
+}
+// The worker whose block holds body b: the largest w with start(w) <= b.
+// start(w) <= b  <=>  n * w < workers * (b + 1), so it is the exact inverse,
+// O(1) at any worker count.
+inline int barnes_body_owner(int n, int workers, int b) {
+  return static_cast<int>((std::int64_t{workers} * (b + 1) - 1) / n);
+}
+
 // Deterministic initial condition shared by the parallel and serial runs.
 BarnesBodies barnes_make_bodies(int n, std::uint64_t seed);
 

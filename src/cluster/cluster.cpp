@@ -210,28 +210,27 @@ RpcResult Cluster::call_result(NodeId from, NodeId to, ServiceId service, Buffer
   pc.service = service;
   pc.started = engine_.now();
   const std::uint64_t token = next_call_token_++;
-  pending_calls_[token] = &pc;
+  pending_calls_.emplace_back(token, &pc);
   pc.req_seq = tx_enqueue(0, from, to, service, token, /*is_reply=*/false, std::move(payload));
 
   if (params_.fault.call_timeout > 0) {
     engine_.post_on(node_shard(from), pc.started + params_.fault.call_timeout, [this, token]() {
-      auto it = pending_calls_.find(token);
+      auto it = find_pending(token);
       if (it == pending_calls_.end() || it->second->done) return;
       PendingCall& timed_out = *it->second;
       // Cancel the request packet so its retransmit timers become no-ops.
       PairState& ps = pair(timed_out.from, timed_out.to);
       std::uint32_t retransmits = 0;
-      auto pit = ps.outstanding.find(timed_out.req_seq);
-      if (pit != ps.outstanding.end()) {
-        retransmits = pit->second.retransmits;
-        ps.outstanding.erase(pit);
+      if (TxPacket* p = tx_find(ps, timed_out.req_seq)) {
+        retransmits = p->retransmits;
+        tx_take(ps, p);
       }
       fail_call(timed_out, token, RpcStatus::kTimeout, retransmits);
     });
   }
 
   while (!pc.done) eng->park();
-  pending_calls_.erase(token);
+  pending_calls_.erase(find_pending(token));
 
   RpcResult out;
   out.status = pc.error.status;
@@ -353,16 +352,40 @@ std::uint64_t Cluster::tx_enqueue(TimeDelta depart_delay, NodeId from, NodeId to
   p.seq = seq;
   p.first_sent = engine_.now() + depart_delay;
   p.rto = params_.fault.rto_initial;
-  ps.outstanding.emplace(seq, std::move(p));
+  if (ps.outstanding.capacity() == 0 && !tx_spare_.empty()) {
+    ps.outstanding = std::move(tx_spare_.back());
+    tx_spare_.pop_back();
+  }
+  ps.outstanding.push_back(std::move(p));
   tx_transmit(from, to, seq, depart_delay);
   return seq;
 }
 
+Cluster::TxPacket* Cluster::tx_find(PairState& ps, std::uint64_t seq) {
+  const auto it = std::lower_bound(ps.outstanding.begin(), ps.outstanding.end(), seq,
+                                   [](const TxPacket& p, std::uint64_t s) { return p.seq < s; });
+  return it != ps.outstanding.end() && it->seq == seq ? &*it : nullptr;
+}
+
+Cluster::TxPacket Cluster::tx_take(PairState& ps, TxPacket* p) {
+  TxPacket packet = std::move(*p);
+  ps.outstanding.erase(ps.outstanding.begin() + (p - ps.outstanding.data()));
+  if (ps.outstanding.empty()) tx_spare_.push_back(std::exchange(ps.outstanding, {}));
+  return packet;
+}
+
+Cluster::PendingCalls::iterator Cluster::find_pending(std::uint64_t token) {
+  const auto it = std::lower_bound(
+      pending_calls_.begin(), pending_calls_.end(), token,
+      [](const PendingCalls::value_type& e, std::uint64_t t) { return e.first < t; });
+  return it != pending_calls_.end() && it->first == token ? it : pending_calls_.end();
+}
+
 void Cluster::tx_transmit(NodeId from, NodeId to, std::uint64_t seq, TimeDelta depart_delay) {
   PairState& ps = pair(from, to);
-  auto it = ps.outstanding.find(seq);
-  if (it == ps.outstanding.end()) return;  // acked or cancelled meanwhile
-  TxPacket& p = it->second;
+  TxPacket* found = tx_find(ps, seq);
+  if (found == nullptr) return;  // acked or cancelled meanwhile
+  TxPacket& p = *found;
 
   // A crashed node transmits nothing: its NIC holds every outbound packet
   // until the restart instant (fibers, stacks and queued sends all survive a
@@ -447,8 +470,8 @@ void Cluster::tx_on_arrival(NodeId from, NodeId to, ServiceId service, std::uint
   PairState& ps = pair(from, to);
 
   // Receiver-side dedup: everything below the watermark was delivered;
-  // sparse seqs at/above it live in the ordered set.
-  const bool duplicate = seq < ps.seen_watermark || ps.seen_above.count(seq) != 0;
+  // seqs above it that arrived early are bits in the window.
+  const bool duplicate = seq < ps.seen_watermark || ps.seen_above.contains(seq);
   if (duplicate) {
     dst.stats().add(Counter::kDupSuppressed);
     trace_event(to, TraceKind::kDupSuppressed, from, static_cast<std::int64_t>(seq));
@@ -457,20 +480,17 @@ void Cluster::tx_on_arrival(NodeId from, NodeId to, ServiceId service, std::uint
     return;
   }
   if (seq == ps.seen_watermark) {
+    // Every window member lies above the watermark, so the watermark climbs
+    // exactly while the window holds its next seq.
     ++ps.seen_watermark;
-    while (!ps.seen_above.empty() && *ps.seen_above.begin() == ps.seen_watermark) {
-      ps.seen_above.erase(ps.seen_above.begin());
-      ++ps.seen_watermark;
-    }
+    while (ps.seen_above.erase(ps.seen_watermark)) ++ps.seen_watermark;
   } else {
     ps.seen_above.insert(seq);
-    // Bounded dedup window (`dedupwin=N`): forget the oldest sparse seq once
+    // Bounded dedup window (`dedupwin=N`): forget the oldest early seq once
     // over budget. A forgotten seq can be re-delivered as a fresh message —
     // the op-id / idempotence layers above absorb it (docs/FAULTS.md).
     const std::uint32_t win = params_.fault.dedup_window;
-    if (win != 0 && ps.seen_above.size() > win) {
-      ps.seen_above.erase(ps.seen_above.begin());
-    }
+    if (win != 0 && ps.seen_above.size() > win) ps.seen_above.erase_min();
   }
   tx_send_ack(to, from, seq);
 
@@ -538,21 +558,20 @@ void Cluster::tx_send_ack(NodeId from, NodeId to, std::uint64_t seq) {
 
 void Cluster::tx_on_ack(NodeId from, NodeId to, std::uint64_t seq) {
   PairState& ps = pair(from, to);
-  auto it = ps.outstanding.find(seq);
-  if (it == ps.outstanding.end()) return;  // stale or duplicate ack
-  TxPacket& p = it->second;
-  if (p.retransmits > 0) {
-    const Time waited = engine_.now() - p.first_sent;
+  TxPacket* p = tx_find(ps, seq);
+  if (p == nullptr) return;  // stale or duplicate ack
+  if (p->retransmits > 0) {
+    const Time waited = engine_.now() - p->first_sent;
     node(from).stats().record(Hist::kRetryLatency, static_cast<std::uint64_t>(waited));
   }
-  ps.outstanding.erase(it);
+  tx_take(ps, p);
 }
 
 void Cluster::tx_on_timer(NodeId from, NodeId to, std::uint64_t seq) {
   PairState& ps = pair(from, to);
-  auto it = ps.outstanding.find(seq);
-  if (it == ps.outstanding.end()) return;  // acked or cancelled: timer is moot
-  TxPacket& p = it->second;
+  TxPacket* found = tx_find(ps, seq);
+  if (found == nullptr) return;  // acked or cancelled: timer is moot
+  TxPacket& p = *found;
   // Fast give-up: once the failure detector confirmed the destination dead —
   // or an open partition window severs the pair — there is no point burning
   // the rest of the retry budget against it. The severed case surfaces the
@@ -561,9 +580,7 @@ void Cluster::tx_on_timer(NodeId from, NodeId to, std::uint64_t seq) {
   const bool cut = ha_ != nullptr && params_.fault.severed(from, to, engine_.now());
   if (cut || p.retransmits >= params_.fault.max_retries ||
       (ha_ != nullptr && ha_->confirmed_dead(to))) {
-    TxPacket packet = std::move(p);
-    ps.outstanding.erase(it);
-    tx_give_up(std::move(packet), /*no_quorum=*/cut);
+    tx_give_up(tx_take(ps, &p), /*no_quorum=*/cut);
     return;
   }
   ++p.retransmits;
@@ -578,7 +595,7 @@ void Cluster::tx_give_up(TxPacket packet, bool no_quorum) {
     if (packet.token != 0) {
       // Request packet of a blocking call: surface a typed failure to the
       // parked caller instead of letting the run end in a generic deadlock.
-      auto it = pending_calls_.find(packet.token);
+      auto it = find_pending(packet.token);
       if (it != pending_calls_.end() && !it->second->done) {
         fail_call(*it->second, packet.token,
                   no_quorum ? RpcStatus::kNoQuorum : RpcStatus::kBudgetExhausted,
@@ -606,7 +623,7 @@ void Cluster::tx_give_up(TxPacket packet, bool no_quorum) {
   // Reply packet: the replier cannot reach the caller. Fail the caller's
   // pending call (the simulator sees both ends) so the fiber wakes with a
   // typed error instead of parking forever.
-  auto it = pending_calls_.find(packet.token);
+  auto it = find_pending(packet.token);
   if (it != pending_calls_.end() && !it->second->done) {
     PendingCall& pc = *it->second;
     fail_call(pc, packet.token, no_quorum ? RpcStatus::kNoQuorum : RpcStatus::kTimeout,
@@ -621,7 +638,7 @@ void Cluster::tx_give_up(TxPacket packet, bool no_quorum) {
 }
 
 void Cluster::complete_call(std::uint64_t token, Buffer payload) {
-  auto it = pending_calls_.find(token);
+  auto it = find_pending(token);
   if (it == pending_calls_.end() || it->second->done) return;  // stale reply: call failed
   PendingCall& pc = *it->second;
   pc.payload = std::move(payload);
@@ -695,22 +712,18 @@ void Cluster::ha_fail_traffic_to(NodeId dead) {
     // discarded (the confirmed_dead branch of tx_give_up).
     if (PairState* to_dead = pair_find(other, dead)) {
       while (!to_dead->outstanding.empty()) {
-        TxPacket packet = std::move(to_dead->outstanding.begin()->second);
-        to_dead->outstanding.erase(to_dead->outstanding.begin());
-        tx_give_up(std::move(packet));
+        tx_give_up(tx_take(*to_dead, &to_dead->outstanding.front()));
       }
     }
     // Replies the dead node still owed: fail the parked callers (kTimeout)
     // so they re-route too. Its outstanding *requests* are left alone — the
     // node itself is merely frozen and its sends resume after the restart.
     if (PairState* from_dead = pair_find(dead, other)) {
-      for (auto it = from_dead->outstanding.begin(); it != from_dead->outstanding.end();) {
-        if (it->second.is_reply) {
-          TxPacket packet = std::move(it->second);
-          it = from_dead->outstanding.erase(it);
-          tx_give_up(std::move(packet));
+      for (std::size_t i = 0; i < from_dead->outstanding.size();) {
+        if (from_dead->outstanding[i].is_reply) {
+          tx_give_up(tx_take(*from_dead, &from_dead->outstanding[i]));
         } else {
-          ++it;
+          ++i;
         }
       }
     }

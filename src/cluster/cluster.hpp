@@ -19,15 +19,15 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/params.hpp"
 #include "cluster/trace.hpp"
 #include "common/buffer.hpp"
+#include "common/id_window.hpp"
 #include "common/stats.hpp"
 #include "obs/phase.hpp"
 #include "sim/engine.hpp"
@@ -327,8 +327,8 @@ class Cluster {
   // with a per-(src,dst) sequence number. The sender keeps the payload until
   // the receiver's ack arrives, retransmitting on a timer with exponential
   // backoff up to FaultProfile::max_retries; the receiver suppresses
-  // duplicates with a per-pair watermark + sparse-set window and re-acks
-  // them (the original ack may itself have been lost). Quiet networks never
+  // duplicates with a per-pair watermark + bitmap window and re-acks them
+  // (the original ack may itself have been lost). Quiet networks never
   // reach this code: deliver()/deliver_reply() keep the historical
   // one-event-per-message path, bit-identical to the goldens.
   struct PendingCall {
@@ -361,12 +361,14 @@ class Cluster {
     NodeId from = -1;  // identity (the sparse store iterates slots)
     NodeId to = -1;
     std::uint64_t next_seq = 0;  // sender side
-    // seq -> packet, ordered (deterministic iteration for diagnostics).
-    std::map<std::uint64_t, TxPacket> outstanding;
+    // Unacked packets in ascending seq (seqs are issued in order, so
+    // appending keeps it sorted). A drained pair hands its capacity to
+    // Cluster::tx_spare_, so idle pairs own no heap memory.
+    std::vector<TxPacket> outstanding;
     // Receiver-side dedup window: everything below the watermark has been
-    // delivered; sparse seqs at/above it live in the ordered set.
+    // delivered; seqs above it that arrived early are bits in seen_above.
     std::uint64_t seen_watermark = 0;
-    std::set<std::uint64_t> seen_above;
+    IdWindow seen_above;
   };
 
   // Sparse pair-state lookup: creates the (from,to) entry on first use.
@@ -391,6 +393,14 @@ class Cluster {
   void tx_on_ack(NodeId from, NodeId to, std::uint64_t seq);
   void tx_on_timer(NodeId from, NodeId to, std::uint64_t seq);
   void tx_give_up(TxPacket packet, bool no_quorum = false);
+  // The outstanding packet `seq` of `ps`, or nullptr once acked/cancelled.
+  static TxPacket* tx_find(PairState& ps, std::uint64_t seq);
+  // Removes `p` (a packet of ps.outstanding) and returns it.
+  TxPacket tx_take(PairState& ps, TxPacket* p);
+  // Lossy-mode call table, ascending token (tokens are issued in order).
+  using PendingCalls = std::vector<std::pair<std::uint64_t, PendingCall*>>;
+  // The entry for `token`, or end() once the call returned (map::find).
+  PendingCalls::iterator find_pending(std::uint64_t token);
   void complete_call(std::uint64_t token, Buffer payload);
   void fail_call(PendingCall& call, std::uint64_t token, RpcStatus status,
                  std::uint32_t retransmits);
@@ -428,11 +438,13 @@ class Cluster {
   bool lossy_ = false;
   std::vector<std::unique_ptr<PairState>> pair_slots_;  // creation order
   std::vector<std::uint32_t> pair_table_;  // open addressing: slot+1, 0 empty
+  // Drained outstanding vectors, capacity kept for the next busy pair.
+  std::vector<std::vector<TxPacket>> tx_spare_;
   // Lossy-mode call matching: monotonically increasing tokens are never
   // recycled, so a reply that limps in after its call failed can only miss
-  // the map (and be suppressed) — it can never corrupt an unrelated call.
+  // the table (and be suppressed) — it can never corrupt an unrelated call.
   std::uint64_t next_call_token_ = 1;
-  std::map<std::uint64_t, PendingCall*> pending_calls_;
+  PendingCalls pending_calls_;
   std::vector<std::string> service_names_;  // [service id] -> label ("" = unnamed)
 };
 

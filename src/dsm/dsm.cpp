@@ -26,9 +26,9 @@ ProtocolKind protocol_by_name(const std::string& name) {
 DsmSystem::DsmSystem(cluster::Cluster* cluster, std::size_t region_bytes, ProtocolKind kind)
     : cluster_(cluster),
       layout_(region_bytes, cluster->params().page_bytes, cluster->node_count()),
-      kind_(kind) {
+      kind_(kind),
+      applied_updates_(static_cast<std::size_t>(cluster->node_count())) {
   const int n = cluster->node_count();
-  applied_updates_.resize(static_cast<std::size_t>(n));
   nodes_.reserve(static_cast<std::size_t>(n));
   for (NodeId i = 0; i < n; ++i) {
     nodes_.push_back(std::make_unique<NodeDsm>(&layout_, i));
@@ -738,7 +738,7 @@ void DsmSystem::handle_update_fields(cluster::Incoming& in, NodeId self) {
   std::uint64_t update_id = 0;
   if (update_ids_active()) {
     update_id = in.reader.get<std::uint64_t>();
-    if (applied_updates_[static_cast<std::size_t>(self)].count(update_id) != 0) {
+    if (applied_updates_[static_cast<std::size_t>(self)].contains(update_id)) {
       cluster_->node(self).stats().add_named("dsm_update_replays_absorbed");
       cluster_->reply(in, make_ack());
       return;
@@ -954,7 +954,7 @@ void DsmSystem::handle_update_runs(cluster::Incoming& in, NodeId self) {
   std::uint64_t update_id = 0;
   if (update_ids_active()) {
     update_id = in.reader.get<std::uint64_t>();
-    if (applied_updates_[static_cast<std::size_t>(self)].count(update_id) != 0) {
+    if (applied_updates_[static_cast<std::size_t>(self)].contains(update_id)) {
       cluster_->node(self).stats().add_named("dsm_update_replays_absorbed");
       cluster_->reply(in, make_ack());
       return;

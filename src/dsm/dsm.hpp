@@ -33,12 +33,12 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "cluster/ha_hooks.hpp"
+#include "common/id_window.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
 #include "dsm/address.hpp"
@@ -330,7 +330,7 @@ class DsmSystem {
   Layout layout_;
   ProtocolKind kind_;
   std::uint64_t next_update_id_ = 1;
-  std::vector<std::set<std::uint64_t>> applied_updates_;  // per home node
+  std::vector<IdWindow> applied_updates_;  // per home node
   std::vector<std::unique_ptr<NodeDsm>> nodes_;
   std::uint64_t next_thread_uid_ = 1;
   // Live-thread registry (registered by make_thread, removed by ~ThreadCtx);

@@ -174,7 +174,7 @@ Buffer MonitorSubsystem::remote_invoke(dsm::ThreadCtx& t, cluster::NodeId home,
 bool MonitorSubsystem::op_already_applied(cluster::Incoming& in, cluster::NodeId self) {
   if (!cluster_->transport_active()) return false;
   const auto op = in.reader.get<std::uint64_t>();
-  return !applied_ops_[static_cast<std::size_t>(self)].insert(op).second;
+  return !applied_ops_[static_cast<std::size_t>(self)].insert(op);
 }
 
 void MonitorSubsystem::reattach_enter(cluster::Incoming& in, cluster::NodeId self, dsm::Gva obj,
@@ -281,11 +281,12 @@ void MonitorSubsystem::fail_over_home(cluster::NodeId dead, cluster::NodeId back
     HYP_CHECK_MSG(fresh, "monitor failover collision: backup already manages the object");
     it = src.erase(it);
   }
-  // The applied-op-id set is copied (not cleared: another zone's promotion
-  // may still need it) so a retry of an op the dead home had applied (but
-  // whose ack was lost) re-attaches at the backup instead of double-applying.
-  auto& sops = applied_ops_[static_cast<std::size_t>(dead)];
-  applied_ops_[static_cast<std::size_t>(backup)].insert(sops.begin(), sops.end());
+  // The dead home's applied op ids are unioned into the backup's (and kept:
+  // another zone's promotion may still need them) so a retry of an op the
+  // dead home had applied (but whose ack was lost) re-attaches at the backup
+  // instead of double-applying.
+  applied_ops_[static_cast<std::size_t>(backup)].merge(
+      applied_ops_[static_cast<std::size_t>(dead)]);
 }
 
 // ---------------------------------------------------------------------------

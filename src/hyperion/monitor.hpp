@@ -17,10 +17,10 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "common/id_window.hpp"
 #include "dsm/dsm.hpp"
 
 namespace hyp::hyperion {
@@ -154,7 +154,7 @@ class MonitorSubsystem {
   // Lossy-transport idempotence state (empty on quiet networks): the next
   // cluster-unique op id, and per home node the set of applied op ids.
   std::uint64_t next_op_id_ = 1;
-  std::vector<std::set<std::uint64_t>> applied_ops_;
+  std::vector<IdWindow> applied_ops_;
   static constexpr int kRpcAttempts = 3;
 
   // Cycle costs for the manager's bookkeeping (charged to the home service

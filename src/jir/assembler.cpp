@@ -159,7 +159,9 @@ std::string disassemble(const Program& program) {
     std::map<std::int64_t, std::string> labels;
     for (const Insn& insn : fn.code) {
       if (needs_label(insn.op) && labels.find(insn.operand) == labels.end()) {
-        labels[insn.operand] = "L" + std::to_string(insn.operand);
+        // Appended rather than "L" + std::to_string(...), whose inlined
+        // insert GCC 12 flags with a false -Wrestrict (GCC bug 105329).
+        labels[insn.operand] = std::string("L").append(std::to_string(insn.operand));
       }
     }
     for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {

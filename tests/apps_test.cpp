@@ -142,6 +142,27 @@ TEST(AppBehavior, TspWorkQueueIsExhaustedExactlyOnce) {
   EXPECT_EQ(r.value, static_cast<double>(tsp_serial(p)));
 }
 
+// Barnes looks up a body's owning worker on every body access, so the
+// lookup is the O(1) inverse of the block-start formula. It must agree with
+// scanning the workers for the last block starting at or before the body,
+// at the paper's worker counts and at the 256- and 1024-worker scale points.
+TEST(AppBehavior, BarnesBodyOwnerMatchesTheWorkerScan) {
+  auto scan = [](int n, int workers, int b) {
+    for (int w = workers - 1; w >= 0; --w) {
+      if (b >= barnes_block_start(n, workers, w)) return w;
+    }
+    return -1;
+  };
+  for (int n : {1, 2, 3, 7, 100, 512, 1000, 4096, 5000, 16384}) {
+    for (int workers : {1, 2, 3, 4, 5, 8, 12, 13, 64, 255, 256, 1000, 1024, 1100}) {
+      for (int b = 0; b < n; ++b) {
+        ASSERT_EQ(barnes_body_owner(n, workers, b), scan(n, workers, b))
+            << "n=" << n << " workers=" << workers << " body=" << b;
+      }
+    }
+  }
+}
+
 TEST(AppBehavior, DeterministicRunsBitwiseEqual) {
   AspParams p;
   p.n = 32;

@@ -1,4 +1,5 @@
 #include "cluster/cluster.hpp"
+#include "test_util.hpp"
 
 #include <gtest/gtest.h>
 
@@ -116,7 +117,7 @@ TEST(Cluster, ServiceQueueSerializesConcurrentArrivals) {
   std::vector<Time> handled;
   c.node(2).register_service(kOneWay, [&](Incoming&) { handled.push_back(c.engine().now()); });
   for (NodeId src : {0, 1}) {
-    c.spawn_thread(src, "s" + std::to_string(src), [&c, src] {
+    c.spawn_thread(src, numbered("s", src), [&c, src] {
       Buffer b;
       b.put<std::uint8_t>(0);
       c.send(src, 2, kOneWay, std::move(b));

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "hyperion/vm.hpp"
+#include "test_util.hpp"
 
 namespace hyp::cluster {
 namespace {
@@ -96,7 +97,7 @@ TEST(TraceIntegration, TracesAreDeterministic) {
       auto cell = main.new_cell<std::int64_t>(0);
       std::vector<hyperion::JThread> ts;
       for (int w = 0; w < 3; ++w) {
-        ts.push_back(main.start_thread("w" + std::to_string(w), [cell](hyperion::JavaEnv& env) {
+        ts.push_back(main.start_thread(numbered("w", w), [cell](hyperion::JavaEnv& env) {
           hyperion::Mem<dsm::IcPolicy> m(env.ctx());
           for (int i = 0; i < 5; ++i) {
             env.synchronized(cell.addr, [&] { m.put(cell, m.get(cell) + 1); });

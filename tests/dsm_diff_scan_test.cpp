@@ -3,33 +3,16 @@
 // boundaries) and the steady-state access + flush paths must be
 // allocation-free once scratch capacities are warm.
 //
-// The allocation-counting hook replaces global operator new/delete for THIS
-// test binary only; it merely counts, so behavior is unchanged.
+// The allocation-counting hook (alloc_hook.hpp) replaces global operator
+// new/delete for THIS test binary only; it merely counts, so behavior is
+// unchanged.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
+#include "alloc_hook.hpp"
 #include "dsm/access.hpp"
 #include "dsm/dsm.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::uint64_t allocs() { return g_alloc_count.load(std::memory_order_relaxed); }
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace hyp::dsm {
 namespace {

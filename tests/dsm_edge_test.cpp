@@ -4,6 +4,7 @@
 
 #include "dsm/access.hpp"
 #include "dsm/dsm.hpp"
+#include "test_util.hpp"
 
 namespace hyp::dsm {
 namespace {
@@ -19,7 +20,7 @@ class PageSizeSweep : public ::testing::TestWithParam<std::size_t> {};
 INSTANTIATE_TEST_SUITE_P(Pages, PageSizeSweep,
                          ::testing::Values(std::size_t{512}, std::size_t{1024},
                                            std::size_t{4096}, std::size_t{16384}),
-                         [](const auto& info) { return "page" + std::to_string(info.param); });
+                         [](const auto& param_info) { return numbered("page", param_info.param); });
 
 TEST_P(PageSizeSweep, RemoteRoundTripWorksAtEveryPageSize) {
   cluster::Cluster c(params_with_page(GetParam()), 2);
@@ -40,7 +41,7 @@ TEST_P(PageSizeSweep, RemoteRoundTripWorksAtEveryPageSize) {
 
 class FieldWidthSweep : public ::testing::TestWithParam<int> {};
 INSTANTIATE_TEST_SUITE_P(Widths, FieldWidthSweep, ::testing::Values(1, 2, 4, 8),
-                         [](const auto& info) { return "w" + std::to_string(info.param); });
+                         [](const auto& param_info) { return numbered("w", param_info.param); });
 
 template <typename T>
 void width_round_trip(DsmSystem& dsm, ThreadCtx& t, T value) {
@@ -167,7 +168,7 @@ TEST(DsmEdge, ManyThreadsOneNodeShareTheCache) {
   const Gva a = dsm.alloc(0, 8);
   dsm.poke_home<std::int64_t>(a, 5);
   for (int i = 0; i < 8; ++i) {
-    c.spawn_thread(1, "t" + std::to_string(i), [&] {
+    c.spawn_thread(1, numbered("t", i), [&] {
       auto t = dsm.make_thread(1);
       EXPECT_EQ((PfPolicy::get<std::int64_t>(*t, a)), 5);
     });

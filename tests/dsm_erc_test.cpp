@@ -3,6 +3,7 @@
 // at the *writer's release* (no invalidation, no refetch), and acquires are
 // free.
 #include "dsm/erc.hpp"
+#include "test_util.hpp"
 
 #include <gtest/gtest.h>
 
@@ -143,7 +144,7 @@ TEST(Erc, ConcurrentIncrementsUnderLockAreExact) {
   constexpr int kThreads = 4;
   constexpr int kReps = 25;
   for (int w = 0; w < kThreads; ++w) {
-    c.spawn_thread(w, "w" + std::to_string(w), [&, w] {
+    c.spawn_thread(w, numbered("w", w), [&, w] {
       auto t = dsm.make_thread(w);
       for (int i = 0; i < kReps; ++i) {
         sim::SimLockGuard guard(lock);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "test_util.hpp"
 
 #include <string>
 #include <tuple>
@@ -136,7 +137,7 @@ TEST(SeqC, ConcurrentIncrementsUnderExternalLockAreExact) {
   constexpr int kThreads = 4;
   constexpr int kReps = 25;
   for (int w = 0; w < kThreads; ++w) {
-    c.spawn_thread(w, "w" + std::to_string(w), [&, w] {
+    c.spawn_thread(w, numbered("w", w), [&, w] {
       auto t = dsm.make_thread(w);
       for (int i = 0; i < kReps; ++i) {
         sim::SimLockGuard guard(lock);
@@ -156,7 +157,7 @@ TEST(SeqC, ConcurrentUnsynchronizedWritersConverge) {
   SeqDsm dsm(&c, kRegion);
   const Gva a = dsm.alloc(0, 8);
   for (int w = 0; w < 4; ++w) {
-    c.spawn_thread(w, "racer" + std::to_string(w), [&, w] {
+    c.spawn_thread(w, numbered("racer", w), [&, w] {
       auto t = dsm.make_thread(w);
       for (int i = 0; i < 20; ++i) {
         dsm.write<std::int64_t>(*t, a, w * 100 + i);
@@ -193,7 +194,7 @@ TEST(SeqC, DeterministicAcrossRuns) {
     SeqDsm dsm(&c, kRegion);
     const Gva a = dsm.alloc(0, 8);
     for (int w = 0; w < 3; ++w) {
-      c.spawn_thread(w, "w" + std::to_string(w), [&, w] {
+      c.spawn_thread(w, numbered("w", w), [&, w] {
         auto t = dsm.make_thread(w);
         for (int i = 0; i < 10; ++i) dsm.write<std::int64_t>(*t, a, w * 10 + i);
       });
@@ -212,9 +213,9 @@ class SeqcProperty : public ::testing::TestWithParam<std::tuple<int, std::uint64
 INSTANTIATE_TEST_SUITE_P(Sweep, SeqcProperty,
                          ::testing::Combine(::testing::Values(2, 3, 4),
                                             ::testing::Values(1u, 7u, 13u)),
-                         [](const auto& info) {
-                           return "n" + std::to_string(std::get<0>(info.param)) + "_s" +
-                                  std::to_string(std::get<1>(info.param));
+                         [](const auto& param_info) {
+                           return numbered("n", std::get<0>(param_info.param)) + "_s" +
+                                  std::to_string(std::get<1>(param_info.param));
                          });
 
 TEST_P(SeqcProperty, LockedRandomOpsMatchSequentialReference) {
@@ -232,7 +233,7 @@ TEST_P(SeqcProperty, LockedRandomOpsMatchSequentialReference) {
   sim::SimMutex ref_guard(&c.engine());  // reference updated in lock order
 
   for (int w = 0; w < nodes; ++w) {
-    c.spawn_thread(w, "w" + std::to_string(w), [&, w, seed_v = seed] {
+    c.spawn_thread(w, numbered("w", w), [&, w, seed_v = seed] {
       auto t = dsm.make_thread(w);
       Rng rng(seed_v * 131 + static_cast<std::uint64_t>(w));
       for (int i = 0; i < kOpsPerThread; ++i) {

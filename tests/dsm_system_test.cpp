@@ -4,12 +4,10 @@
 // (checks vs faults) — exactly the paper's framing.
 #include "dsm/access.hpp"
 #include "dsm/dsm.hpp"
+#include "test_util.hpp"
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <fstream>
 #include <memory>
 #include <string>
 
@@ -41,7 +39,7 @@ class DsmProtocolTest : public ::testing::TestWithParam<ProtocolKind> {};
 
 INSTANTIATE_TEST_SUITE_P(BothProtocols, DsmProtocolTest,
                          ::testing::Values(ProtocolKind::kJavaIc, ProtocolKind::kJavaPf),
-                         [](const auto& info) { return protocol_name(info.param); });
+                         [](const auto& param_info) { return protocol_name(param_info.param); });
 
 template <typename T>
 T do_get(ProtocolKind kind, ThreadCtx& t, Gva a) {
@@ -358,7 +356,7 @@ TEST(DsmSystem, ConcurrentSamePageMissesFetchOnce) {
   dsm.poke_home<std::int64_t>(a, 5);
   int done = 0;
   for (int i = 0; i < 3; ++i) {
-    c.spawn_thread(1, "reader" + std::to_string(i), [&dsm, &done, a] {
+    c.spawn_thread(1, numbered("reader", i), [&dsm, &done, a] {
       auto t = dsm.make_thread(1);
       EXPECT_EQ((PfPolicy::get<std::int64_t>(*t, a)), 5);
       ++done;
@@ -367,20 +365,6 @@ TEST(DsmSystem, ConcurrentSamePageMissesFetchOnce) {
   c.run();
   EXPECT_EQ(done, 3);
   EXPECT_EQ(c.node(1).stats().get(Counter::kPageFetches), 1u);
-}
-
-// Resident set size of this process, from /proc/self/statm.
-std::size_t rss_bytes() {
-  std::ifstream statm("/proc/self/statm");
-  std::size_t total_pages = 0;
-  std::size_t resident_pages = 0;
-  statm >> total_pages >> resident_pages;
-  return resident_pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-}
-
-std::size_t rss_growth_since(std::size_t before) {
-  const std::size_t now = rss_bytes();
-  return now > before ? now - before : 0;
 }
 
 // Per-page DSM state is lazily committed: a node pays for the pages it

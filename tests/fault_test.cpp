@@ -9,12 +9,14 @@
 //   4. the full VM (DSM + monitors) computes exact answers under chaos.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "hyperion/japi.hpp"
 #include "hyperion/vm.hpp"
+#include "test_util.hpp"
 
 namespace hyp::cluster {
 namespace {
@@ -218,7 +220,7 @@ ChaosRunSummary chaos_run(std::uint64_t seed) {
   register_echo(c, 1);
   register_echo(c, 2);
   for (NodeId src : {0, 1}) {
-    c.spawn_thread(src, "caller" + std::to_string(src), [&c, src] {
+    c.spawn_thread(src, numbered("caller", src), [&c, src] {
       for (std::uint32_t i = 0; i < 15; ++i) {
         Buffer req;
         req.put<std::uint32_t>(i);
@@ -377,7 +379,7 @@ TEST(FaultVm, SynchronizedCounterIsExactUnderChaos) {
         std::vector<hyperion::JThread> workers;
         for (int w = 0; w < 6; ++w) {
           workers.push_back(
-              main.start_thread("w" + std::to_string(w), [=](hyperion::JavaEnv& env) {
+              main.start_thread(numbered("w", w), [=](hyperion::JavaEnv& env) {
                 hyperion::Mem<P> mem(env.ctx());
                 for (int i = 0; i < 10; ++i) {
                   env.synchronized(counter.addr,
@@ -421,7 +423,7 @@ std::int64_t synchronized_counter_run(dsm::ProtocolKind kind, const std::string&
       std::vector<hyperion::JThread> workers;
       for (int w = 0; w < 6; ++w) {
         workers.push_back(
-            main.start_thread("w" + std::to_string(w), [=](hyperion::JavaEnv& env) {
+            main.start_thread(numbered("w", w), [=](hyperion::JavaEnv& env) {
               hyperion::Mem<P> mem(env.ctx());
               for (int i = 0; i < 40; ++i) {
                 env.synchronized(counter.addr,
@@ -725,6 +727,55 @@ TEST(FaultTransport, DedupWindowEvictionActuallyRedelivers) {
   EXPECT_GT(s.get(Counter::kNetDupes), 0u);
   EXPECT_GT(s.get(Counter::kDupSuppressed), 0u);  // the window still works...
   EXPECT_GT(invocations, kSends);                 // ...but evictions leaked through
+}
+
+// A request packet the sender gave up on is a permanent hole in the pair's
+// seq space: the receiver's watermark never passes it, so every later seq of
+// the pair is remembered in the dedup window. Those later messages are still
+// handled exactly once, and remembering them costs a bit per seq, where a
+// tree node per seq would cost ~10 MB for these 200k seqs.
+TEST(FaultTransport, PermanentHoleCostsABitPerLaterSeq) {
+  ClusterParams p = tiny_params();
+  p.fault = FaultProfile::parse("dup5%,seed=9");
+  // Node 1 is blacked out for the first millisecond, longer than the retry
+  // budget (rto 50us, 3 retransmits: the call gives up at ~750us).
+  p.fault.windows.push_back({1, 0, 1 * kMillisecond, true});
+  p.fault.rto_initial = 50 * kMicrosecond;
+  p.fault.max_retries = 3;
+  Cluster c(p, 2);
+  register_echo(c, 1);
+  constexpr std::uint32_t kSends = 200000;
+  std::vector<std::uint8_t> handled(kSends, 0);
+  c.node(1).register_service(kOneWay, "one_way_test", [&](Incoming& in) {
+    ++handled[in.reader.get<std::uint32_t>()];
+  });
+  RpcResult lost;
+  std::uint64_t dupes_before = 0;
+  std::size_t rss_before = 0;
+  c.spawn_thread(0, "sender", [&] {
+    Buffer req;
+    req.put<std::uint32_t>(1);
+    lost = c.call_result(0, 1, kEcho, std::move(req));
+    c.engine().sleep_until(1 * kMillisecond);
+    dupes_before = c.total_stats().get(Counter::kNetDupes);
+    rss_before = rss_bytes();
+    for (std::uint32_t i = 0; i < kSends; ++i) {
+      Buffer b;
+      b.put<std::uint32_t>(i);
+      c.send(0, 1, kOneWay, std::move(b));
+      if (i % 16 == 15) c.engine().sleep_for(50 * kMicrosecond);
+    }
+  });
+  c.run();
+  const std::size_t growth = rss_growth_since(rss_before);
+  EXPECT_EQ(lost.status, RpcStatus::kBudgetExhausted);
+  std::size_t not_once = 0;
+  for (std::uint8_t times : handled) not_once += times != 1 ? 1 : 0;
+  EXPECT_EQ(not_once, 0u);
+  const Stats s = c.total_stats();
+  EXPECT_GT(s.get(Counter::kNetDupes), dupes_before);
+  EXPECT_EQ(s.get(Counter::kDupSuppressed), s.get(Counter::kNetDupes) - dupes_before);
+  EXPECT_LT(growth, std::size_t{2} << 20);
 }
 
 TEST(FaultVm, DedupEvictionRedeliveryIsAbsorbedByIdempotence) {

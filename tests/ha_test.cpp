@@ -35,6 +35,7 @@
 #include "hyperion/japi.hpp"
 #include "hyperion/vm.hpp"
 #include "sim/engine.hpp"
+#include "test_util.hpp"
 
 namespace hyp::ha {
 namespace {
@@ -93,7 +94,7 @@ HaRunResult run_counter_with_crash(dsm::ProtocolKind kind, const std::string& pr
       std::vector<hyperion::JThread> workers;
       for (int w = 0; w < kWorkers; ++w) {
         workers.push_back(
-            main.start_thread("w" + std::to_string(w), [=](hyperion::JavaEnv& env) {
+            main.start_thread(numbered("w", w), [=](hyperion::JavaEnv& env) {
               hyperion::Mem<P> mem(env.ctx());
               for (int i = 0; i < kIncrements; ++i) {
                 env.synchronized(counter.addr,

@@ -4,6 +4,7 @@
 
 #include "hyperion/japi.hpp"
 #include "hyperion/vm.hpp"
+#include "test_util.hpp"
 
 namespace hyp::hyperion {
 namespace {
@@ -77,7 +78,7 @@ class JapiProtocolTest : public ::testing::TestWithParam<dsm::ProtocolKind> {};
 INSTANTIATE_TEST_SUITE_P(BothProtocols, JapiProtocolTest,
                          ::testing::Values(dsm::ProtocolKind::kJavaIc,
                                            dsm::ProtocolKind::kJavaPf),
-                         [](const auto& info) { return dsm::protocol_name(info.param); });
+                         [](const auto& param_info) { return dsm::protocol_name(param_info.param); });
 
 TEST_P(JapiProtocolTest, ArrayCopyZeroLengthIsANoOp) {
   HyperionVM vm(test_config(GetParam(), 1));
@@ -141,7 +142,7 @@ TEST_P(JapiProtocolTest, BarrierManyGenerationsManyParties) {
       auto barrier = japi::JBarrier::create(main, kParties);
       std::vector<JThread> ts;
       for (int w = 0; w < kParties; ++w) {
-        ts.push_back(main.start_thread("p" + std::to_string(w), [=, &finished](JavaEnv& env) {
+        ts.push_back(main.start_thread(numbered("p", w), [=, &finished](JavaEnv& env) {
           for (int r = 0; r < kRounds; ++r) {
             env.charge_cycles(static_cast<std::uint64_t>((w + 1) * 100));
             barrier.template await<P>(env);

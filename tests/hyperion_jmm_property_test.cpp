@@ -17,6 +17,7 @@
 #include "common/rng.hpp"
 #include "hyperion/japi.hpp"
 #include "hyperion/vm.hpp"
+#include "test_util.hpp"
 
 namespace hyp::hyperion {
 namespace {
@@ -30,10 +31,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(dsm::ProtocolKind::kJavaIc,
                                          dsm::ProtocolKind::kJavaPf),
                        ::testing::Values(1, 2, 4), ::testing::Values(1u, 2u, 3u)),
-    [](const auto& info) {
-      return std::string(dsm::protocol_name(std::get<0>(info.param))) + "_n" +
-             std::to_string(std::get<1>(info.param)) + "_s" +
-             std::to_string(std::get<2>(info.param));
+    [](const auto& param_info) {
+      return std::string(dsm::protocol_name(std::get<0>(param_info.param))) + "_n" +
+             std::to_string(std::get<1>(param_info.param)) + "_s" +
+             std::to_string(std::get<2>(param_info.param));
     });
 
 VmConfig cfg_for(dsm::ProtocolKind kind, int nodes) {
@@ -77,7 +78,7 @@ TEST_P(JmmPropertyTest, CommutativeUpdatesNeverLoseWrites) {
       auto lock = main.new_cell<std::int32_t>(0);
       std::vector<JThread> ts;
       for (int w = 0; w < kThreads; ++w) {
-        ts.push_back(main.start_thread("w" + std::to_string(w), [=, &plans](JavaEnv& env) {
+        ts.push_back(main.start_thread(numbered("w", w), [=, &plans](JavaEnv& env) {
           Mem<P> mem(env.ctx());
           for (const auto& op : plans[static_cast<std::size_t>(w)]) {
             env.synchronized(lock.addr, [&] {
@@ -115,7 +116,7 @@ TEST_P(JmmPropertyTest, TransferInvariantHoldsUnderTheLock) {
       std::vector<JThread> ts;
       for (int w = 0; w < kThreads; ++w) {
         ts.push_back(main.start_thread(
-            "xfer" + std::to_string(w), [=, &violations](JavaEnv& env) {
+            numbered("xfer", w), [=, &violations](JavaEnv& env) {
               Mem<P> mem(env.ctx());
               Rng rng(seed * 1009 + static_cast<std::uint64_t>(w));
               for (int i = 0; i < kOpsPerThread; ++i) {
@@ -158,12 +159,17 @@ TEST_P(JmmPropertyTest, ProtocolsAgreeOnProgramResults) {
         auto acc = main.new_cell<std::int64_t>(0);
         std::vector<JThread> ts;
         for (int w = 0; w < 4; ++w) {
-          ts.push_back(main.start_thread("w" + std::to_string(w), [=](JavaEnv& env) {
+          ts.push_back(main.start_thread(numbered("w", w), [=](JavaEnv& env) {
             Mem<P> mem(env.ctx());
             Rng rng(seed + static_cast<std::uint64_t>(w));
             for (int i = 0; i < 20; ++i) {
               const auto x = static_cast<std::int64_t>(rng.below(1000));
-              env.synchronized(acc.addr, [&] { mem.put(acc, mem.get(acc) * 31 + x); });
+              // Unsigned: 80 rounds of *31 overflow int64 (undefined behavior).
+              env.synchronized(acc.addr, [&] {
+                const auto folded = static_cast<std::uint64_t>(mem.get(acc)) * 31 +
+                                    static_cast<std::uint64_t>(x);
+                mem.put(acc, static_cast<std::int64_t>(folded));
+              });
             }
           }));
         }
@@ -217,7 +223,7 @@ TEST_P(JmmPropertyTest, PerCellLocksNeverLoseWrites) {
       for (int c = 0; c < kCells; ++c) locks.push_back(main.new_cell<std::int32_t>(0));
       std::vector<JThread> ts;
       for (int w = 0; w < kThreads; ++w) {
-        ts.push_back(main.start_thread("w" + std::to_string(w), [=, &plans](JavaEnv& env) {
+        ts.push_back(main.start_thread(numbered("w", w), [=, &plans](JavaEnv& env) {
           Mem<P> mem(env.ctx());
           for (const auto& op : plans[static_cast<std::size_t>(w)]) {
             env.synchronized(locks[static_cast<std::size_t>(op.cell)].addr, [&] {

@@ -25,7 +25,7 @@ class LitmusTest : public ::testing::TestWithParam<dsm::ProtocolKind> {};
 INSTANTIATE_TEST_SUITE_P(BothProtocols, LitmusTest,
                          ::testing::Values(dsm::ProtocolKind::kJavaIc,
                                            dsm::ProtocolKind::kJavaPf),
-                         [](const auto& info) { return dsm::protocol_name(info.param); });
+                         [](const auto& param_info) { return dsm::protocol_name(param_info.param); });
 
 TEST_P(LitmusTest, MessagePassingSynchronizedIsOrdered) {
   // MP: w(data)=1; w(flag)=1 || r(flag)==1 -> r(data) must be 1, when both

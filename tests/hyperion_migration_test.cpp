@@ -22,7 +22,7 @@ class MigrationTest : public ::testing::TestWithParam<dsm::ProtocolKind> {};
 INSTANTIATE_TEST_SUITE_P(BothProtocols, MigrationTest,
                          ::testing::Values(dsm::ProtocolKind::kJavaIc,
                                            dsm::ProtocolKind::kJavaPf),
-                         [](const auto& info) { return dsm::protocol_name(info.param); });
+                         [](const auto& param_info) { return dsm::protocol_name(param_info.param); });
 
 TEST_P(MigrationTest, ThreadMovesAndSeesItsNewNode) {
   HyperionVM vm(test_config(GetParam(), 3));

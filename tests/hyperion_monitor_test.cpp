@@ -7,6 +7,7 @@
 
 #include "hyperion/japi.hpp"
 #include "hyperion/vm.hpp"
+#include "test_util.hpp"
 
 namespace hyp::hyperion {
 namespace {
@@ -24,7 +25,7 @@ class MonitorProtocolTest : public ::testing::TestWithParam<dsm::ProtocolKind> {
 INSTANTIATE_TEST_SUITE_P(BothProtocols, MonitorProtocolTest,
                          ::testing::Values(dsm::ProtocolKind::kJavaIc,
                                            dsm::ProtocolKind::kJavaPf),
-                         [](const auto& info) { return dsm::protocol_name(info.param); });
+                         [](const auto& param_info) { return dsm::protocol_name(param_info.param); });
 
 template <typename Policy>
 void counter_increments(HyperionVM& vm, int threads, int reps, std::int64_t* out) {
@@ -32,7 +33,7 @@ void counter_increments(HyperionVM& vm, int threads, int reps, std::int64_t* out
     auto counter = main.new_cell<std::int64_t>(0);
     std::vector<JThread> workers;
     for (int w = 0; w < threads; ++w) {
-      workers.push_back(main.start_thread("w" + std::to_string(w), [=](JavaEnv& env) {
+      workers.push_back(main.start_thread(numbered("w", w), [=](JavaEnv& env) {
         Mem<Policy> mem(env.ctx());
         for (int i = 0; i < reps; ++i) {
           env.synchronized(counter.addr, [&] { mem.put(counter, mem.get(counter) + 1); });
@@ -127,7 +128,7 @@ TEST_P(MonitorProtocolTest, NotifyAllWakesEveryWaiter) {
       auto flag = main.new_cell<std::int32_t>(0);
       std::vector<JThread> waiters;
       for (int i = 0; i < 6; ++i) {
-        waiters.push_back(main.start_thread("waiter" + std::to_string(i),
+        waiters.push_back(main.start_thread(numbered("waiter", i),
                                             [=, &woke](JavaEnv& env) {
                                               Mem<P> mem(env.ctx());
                                               env.monitor_enter(flag.addr);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "hyperion/japi.hpp"
+#include "test_util.hpp"
 
 namespace hyp::hyperion {
 namespace {
@@ -23,7 +24,7 @@ class VmProtocolTest : public ::testing::TestWithParam<dsm::ProtocolKind> {};
 INSTANTIATE_TEST_SUITE_P(BothProtocols, VmProtocolTest,
                          ::testing::Values(dsm::ProtocolKind::kJavaIc,
                                            dsm::ProtocolKind::kJavaPf),
-                         [](const auto& info) { return dsm::protocol_name(info.param); });
+                         [](const auto& param_info) { return dsm::protocol_name(param_info.param); });
 
 TEST_P(VmProtocolTest, RunMainReturnsNonzeroElapsed) {
   HyperionVM vm(test_config(GetParam(), 2));
@@ -38,7 +39,7 @@ TEST_P(VmProtocolTest, RoundRobinPlacement) {
   vm.run_main([&](JavaEnv& main) {
     std::vector<JThread> ts;
     for (int i = 0; i < 6; ++i) {
-      ts.push_back(main.start_thread("t" + std::to_string(i),
+      ts.push_back(main.start_thread(numbered("t", i),
                                      [&nodes](JavaEnv& env) { nodes.push_back(env.node()); }));
       EXPECT_EQ(ts.back().node(), i % 3);
     }
@@ -146,7 +147,7 @@ TEST_P(VmProtocolTest, BarrierSynchronizesPhases) {
       auto barrier = japi::JBarrier::create(main, kThreads);
       std::vector<JThread> ts;
       for (int w = 0; w < kThreads; ++w) {
-        ts.push_back(main.start_thread("p" + std::to_string(w), [=, &violations](JavaEnv& env) {
+        ts.push_back(main.start_thread(numbered("p", w), [=, &violations](JavaEnv& env) {
           Mem<P> mem(env.ctx());
           for (int round = 1; round <= kRounds; ++round) {
             env.synchronized(slots.header, [&] { mem.aput(slots, w, std::int32_t{round}); });
@@ -187,7 +188,7 @@ TEST_P(VmProtocolTest, DeterministicAcrossRuns) {
         auto counter = main.new_cell<std::int64_t>(0);
         std::vector<JThread> ts;
         for (int w = 0; w < 4; ++w) {
-          ts.push_back(main.start_thread("w" + std::to_string(w), [=](JavaEnv& env) {
+          ts.push_back(main.start_thread(numbered("w", w), [=](JavaEnv& env) {
             Mem<P> mem(env.ctx());
             for (int i = 0; i < 10; ++i) {
               env.synchronized(counter.addr, [&] { mem.put(counter, mem.get(counter) + 1); });

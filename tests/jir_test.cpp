@@ -181,7 +181,7 @@ class JirInterpTest : public ::testing::TestWithParam<dsm::ProtocolKind> {};
 INSTANTIATE_TEST_SUITE_P(BothProtocols, JirInterpTest,
                          ::testing::Values(dsm::ProtocolKind::kJavaIc,
                                            dsm::ProtocolKind::kJavaPf),
-                         [](const auto& info) { return dsm::protocol_name(info.param); });
+                         [](const auto& param_info) { return dsm::protocol_name(param_info.param); });
 
 TEST_P(JirInterpTest, ArithmeticAndControlFlow) {
   // 10! via a loop.

@@ -21,8 +21,8 @@ NativeVm::Config cfg(Protocol p, int nodes) {
 class NativeProtocolTest : public ::testing::TestWithParam<Protocol> {};
 INSTANTIATE_TEST_SUITE_P(BothProtocols, NativeProtocolTest,
                          ::testing::Values(Protocol::kJavaIc, Protocol::kJavaPf),
-                         [](const auto& info) {
-                           return info.param == Protocol::kJavaIc ? "java_ic" : "java_pf";
+                         [](const auto& param_info) {
+                           return param_info.param == Protocol::kJavaIc ? "java_ic" : "java_pf";
                          });
 
 TEST_P(NativeProtocolTest, LocalAllocateWriteRead) {

@@ -5,36 +5,18 @@
 // without perturbing host performance or (via allocator jitter) tempting
 // anyone to make recording conditional.
 //
-// The counting hook replaces global operator new/delete for THIS binary only
-// (same pattern as tests/sim_event_pool_test.cpp).
+// The counting hook (alloc_hook.hpp) replaces global operator new/delete for
+// THIS binary only.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
+#include "alloc_hook.hpp"
 #include "cluster/trace.hpp"
 #include "common/histogram.hpp"
 #include "common/stats.hpp"
 #include "obs/heat.hpp"
 #include "obs/phase.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::uint64_t allocs() { return g_alloc_count.load(std::memory_order_relaxed); }
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace hyp::obs {
 namespace {

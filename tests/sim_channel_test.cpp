@@ -1,4 +1,5 @@
 #include "sim/channel.hpp"
+#include "test_util.hpp"
 
 #include <gtest/gtest.h>
 
@@ -118,7 +119,7 @@ TEST(Channel, ManyProducersOneConsumerFifoPerReadyTime) {
   Channel<int> ch(&eng);
   std::vector<int> got;
   for (int p = 0; p < 4; ++p) {
-    eng.spawn("p" + std::to_string(p), [&ch, p] { ch.push_at(p, 5 * kNanosecond); });
+    eng.spawn(numbered("p", p), [&ch, p] { ch.push_at(p, 5 * kNanosecond); });
   }
   eng.spawn("consumer", [&] {
     for (int i = 0; i < 4; ++i) got.push_back(*ch.pop());

@@ -1,4 +1,5 @@
 #include "sim/engine.hpp"
+#include "test_util.hpp"
 
 #include <gtest/gtest.h>
 
@@ -57,7 +58,7 @@ TEST(Engine, FibersInterleaveDeterministically) {
     Engine eng;
     std::vector<std::string> trace;
     for (int f = 0; f < 3; ++f) {
-      eng.spawn("f" + std::to_string(f), [&eng, &trace, f] {
+      eng.spawn(numbered("f", f), [&eng, &trace, f] {
         for (int step = 0; step < 3; ++step) {
           trace.push_back(std::to_string(f) + ":" + std::to_string(step));
           eng.sleep_for((f + 1) * kNanosecond);
@@ -170,7 +171,7 @@ TEST(Engine, ManyFibersDeepRecursionOnOwnStacks) {
   Engine eng;
   int completed = 0;
   for (int i = 0; i < 50; ++i) {
-    eng.spawn("rec" + std::to_string(i), [&eng, &completed] {
+    eng.spawn(numbered("rec", i), [&eng, &completed] {
       // Burn some stack to prove fibers have independent stacks.
       auto recurse = [](auto&& self, int depth) -> int {
         volatile char pad[512];

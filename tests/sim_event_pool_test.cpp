@@ -2,34 +2,17 @@
 // be exact, callback slots must recycle through the free list, and the
 // steady-state churn path must be allocation-free.
 //
-// The allocation-counting hook below replaces the global operator new/delete
-// for THIS test binary only. It merely counts; behavior is unchanged, so the
-// other tests in the binary are unaffected.
+// The allocation-counting hook (alloc_hook.hpp) replaces the global operator
+// new/delete for THIS test binary only. It merely counts; behavior is
+// unchanged, so the other tests in the binary are unaffected.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_hook.hpp"
 #include "sim/engine.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::uint64_t allocs() { return g_alloc_count.load(std::memory_order_relaxed); }
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "test_util.hpp"
 
 namespace hyp::sim {
 namespace {
@@ -89,7 +72,7 @@ TEST(EventPool, SpawnSleepUnparkChurnKeepsOrderingAndQuiesces) {
   // Sleepers park; a driver unparks them in a deterministic rotation while
   // itself sleeping — heavy (time, seq) churn across the heap.
   for (int i = 0; i < 16; ++i) {
-    sleepers.push_back(eng.spawn("sleeper" + std::to_string(i), [&eng, &wakeups] {
+    sleepers.push_back(eng.spawn(numbered("sleeper", i), [&eng, &wakeups] {
       for (int r = 0; r < 50; ++r) {
         eng.park();
         ++wakeups;

@@ -14,6 +14,7 @@
 
 #include "sim/channel.hpp"
 #include "sim/sync.hpp"
+#include "test_util.hpp"
 
 namespace hyp::sim {
 namespace {
@@ -50,7 +51,7 @@ TEST(ChannelClose, MultipleParkedConsumersAllObserveEnd) {
   Channel<int> ch(&eng);
   int ended = 0;
   for (int i = 0; i < 3; ++i) {
-    eng.spawn("consumer" + std::to_string(i), [&] {
+    eng.spawn(numbered("consumer", i), [&] {
       if (!ch.pop().has_value()) ++ended;
     });
   }
@@ -69,7 +70,7 @@ TEST(ChannelClose, ItemAndEndSplitAcrossConsumers) {
   Channel<int> ch(&eng);
   int received = 0, ended = 0;
   for (int i = 0; i < 2; ++i) {
-    eng.spawn("consumer" + std::to_string(i), [&] {
+    eng.spawn(numbered("consumer", i), [&] {
       while (auto item = ch.pop()) received += *item;
       ++ended;
     });

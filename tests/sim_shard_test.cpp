@@ -7,34 +7,17 @@
 //   * steady state — per-shard heaps and the merge heap must recycle their
 //     storage: no allocation once warmed (the sim_event_pool discipline).
 //
-// The allocation-counting hook replaces global operator new/delete for THIS
-// test binary only; it merely counts.
+// The allocation-counting hook (alloc_hook.hpp) replaces global operator
+// new/delete for THIS test binary only; it merely counts.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_hook.hpp"
 #include "sim/engine.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::uint64_t allocs() { return g_alloc_count.load(std::memory_order_relaxed); }
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "test_util.hpp"
 
 namespace hyp::sim {
 namespace {
@@ -89,10 +72,10 @@ std::vector<Obs> run_workload(std::uint32_t shards, std::uint64_t seed, int post
       }
     };
     if (shards > 1) {
-      eng.spawn_on(static_cast<std::uint32_t>(f) % shards, "p" + std::to_string(f),
+      eng.spawn_on(static_cast<std::uint32_t>(f) % shards, numbered("p", f),
                    std::move(body));
     } else {
-      eng.spawn("p" + std::to_string(f), std::move(body));
+      eng.spawn(numbered("p", f), std::move(body));
     }
   }
   const auto stuck = eng.run();
@@ -137,7 +120,7 @@ TEST(ShardedQueue, SteadyStateShardChurnIsAllocationFree) {
   // One pinned sleeper per shard keeps every shard's heap and the merge heap
   // churning; the driver posts cross-shard callbacks in a rotation.
   for (std::uint32_t s = 0; s < 8; ++s) {
-    eng.spawn_on(s, "sleeper" + std::to_string(s), [&eng] {
+    eng.spawn_on(s, numbered("sleeper", s), [&eng] {
       for (int i = 0; i < 4200; ++i) eng.sleep_for(7);
     });
   }

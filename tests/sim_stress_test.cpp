@@ -11,6 +11,7 @@
 #include "sim/channel.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
+#include "test_util.hpp"
 
 namespace hyp::sim {
 namespace {
@@ -22,7 +23,7 @@ TEST(SimStress, FiveHundredFibersWithMixedBlocking) {
   std::int64_t shared = 0;
   int barrier_crossings = 0;
   for (int i = 0; i < 500; ++i) {
-    eng.spawn("f" + std::to_string(i), [&eng, &mutex, &barrier, &shared, &barrier_crossings, i] {
+    eng.spawn(numbered("f", i), [&eng, &mutex, &barrier, &shared, &barrier_crossings, i] {
       Rng rng(static_cast<std::uint64_t>(i));
       for (int step = 0; step < 20; ++step) {
         eng.sleep_for(rng.below(1000) * kNanosecond);
@@ -49,7 +50,7 @@ TEST(SimStress, ProducerConsumerPipelineConservesItems) {
   std::int64_t checksum_in = 0, checksum_out = 0;
 
   for (int p = 0; p < 4; ++p) {
-    eng.spawn("producer" + std::to_string(p), [&, p] {
+    eng.spawn(numbered("producer", p), [&, p] {
       Rng rng(static_cast<std::uint64_t>(p) + 99);
       for (int i = 0; i < kPerProducer; ++i) {
         const int item = p * 1000 + i;
@@ -60,7 +61,7 @@ TEST(SimStress, ProducerConsumerPipelineConservesItems) {
     });
   }
   for (int r = 0; r < 4; ++r) {
-    eng.spawn_daemon("relay" + std::to_string(r), [&] {
+    eng.spawn_daemon(numbered("relay", r), [&] {
       while (auto item = stage.pop()) sink.push(*item);
     });
   }
@@ -80,7 +81,7 @@ TEST(SimStress, ProducerConsumerPipelineConservesItems) {
 
 class SimDeterminism : public ::testing::TestWithParam<std::uint64_t> {};
 INSTANTIATE_TEST_SUITE_P(Seeds, SimDeterminism, ::testing::Values(1u, 17u, 4242u),
-                         [](const auto& info) { return "seed" + std::to_string(info.param); });
+                         [](const auto& param_info) { return numbered("seed", param_info.param); });
 
 TEST_P(SimDeterminism, WholeMachineStateIsReproducible) {
   auto run_once = [&] {
@@ -91,7 +92,7 @@ TEST_P(SimDeterminism, WholeMachineStateIsReproducible) {
     std::vector<std::int64_t> trace;
     bool ready = false;
     for (int i = 0; i < 40; ++i) {
-      eng.spawn("w" + std::to_string(i), [&, i] {
+      eng.spawn(numbered("w", i), [&, i] {
         Rng rng(GetParam() + static_cast<std::uint64_t>(i));
         for (int step = 0; step < 10; ++step) {
           switch (rng.below(4)) {
@@ -129,7 +130,7 @@ TEST(SimStress, DeepJoinChains) {
   std::function<void(int)> descend = [&](int depth) {
     depth_reached = std::max(depth_reached, depth);
     if (depth == 200) return;
-    Fiber* child = eng.spawn("d" + std::to_string(depth), [&, depth] { descend(depth + 1); });
+    Fiber* child = eng.spawn(numbered("d", depth), [&, depth] { descend(depth + 1); });
     eng.join(child);
   };
   eng.spawn("root", [&] { descend(1); });
@@ -144,7 +145,7 @@ TEST(SimStress, FifoServerThroughputAccounting) {
   FifoServer server(&eng);
   TimeDelta total_requested = 0;
   for (int i = 0; i < 100; ++i) {
-    eng.spawn("client" + std::to_string(i), [&, i] {
+    eng.spawn(numbered("client", i), [&, i] {
       Rng rng(static_cast<std::uint64_t>(i));
       eng.sleep_for(rng.below(50) * kMicrosecond);
       const TimeDelta d = (1 + rng.below(20)) * kMicrosecond;

@@ -1,4 +1,5 @@
 #include "sim/sync.hpp"
+#include "test_util.hpp"
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,7 @@ TEST(SimMutex, MutualExclusion) {
   int in_section = 0;
   int max_in_section = 0;
   for (int i = 0; i < 4; ++i) {
-    eng.spawn("worker" + std::to_string(i), [&] {
+    eng.spawn(numbered("worker", i), [&] {
       for (int rep = 0; rep < 10; ++rep) {
         SimLockGuard guard(m);
         ++in_section;
@@ -38,7 +39,7 @@ TEST(SimMutex, FifoHandoff) {
     m.unlock();
   });
   for (int i = 0; i < 3; ++i) {
-    eng.spawn("c" + std::to_string(i), [&eng, &m, &order, i] {
+    eng.spawn(numbered("c", i), [&eng, &m, &order, i] {
       eng.sleep_for(static_cast<TimeDelta>(i + 1) * kNanosecond);
       m.lock();
       order.push_back(i);
@@ -120,7 +121,7 @@ TEST(SimCondVar, NotifyAllWakesEveryWaiter) {
   bool go = false;
   int woke = 0;
   for (int i = 0; i < 5; ++i) {
-    eng.spawn("w" + std::to_string(i), [&] {
+    eng.spawn(numbered("w", i), [&] {
       SimLockGuard guard(m);
       while (!go) cv.wait(m);
       ++woke;
@@ -161,7 +162,7 @@ TEST(SimBarrier, ReleasesAllPartiesTogether) {
   SimBarrier barrier(&eng, 3);
   std::vector<Time> release_times;
   for (int i = 0; i < 3; ++i) {
-    eng.spawn("p" + std::to_string(i), [&eng, &barrier, &release_times, i] {
+    eng.spawn(numbered("p", i), [&eng, &barrier, &release_times, i] {
       eng.sleep_for(static_cast<TimeDelta>(i * 10) * kNanosecond);
       barrier.arrive_and_wait();
       release_times.push_back(eng.now());
@@ -177,7 +178,7 @@ TEST(SimBarrier, ReusableAcrossGenerations) {
   SimBarrier barrier(&eng, 2);
   int rounds_done = 0;
   for (int i = 0; i < 2; ++i) {
-    eng.spawn("p" + std::to_string(i), [&eng, &barrier, &rounds_done, i] {
+    eng.spawn(numbered("p", i), [&eng, &barrier, &rounds_done, i] {
       for (int round = 0; round < 5; ++round) {
         eng.sleep_for(static_cast<TimeDelta>(i + 1) * kNanosecond);
         barrier.arrive_and_wait();
@@ -194,7 +195,7 @@ TEST(FifoServer, SerializesOverlappingRequests) {
   FifoServer server(&eng);
   std::vector<Time> completions;
   for (int i = 0; i < 3; ++i) {
-    eng.spawn("client" + std::to_string(i), [&eng, &server, &completions] {
+    eng.spawn(numbered("client", i), [&eng, &server, &completions] {
       server.serve(10 * kMicrosecond);
       completions.push_back(eng.now());
     });
