@@ -197,32 +197,6 @@ void ObsRecorder::capture_run_windowed(const std::string& label,
   capture(std::move(mp));
 }
 
-void ObsRecorder::attach_cluster(cluster::Cluster& c, dsm::DsmSystem* d) {
-  if (!active()) return;
-  if (trace_ != nullptr) {
-    trace_->clear();
-    c.set_trace(trace_.get());
-  }
-  phases_.init(c.node_count());
-  c.set_phases(&phases_);
-  if (d != nullptr) {
-    heat_.init(d->layout().total_pages(), d->layout().page_bytes());
-    d->set_heat(&heat_);
-  } else {
-    heat_.init(0, 0);  // drop any heat left over from a previous attachment
-  }
-}
-
-void ObsRecorder::capture_cluster(const std::string& label, cluster::Cluster& c) {
-  if (!active()) return;
-  obs::MetricsPoint mp;
-  mp.label = label;
-  mp.nodes = c.node_count();
-  mp.elapsed = c.engine().now();
-  mp.stats = c.total_stats();
-  capture(std::move(mp));
-}
-
 void ObsRecorder::finish() {
   if (finished_) return;
   finished_ = true;

@@ -136,14 +136,6 @@ class ObsRecorder {
                             Time window_start, Time window_end,
                             std::uint64_t excluded_ops);
 
-  // For harnesses that drive a Cluster (+ optionally a DsmSystem) without a
-  // HyperionVM (ablation_consistency): wires the trace and phase table into
-  // the cluster and the heat table into the DSM.
-  void attach_cluster(cluster::Cluster& c, dsm::DsmSystem* d = nullptr);
-  // Captures a finished cluster-level run: elapsed = engine().now(),
-  // stats = total_stats().
-  void capture_cluster(const std::string& label, cluster::Cluster& c);
-
   // Writes the requested files (and prints their paths). run_figure() calls
   // this; hand-rolled sweeps call it once after the last capture.
   void finish();

@@ -56,7 +56,7 @@ struct IcPolicyT {
     t.stats->add(Counter::kInlineChecks);
     const PageId p = static_cast<PageId>(a >> t.page_shift);
     if ((t.presence[p] & NodeDsm::kPresentBit) == 0) [[unlikely]] {
-      t.dsm->miss_ic(t, p);
+      t.dsm->miss(t, p);
     }
     T v;
     std::memcpy(&v, t.base + a, sizeof(T));
@@ -73,7 +73,7 @@ struct IcPolicyT {
     const PageId p = static_cast<PageId>(a >> t.page_shift);
     const std::uint8_t st = t.presence[p];
     if ((st & NodeDsm::kPresentBit) == 0) [[unlikely]] {
-      t.dsm->miss_ic(t, p);  // absent => not home; st == 0 stays correct below
+      t.dsm->miss(t, p);  // absent => not home; st == 0 stays correct below
     }
     std::memcpy(t.base + a, &v, sizeof(T));
     if ((st & NodeDsm::kHomeBit) == 0) {
@@ -98,7 +98,7 @@ struct PfPolicyT {
   static T get(ThreadCtx& t, Gva a) {
     const PageId p = static_cast<PageId>(a >> t.page_shift);
     if ((t.presence[p] & NodeDsm::kPresentBit) == 0) [[unlikely]] {
-      t.dsm->miss_pf(t, p);  // the simulated MMU trap
+      t.dsm->miss(t, p);  // the simulated MMU trap
     }
     T v;
     std::memcpy(&v, t.base + a, sizeof(T));
@@ -112,7 +112,7 @@ struct PfPolicyT {
   static void put(ThreadCtx& t, Gva a, T v) {
     const PageId p = static_cast<PageId>(a >> t.page_shift);
     if ((t.presence[p] & NodeDsm::kPresentBit) == 0) [[unlikely]] {
-      t.dsm->miss_pf(t, p);
+      t.dsm->miss(t, p);
     }
     // Direct store; updateMainMemory finds it by twin comparison.
     std::memcpy(t.base + a, &v, sizeof(T));
@@ -151,7 +151,7 @@ struct HybridPolicyT {
       }
     }
     if ((st & NodeDsm::kPresentBit) == 0) [[unlikely]] {
-      t.dsm->miss_hybrid(t, p);
+      t.dsm->miss(t, p);
     }
     T v;
     std::memcpy(&v, t.base + a, sizeof(T));
@@ -178,7 +178,7 @@ struct HybridPolicyT {
       }
     }
     if ((st & NodeDsm::kPresentBit) == 0) [[unlikely]] {
-      t.dsm->miss_hybrid(t, p);
+      t.dsm->miss(t, p);
       // The miss may have flipped the page's mode (or migrated its home
       // here): the logging decision must see the POST-miss byte, or a store
       // could be neither logged nor twin-diffed — a lost update.

@@ -1,5 +1,6 @@
 #include "dsm/dsm.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/assert.hpp"
@@ -37,10 +38,10 @@ DsmSystem::DsmSystem(cluster::Cluster* cluster, std::size_t region_bytes, Protoc
         [this, i](cluster::Incoming& in) { handle_page_request(in, i); });
     cluster_->node(i).register_service(
         svc::kUpdateFields, "update_fields",
-        [this, i](cluster::Incoming& in) { handle_update_fields(in, i); });
+        [this, i](cluster::Incoming& in) { handle_update(in, i, /*runs=*/false); });
     cluster_->node(i).register_service(
         svc::kUpdateRuns, "update_runs",
-        [this, i](cluster::Incoming& in) { handle_update_runs(in, i); });
+        [this, i](cluster::Incoming& in) { handle_update(in, i, /*runs=*/true); });
     cluster_->node(i).register_service(
         svc::kQuorumRead, "quorum_read",
         [this, i](cluster::Incoming& in) { handle_quorum_read(in, i); });
@@ -311,8 +312,7 @@ void DsmSystem::fetch_page(ThreadCtx& t, PageId p) {
   // Install the replica (real bytes) and charge the local copy-in.
   std::memcpy(t.nd->page_ptr(p), reply.data(), page_bytes);
   t.clock.charge(cpu.copy_cost(page_bytes));
-  const bool with_twin = kind_ == ProtocolKind::kJavaPf ||
-                         (kind_ == ProtocolKind::kHybrid && !t.nd->ic_mode(p));
+  const bool with_twin = !ic_mode(*t.nd, p);  // pf-mode replicas are twin-diffed
   t.nd->mark_cached(p, with_twin);
   if (with_twin) t.clock.charge(cpu.copy_cost(page_bytes));  // twin snapshot
   t.clock.flush();
@@ -450,67 +450,46 @@ void DsmSystem::handle_quorum_read(cluster::Incoming& in, NodeId self) {
 // ---------------------------------------------------------------------------
 // Protocol cold paths
 
-void DsmSystem::miss_ic(ThreadCtx& t, PageId p) {
-  // The in-line check already ran (and was charged) in the fast path.
-  t.clock.flush();
-  fetch_until_present(t, p);
-}
-
-void DsmSystem::miss_pf(ThreadCtx& t, PageId p) {
+void DsmSystem::miss(ThreadCtx& t, PageId p) {
   const auto& cpu = cluster_->params().cpu;
-  // Hardware trap + kernel + SIGSEGV dispatch (the paper's 12/22 us), then
-  // the fetch, then mprotect to open the page READ/WRITE.
-  t.stats->add(Counter::kPageFaults);
-  if (heat_ != nullptr) [[unlikely]] heat_->record_fault(p);
-  cluster_->trace_event(t.node, cluster::TraceKind::kPageFault, p);
-  t.clock.charge(cpu.page_fault_cost);
-  t.clock.flush();
-  fetch_until_present(t, p);
-  t.stats->add(Counter::kMprotectCalls);
-  t.clock.charge(cpu.mprotect_page_cost);
-  t.clock.flush();
-}
-
-void DsmSystem::miss_hybrid(ThreadCtx& t, PageId p) {
-  const auto& cpu = cluster_->params().cpu;
-  const bool was_ic = t.nd->ic_mode(p);
+  const bool was_ic = ic_mode(*t.nd, p);
   if (!was_ic) {
     // pf-mode pages sit behind page protection while absent, so this miss
-    // was a hardware trap (the paper's fault cost); ic-mode pages found the
-    // miss via the inline check the fast path already charged.
+    // was a hardware trap + kernel + SIGSEGV dispatch (the paper's 12/22
+    // us); ic-mode pages found the miss via the inline check the fast path
+    // already charged.
     t.stats->add(Counter::kPageFaults);
     if (heat_ != nullptr) [[unlikely]] heat_->record_fault(p);
     cluster_->trace_event(t.node, cluster::TraceKind::kPageFault, p);
     t.clock.charge(cpu.page_fault_cost);
   }
   t.clock.flush();
-  // Mode decision: made before the fetch (the fetch must know whether to
-  // twin) and only by the fiber that will start it — waiters inherit the
-  // decision already in flight. Between two misses the page served `acc`
-  // accesses: ic would have cost acc checks, pf one fault + mprotect = R
-  // checks — so ic wins below R accesses per miss. The rule is a hysteresis
-  // band around that break-even: leave ic once acc >= R * miss, but
-  // re-enter it only when clearly favorable (2 * acc < R * miss). Without
-  // the band, pages hovering near R oscillate — give up mid-generation,
-  // flip back at the next miss, and pay the flip overhead (twin snapshot +
-  // mprotect + the re-entry fault) every round on top of the checks.
-  // Inside the band both modes cost within 2x of each other, so staying
-  // put is the cheap choice. The at-miss decision is not the only escape:
-  // a page wrongly left in ic bleeds one check per access with no miss in
-  // sight (e.g. a read-once-then-scan page never misses again inside a
-  // generation), so the fast path bails out through give_up_ic once the
-  // raw tally crosses R — capping the wrong-ic loss at one
+  // hybrid mode decision: made before the fetch (the fetch must know
+  // whether to twin) and only by the fiber that will start it — waiters
+  // inherit the decision already in flight. Between two misses the page
+  // served `acc` accesses: ic would have cost acc checks, pf one fault +
+  // mprotect = R checks — so ic wins below R accesses per miss. The rule is
+  // a hysteresis band around that break-even: leave ic once acc >= R * miss,
+  // but re-enter it only when clearly favorable (4 * acc < R * miss).
+  // Without the band, pages hovering near R oscillate — give up
+  // mid-generation, flip back at the next miss, and pay the flip overhead
+  // (twin snapshot + mprotect + the re-entry fault) every round on top of
+  // the checks. Inside the band both modes cost within 4x of each other, so
+  // staying put is the cheap choice. The at-miss decision is not the only
+  // escape: a page wrongly left in ic bleeds one check per access with no
+  // miss in sight (e.g. a read-once-then-scan page never misses again
+  // inside a generation), so the fast path bails out through give_up_ic
+  // once the raw tally crosses R — capping the wrong-ic loss at one
   // fault-equivalent per generation. A wrongly-pf page already costs at
-  // most R per miss by construction. First touch (acc ~ 0, miss = 1)
-  // keeps the set_ic_default ic start: sparse pages never pay a blind
-  // fault.
-  if (!t.nd->fetch_inflight(p)) {
+  // most R per miss by construction. First touch (acc ~ 0, miss = 1) keeps
+  // the set_ic_default ic start: sparse pages never pay a blind fault.
+  if (kind_ == ProtocolKind::kHybrid && !t.nd->fetch_inflight(p)) {
     obs::WindowedHeat& w = *wheat_[static_cast<std::size_t>(t.node)];
     const std::uint64_t epoch = cluster_->engine().now() / kModeEpoch;
     w.note_miss(p, epoch);
     const std::uint64_t acc = w.accesses(p);
-    const std::uint64_t miss = w.misses(p);  // >= 1: note_miss counted this one
-    const std::uint64_t breakeven = static_cast<std::uint64_t>(hybrid_r_) * miss;
+    const std::uint64_t misses = w.misses(p);  // >= 1: note_miss counted this one
+    const std::uint64_t breakeven = static_cast<std::uint64_t>(hybrid_r_) * misses;
     const bool next_ic = was_ic ? acc < breakeven : 4 * acc < breakeven;
     if (next_ic != was_ic) {
       t.nd->set_ic_mode(p, next_ic);
@@ -520,7 +499,8 @@ void DsmSystem::miss_hybrid(ThreadCtx& t, PageId p) {
   }
   fetch_until_present(t, p);
   if (!was_ic) {
-    // Re-open the trapped page READ/WRITE, whatever mode it continues in.
+    // mprotect re-opens the trapped page READ/WRITE, whatever mode it
+    // continues in.
     t.stats->add(Counter::kMprotectCalls);
     t.clock.charge(cpu.mprotect_page_cost);
     t.clock.flush();
@@ -568,23 +548,15 @@ void DsmSystem::load_into_cache(ThreadCtx& t, Gva addr) {
 void DsmSystem::invalidate_cache(ThreadCtx& t) {
   const auto& cpu = cluster_->params().cpu;
   const std::size_t cached = t.nd->cached_pages().size();
-  if (kind_ == ProtocolKind::kJavaPf) {
-    // One region-wide mprotect re-protects every non-home page (§3.3: "this
-    // protection is set on each entry to a monitor").
+  // One region-wide mprotect re-protects every non-home page (§3.3: "this
+  // protection is set on each entry to a monitor"). java_pf always pays it.
+  // Under hybrid only pf-mode replicas — exactly the cached pages holding a
+  // twin — sit behind page protection, so it is skipped when none is cached:
+  // the structural saving over java_pf on check-heavy workloads. java_ic
+  // never twins and never pays.
+  if (kind_ == ProtocolKind::kJavaPf || t.nd->live_twins() != 0) {
     t.stats->add(Counter::kMprotectCalls);
     t.clock.charge(cpu.mprotect_region_cost);
-  } else if (kind_ == ProtocolKind::kHybrid) {
-    // Only pf-mode replicas (exactly the cached pages holding a twin) sit
-    // behind page protection; ic-mode pages are guarded by checks. When no
-    // pf-mode page is cached the region mprotect is skipped entirely — the
-    // structural saving over java_pf on check-heavy workloads.
-    for (PageId p : t.nd->cached_pages()) {
-      if (t.nd->has_twin(p)) {
-        t.stats->add(Counter::kMprotectCalls);
-        t.clock.charge(cpu.mprotect_region_cost);
-        break;
-      }
-    }
   }
   t.clock.charge(cpu.cycles(cpu.invalidate_page_cycles * cached));
   const std::size_t dropped = t.nd->invalidate_all();
@@ -592,20 +564,6 @@ void DsmSystem::invalidate_cache(ThreadCtx& t) {
   cluster_->trace_event(t.node, cluster::TraceKind::kInvalidate,
                         static_cast<std::int64_t>(dropped));
   t.clock.flush();
-}
-
-void DsmSystem::update_main_memory(ThreadCtx& t) {
-  // A consistency action is a synchronization point: materialize the
-  // thread's batched compute first (otherwise pending time is silently
-  // dropped on paths that have nothing to flush, e.g. thread termination).
-  t.clock.flush();
-  if (kind_ == ProtocolKind::kJavaIc) {
-    flush_ic(t);
-  } else if (kind_ == ProtocolKind::kJavaPf) {
-    flush_pf(t);
-  } else {
-    flush_hybrid(t);
-  }
 }
 
 void DsmSystem::on_acquire(ThreadCtx& t) {
@@ -618,196 +576,21 @@ void DsmSystem::on_acquire(ThreadCtx& t) {
 void DsmSystem::on_release(ThreadCtx& t) { update_main_memory(t); }
 
 // ---------------------------------------------------------------------------
-// java_ic: field-granularity write-log flush
-
-void DsmSystem::flush_ic(ThreadCtx& t) {
-  if (t.wlog.empty()) return;
-  const auto& cpu = cluster_->params().cpu;
-  const std::size_t homes = static_cast<std::size_t>(cluster_->node_count());
-
-  // Last-writer-wins per field, grouped by home node, preserving first-touch
-  // order for determinism. The scratch dedup table and per-home flat vectors
-  // reproduce the old std::map semantics exactly — first-touch order within a
-  // home, homes sent in ascending id order — without per-flush allocation.
-  // With K > 1 chain replicas, two zones homed at one node today may be
-  // re-elected to *different* nodes tomorrow, so groups must be zone-pure:
-  // key on the layout owner (== the zone id) instead of the current home.
-  // With K == 1 all zones at a node always move together, so keying on the
-  // effective home is safe and keeps the historical path byte-identical.
-  const bool zone_pure = ha_ != nullptr && ha_->replicas() > 1;
-
-  FlushScratch& s = t.scratch;
-  s.begin_ic(homes, t.wlog.size());
-  for (const auto& e : t.wlog.entries()) {
-    bool fresh = false;
-    IcDedupTable::Slot* slot = s.dedup.find_or_insert(e.addr, &fresh);
-    if (fresh) {
-      // Under HA the effective home may be the local node (entries logged
-      // before a promotion made us home); they get a direct local apply in
-      // the send loop below.
-      const NodeId home = (ha_ == nullptr || zone_pure) ? layout_.home_of(e.addr)
-                                                        : effective_home_of(e.addr);
-      HYP_CHECK_MSG(home != t.node || ha_ != nullptr, "home-page writes are never logged");
-      auto& vec = s.ic_by_home[static_cast<std::size_t>(home)];
-      slot->home = static_cast<std::uint32_t>(home);
-      slot->index = static_cast<std::uint32_t>(vec.size());
-      vec.push_back(e);
-    } else {
-      s.ic_by_home[slot->home][slot->index] = e;
-    }
-  }
-
-  t.clock.charge(cpu.cycles(cpu.update_entry_cycles * t.wlog.size()));
-  t.clock.flush();
-  for (std::size_t h = 0; h < homes; ++h) {
-    auto& entries = s.ic_by_home[h];
-    if (entries.empty()) continue;
-    // Zone-pure groups are keyed by layout owner; resolve the zone's CURRENT
-    // home for the local-apply test and the trace destination (ha_rpc_home
-    // re-resolves per attempt anyway, so a mid-flush promotion is absorbed).
-    const NodeId home = zone_pure ? effective_home_of(entries.front().addr)
-                                  : static_cast<NodeId>(h);
-    if (ha_ != nullptr && home == t.node) {
-      // Post-promotion local apply: this node IS the home now; write the
-      // identical bytes the wire would have carried straight into the arena.
-      for (const auto& e : entries) {
-        std::memcpy(t.nd->arena() + e.addr, &e.value, e.size);
-      }
-      t.clock.charge(cpu.cycles(cpu.update_entry_cycles * entries.size()));
-      t.clock.flush();
-      continue;
-    }
-    Buffer msg;
-    // Bounded dedup window: tag the message so a late re-delivery of an
-    // evicted packet cannot stale-revert newer home bytes (see dsm.hpp).
-    // (When fencing is on, ha_rpc_home prepends the epoch per attempt.)
-    if (update_ids_active()) msg.put<std::uint64_t>(next_update_id_++);
-    WriteLog::encode(&msg, entries);
-    t.stats->add(Counter::kUpdatesSent);
-    t.stats->add(Counter::kUpdateBytes, msg.size());
-    t.stats->record(Hist::kUpdatePayloadBytes, msg.size());
-    if (heat_ != nullptr) [[unlikely]] {
-      for (const auto& e : entries) heat_->record_update(layout_.page_of(e.addr), e.size);
-    }
-    cluster_->trace_event(t.node, cluster::TraceKind::kUpdateSent, home,
-                          static_cast<std::int64_t>(msg.size()));
-    if (ha_ == nullptr) {
-      Buffer ack =
-          rpc_with_retry(t.node, home, svc::kUpdateFields, std::move(msg), "write-log flush");
-      HYP_CHECK(ack.empty());
-    } else {
-      // Re-resolution key: the first entry's page. Groups never mix zones
-      // with different owners: K == 1 moves all of a node's zones together,
-      // K > 1 uses zone-pure grouping above (docs/RECOVERY.md).
-      Buffer ack = ha_rpc_home(t, layout_.page_of(entries.front().addr), svc::kUpdateFields,
-                               msg, /*reply_is_page=*/false, "write-log flush");
-      HYP_CHECK(ack.empty());
-    }
-  }
-  t.wlog.clear();
-}
-
-void DsmSystem::handle_update_fields(cluster::Incoming& in, NodeId self) {
-  NodeDsm& nd = node_dsm(self);
-  if (fencing_) {
-    const auto msg_epoch = in.reader.get<std::uint64_t>();
-    if (msg_epoch < ha_->node_epoch(self)) {
-      // Epoch fence: a stale-epoch writer must not mutate home state (its
-      // routing view predates a promotion). 1-byte NACK, like the stale-home
-      // case below — the caller re-resolves and re-sends under a fresh epoch.
-      cluster_->node(self).stats().add(Counter::kHaFencedRejects);
-      cluster_->trace_event(self, cluster::TraceKind::kHaFencedReject,
-                            static_cast<std::int64_t>(msg_epoch), svc::kUpdateFields);
-      Buffer nack;
-      nack.put<std::uint8_t>(1);
-      cluster_->reply(in, std::move(nack));
-      return;
-    }
-  }
-  // Success acks carry the home's epoch view when fencing is on (callers
-  // validate it); the historical ack is empty.
-  auto make_ack = [&] {
-    Buffer ack;
-    if (fencing_) ack.put<std::uint64_t>(ha_->node_epoch(self));
-    return ack;
-  };
-  // Bounded dedup window: a re-delivered (window-evicted) update that was
-  // already applied must NOT re-apply — its bytes may be stale by now. Just
-  // re-ack (the original ack may be what got lost; a completed caller slot
-  // absorbs the second reply).
-  std::uint64_t update_id = 0;
-  if (update_ids_active()) {
-    update_id = in.reader.get<std::uint64_t>();
-    if (applied_updates_[static_cast<std::size_t>(self)].contains(update_id)) {
-      cluster_->node(self).stats().add_named("dsm_update_replays_absorbed");
-      cluster_->reply(in, make_ack());
-      return;
-    }
-  }
-  // Streaming apply: no per-message entry vector (zero-allocation path).
-  bool stale = false;
-  std::size_t applied_bytes = 0;
-  if (migrations_enabled()) mig_batch_.clear();
-  const std::size_t count = WriteLog::decode_each(in.reader, [&](const WriteLogEntry& e) {
-    const PageId pg = layout_.page_of(e.addr);
-    const bool home = nd.is_home(pg);
-    if ((ha_ != nullptr || migrations_enabled()) && !home) {
-      // Stale-home straggler (one group never mixes pages with different
-      // routing fates, so the whole message is stale together): NACK below.
-      stale = true;
-      return;
-    }
-    HYP_CHECK_MSG(home, "update reached a non-home node");
-    std::memcpy(nd.arena() + e.addr, &e.value, e.size);
-    applied_bytes += e.size;
-    if (migrations_enabled()) {
-      // Per-page byte subtotals for the dominant-writer tracker (fed after
-      // the whole message has applied — migrating mid-decode would misroute
-      // the remaining entries).
-      bool found = false;
-      for (auto& pr : mig_batch_) {
-        if (pr.first == pg) {
-          pr.second += e.size;
-          found = true;
-          break;
-        }
-      }
-      if (!found) mig_batch_.emplace_back(pg, e.size);
-    }
-  });
-  if (stale) {
-    cluster_->trace_event(self, cluster::TraceKind::kHaNack, in.from, svc::kUpdateFields);
-    Buffer nack;
-    nack.put<std::uint8_t>(1);
-    cluster_->reply(in, std::move(nack));
-    return;
-  }
-  // Record only on actual apply: a NACKed straggler was NOT applied here, and
-  // must stay replayable in case a later promotion makes this node home.
-  if (update_id != 0) applied_updates_[static_cast<std::size_t>(self)].insert(update_id);
-  if (ha_ != nullptr && applied_bytes != 0) {
-    // Home state changed: incremental checkpoint traffic to the backup
-    // (field-granularity, piggybacked on this very update — docs/RECOVERY.md).
-    ha_->note_checkpoint(self, applied_bytes);
-  }
-  if (migrations_enabled()) {
-    for (const auto& pr : mig_batch_) note_remote_update(self, pr.first, in.from, pr.second);
-    mig_batch_.clear();
-  }
-  const Time done_at = cluster_->node(self).extend_service(
-      cluster_->params().cpu.cycles(cluster_->params().cpu.update_entry_cycles * count));
-  // Home-side confirmation of the flush; pairs with the sender's kUpdateSent
-  // for cross-node Perfetto flow arrows (docs/OBSERVABILITY.md).
-  cluster_->trace_event(self, cluster::TraceKind::kUpdateApplied, in.from,
-                        static_cast<std::int64_t>(count));
-  cluster_->reply(in, make_ack(), done_at - cluster_->engine().now());
-}
-
-// ---------------------------------------------------------------------------
-// java_pf: twin/diff flush
+// updateMainMemory: one pipeline for every protocol
 //
-// Wire format per home: u32 run_count, then per run (u64 gva, u32 len, raw
-// bytes). Runs are maximal spans of modified 8-byte words.
+// collect -> group -> ship. Collect snapshots the thread's modifications into
+// the two lanes of its FlushScratch: the write log of ic-mode pages,
+// deduplicated to last-writer-wins in first-touch order, then the twin diff
+// of every twinned (pf-mode) replica. java_ic never twins and java_pf never
+// logs, so each fills one lane; hybrid fills both. Group tags every item
+// with its cohort key (CohortKey in dsm.hpp). Ship sends one acked message
+// per cohort, or applies the cohort in place when this node is its home.
+//
+// Wire format of both update services: [u64 update id, bounded dedup window
+// only], u32 item count, then per item u64 gva, its length (u8 for a field
+// of kUpdateFields, u32 for a run of kUpdateRuns) and that many payload
+// bytes. Runs are maximal spans of modified 8-byte words. With fencing on,
+// ha_rpc_home prepends the epoch per attempt.
 
 namespace {
 // Both the arena page and the twin are at least 8-byte aligned; memcpy of a
@@ -819,376 +602,292 @@ inline std::uint64_t load_word(const std::byte* base, std::size_t w) {
 }
 }  // namespace
 
-void DsmSystem::flush_pf(ThreadCtx& t) {
+DsmSystem::CohortKey DsmSystem::cohort_rule() const {
+  if (kind_ == ProtocolKind::kHybrid) return ha_ != nullptr ? CohortKey::kPage : CohortKey::kHome;
+  return ha_ != nullptr && ha_->replicas() > 1 ? CohortKey::kZone : CohortKey::kHome;
+}
+
+std::uint32_t DsmSystem::cohort_key(CohortKey rule, Gva a) const {
+  switch (rule) {
+    case CohortKey::kHome: return static_cast<std::uint32_t>(effective_home_of(a));
+    case CohortKey::kZone: return static_cast<std::uint32_t>(layout_.home_of(a));
+    case CohortKey::kPage: return layout_.page_of(a);
+  }
+  HYP_PANIC("unreachable cohort key");
+}
+
+void DsmSystem::update_main_memory(ThreadCtx& t) {
+  // A consistency action is a synchronization point: materialize the
+  // thread's batched compute first (otherwise pending time is silently
+  // dropped on paths that have nothing to flush, e.g. thread termination).
+  t.clock.flush();
   const auto& cpu = cluster_->params().cpu;
-  const std::size_t page_bytes = layout_.page_bytes();
-  const std::size_t homes = static_cast<std::size_t>(cluster_->node_count());
-
-  // Zone-pure grouping under K > 1 chain replicas (see flush_ic).
-  const bool zone_pure = ha_ != nullptr && ha_->replicas() > 1;
-
+  const CohortKey rule = cohort_rule();
+  const std::uint64_t keyed_at = home_migrations_;
   FlushScratch& s = t.scratch;
-  s.begin_pf(homes);
-  std::uint64_t diff_words = 0;
+  s.begin();
 
-  // Scan, snapshot and twin-refresh happen atomically in virtual time (no
-  // yields): a same-node thread writing during our later sends must see its
-  // own writes as fresh diffs against the refreshed twin, not have them
-  // silently absorbed. Run payloads are snapshotted into the shared scratch
-  // arena (offsets, not pointers: the arena may grow mid-scan).
+  // Collect the write log: last writer wins per field, first-touch order.
+  if (!t.wlog.empty()) {
+    s.dedup.begin(t.wlog.size());
+    for (const WriteLogEntry& e : t.wlog.entries()) {
+      bool fresh = false;
+      DedupTable::Slot* slot = s.dedup.find_or_insert(e.addr, &fresh);
+      if (fresh) {
+        slot->index = static_cast<std::uint32_t>(s.fields.size());
+        s.fields.push_back({e.addr, cohort_key(rule, e.addr), e.size, e.value});
+      } else {
+        s.fields[slot->index].len = e.size;
+        s.fields[slot->index].data = e.value;
+      }
+    }
+    t.clock.charge(cpu.cycles(cpu.update_entry_cycles * t.wlog.size()));
+    t.clock.flush();
+  }
+
+  // Collect the twin diffs. Scan, snapshot and twin refresh happen
+  // atomically in virtual time (no yields): a same-node thread writing
+  // during our later sends must see its own writes as fresh diffs against
+  // the refreshed twin, not have them silently absorbed. Run payloads are
+  // snapshotted into the scratch arena (offsets, not pointers: the arena may
+  // grow mid-scan).
   //
   // The scan compares aligned u64 words, skipping clean 64-byte chunks with
   // one OR-of-XORs test. Run boundaries are identical to a word-at-a-time
-  // scan — a chunk is skipped only when all eight words match — so emitted
-  // messages are bit-identical to the old memcmp loop.
-  for (PageId p : t.nd->cached_pages()) {
-    if (!t.nd->has_twin(p)) continue;
-    t.clock.charge(cpu.diff_cost(page_bytes));
-    const std::byte* cur = t.nd->page_ptr(p);
-    const std::byte* twin = t.nd->twin(p);
+  // scan: a chunk is skipped only when all eight words match.
+  if (t.nd->live_twins() != 0) {
+    const std::size_t page_bytes = layout_.page_bytes();
     const std::size_t words = page_bytes / 8;
-    bool page_dirty = false;
-    auto& runs = s.pf_by_home[static_cast<std::size_t>(
-        (ha_ == nullptr || zone_pure) ? layout_.home_of_page(p) : effective_home_of_page(p))];
-    std::size_t w = 0;
-    while (w < words) {
-      if ((w & 7) == 0 && w + 8 <= words) {
-        std::uint64_t acc = 0;
-        for (std::size_t k = 0; k < 8; ++k) {
-          acc |= load_word(cur, w + k) ^ load_word(twin, w + k);
+    std::uint64_t diff_words = 0;
+    for (PageId p : t.nd->cached_pages()) {
+      if (!t.nd->has_twin(p)) continue;
+      t.clock.charge(cpu.diff_cost(page_bytes));
+      const std::byte* cur = t.nd->page_ptr(p);
+      const std::byte* twin = t.nd->twin(p);
+      const std::uint32_t key = cohort_key(rule, layout_.page_base(p));
+      bool page_dirty = false;
+      std::size_t w = 0;
+      while (w < words) {
+        if ((w & 7) == 0 && w + 8 <= words) {
+          std::uint64_t acc = 0;
+          for (std::size_t k = 0; k < 8; ++k) {
+            acc |= load_word(cur, w + k) ^ load_word(twin, w + k);
+          }
+          if (acc == 0) {
+            w += 8;
+            continue;
+          }
         }
-        if (acc == 0) {
-          w += 8;
+        if (load_word(cur, w) == load_word(twin, w)) {
+          ++w;
           continue;
         }
+        const std::size_t run_begin = w;
+        while (w < words && load_word(cur, w) != load_word(twin, w)) ++w;
+        diff_words += w - run_begin;
+        page_dirty = true;
+        s.runs.push_back({layout_.page_base(p) + run_begin * 8, key,
+                          static_cast<std::uint32_t>((w - run_begin) * 8), s.run_bytes.size()});
+        s.run_bytes.insert(s.run_bytes.end(), cur + run_begin * 8, cur + w * 8);
       }
-      if (load_word(cur, w) == load_word(twin, w)) {
-        ++w;
-        continue;
-      }
-      const std::size_t run_begin = w;
-      while (w < words && load_word(cur, w) != load_word(twin, w)) ++w;
-      const std::size_t run_words = w - run_begin;
-      diff_words += run_words;
-      page_dirty = true;
-      const auto offset = static_cast<std::uint32_t>(s.run_bytes.size());
-      s.run_bytes.insert(s.run_bytes.end(), cur + run_begin * 8, cur + w * 8);
-      runs.push_back(DiffRun{layout_.page_base(p) + run_begin * 8, offset,
-                             static_cast<std::uint32_t>(run_words * 8)});
+      if (page_dirty) t.nd->refresh_twin(p);
     }
-    if (page_dirty) t.nd->refresh_twin(p);
+    t.stats->add(Counter::kDiffWords, diff_words);
+    t.clock.flush();
   }
 
-  t.stats->add(Counter::kDiffWords, diff_words);
-  t.clock.flush();
+  // Ship. The write log stays in place until its lane is home: a promotion
+  // or migration meanwhile replays it (replay_logged_writes).
+  ship(t, rule, /*runs=*/false, keyed_at);
+  t.wlog.clear();
+  ship(t, rule, /*runs=*/true, keyed_at);
+}
 
-  for (std::size_t h = 0; h < homes; ++h) {
-    auto& runs = s.pf_by_home[h];
-    if (runs.empty()) continue;
-    // Zone-pure groups resolve the zone's CURRENT home here (see flush_ic).
-    const NodeId home =
-        zone_pure ? effective_home_of(runs.front().addr) : static_cast<NodeId>(h);
-    if (ha_ != nullptr && home == t.node) {
-      // Post-promotion local apply (normally unreachable: promotion strips
-      // the zone's pages from the cached list — kept for safety).
-      std::size_t bytes = 0;
-      for (const DiffRun& r : runs) {
-        std::memcpy(t.nd->arena() + r.addr, s.run_bytes.data() + r.offset, r.len);
-        bytes += r.len;
+void DsmSystem::ship(ThreadCtx& t, CohortKey rule, bool runs, std::uint64_t keyed_at) {
+  const auto& cpu = cluster_->params().cpu;
+  FlushScratch& s = t.scratch;
+  std::vector<PendingUpdate>& lane = runs ? s.runs : s.fields;
+  const cluster::ServiceId service = runs ? svc::kUpdateRuns : svc::kUpdateFields;
+  const char* what = runs ? "diff flush" : "write-log flush";
+  int reroutes = 0;
+  while (!lane.empty()) {
+    if (keyed_at != home_migrations_) {
+      // A home migrated (hybrid) since the keys were taken: re-key the
+      // unshipped remainder, a NACKed cohort included, by the current homes.
+      for (PendingUpdate& u : lane) u.key = cohort_key(rule, u.addr);
+      keyed_at = home_migrations_;
+    }
+    // Peel one cohort: the first pending item leads under hybrid, the
+    // smallest key under java_ic/java_pf.
+    std::size_t lead = 0;
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < lane.size(); ++i) {
+      if (kind_ != ProtocolKind::kHybrid && lane[i].key < lane[lead].key) {
+        lead = i;
+        count = 0;
       }
-      t.clock.charge(cpu.copy_cost(bytes));
+      if (lane[i].key == lane[lead].key) ++count;
+    }
+    const std::uint32_t key = lane[lead].key;
+    const Gva lead_addr = lane[lead].addr;
+    const auto in_cohort = [key](const PendingUpdate& u) { return u.key == key; };
+    const NodeId home =
+        rule == CohortKey::kHome ? static_cast<NodeId>(key) : effective_home_of(lead_addr);
+    if (home == t.node) {
+      // A promotion or migration made this node the home: apply exactly the
+      // bytes the wire would have carried straight into the arena.
+      HYP_CHECK_MSG(ha_ != nullptr || migrations_enabled(), "home-page writes are never flushed");
+      std::size_t bytes = 0;
+      for (const PendingUpdate& u : lane) {
+        if (!in_cohort(u)) continue;
+        std::memcpy(t.nd->arena() + u.addr, s.payload(u, runs), u.len);
+        bytes += u.len;
+      }
+      t.clock.charge(runs ? cpu.copy_cost(bytes) : cpu.cycles(cpu.update_entry_cycles * count));
       t.clock.flush();
-      continue;
-    }
-    Buffer msg;
-    // Bounded dedup window: tag the message (see flush_ic / dsm.hpp;
-    // ha_rpc_home prepends the fencing epoch per attempt).
-    if (update_ids_active()) msg.put<std::uint64_t>(next_update_id_++);
-    msg.put<std::uint32_t>(static_cast<std::uint32_t>(runs.size()));
-    for (const DiffRun& r : runs) {
-      msg.put<std::uint64_t>(r.addr);
-      msg.put<std::uint32_t>(r.len);
-      msg.put_bytes(s.run_bytes.data() + r.offset, r.len);
-    }
-    t.stats->add(Counter::kUpdatesSent);
-    t.stats->add(Counter::kUpdateBytes, msg.size());
-    t.stats->record(Hist::kUpdatePayloadBytes, msg.size());
-    if (heat_ != nullptr) [[unlikely]] {
-      for (const DiffRun& r : runs) heat_->record_update(layout_.page_of(r.addr), r.len);
-    }
-    cluster_->trace_event(t.node, cluster::TraceKind::kUpdateSent, home,
-                          static_cast<std::int64_t>(msg.size()));
-    if (ha_ == nullptr) {
-      Buffer ack = rpc_with_retry(t.node, home, svc::kUpdateRuns, std::move(msg), "diff flush");
-      HYP_CHECK(ack.empty());
     } else {
-      Buffer ack = ha_rpc_home(t, layout_.page_of(runs.front().addr), svc::kUpdateRuns, msg,
-                               /*reply_is_page=*/false, "diff flush");
-      HYP_CHECK(ack.empty());
+      Buffer msg;
+      // Bounded dedup window: tag the message so a late re-delivery of an
+      // evicted packet cannot stale-revert newer home bytes (see dsm.hpp).
+      if (update_ids_active()) msg.put<std::uint64_t>(next_update_id_++);
+      msg.put<std::uint32_t>(static_cast<std::uint32_t>(count));
+      for (const PendingUpdate& u : lane) {
+        if (!in_cohort(u)) continue;
+        msg.put<std::uint64_t>(u.addr);
+        if (runs) {
+          msg.put<std::uint32_t>(u.len);
+        } else {
+          msg.put<std::uint8_t>(static_cast<std::uint8_t>(u.len));
+        }
+        msg.put_bytes(s.payload(u, runs), u.len);
+        if (heat_ != nullptr) [[unlikely]] heat_->record_update(layout_.page_of(u.addr), u.len);
+      }
+      t.stats->add(Counter::kUpdatesSent);
+      t.stats->add(Counter::kUpdateBytes, msg.size());
+      t.stats->record(Hist::kUpdatePayloadBytes, msg.size());
+      cluster_->trace_event(t.node, cluster::TraceKind::kUpdateSent, home,
+                            static_cast<std::int64_t>(msg.size()));
+      if (ha_ != nullptr) {
+        // Re-resolution key: the lead's page. A cohort never mixes pages
+        // with different routing fates (CohortKey).
+        const Buffer ack = ha_rpc_home(t, layout_.page_of(lead_addr), service, msg,
+                                       /*reply_is_page=*/false, what);
+        HYP_CHECK(ack.empty());
+      } else if (!rpc_with_retry(t.node, home, service, std::move(msg), what).empty()) {
+        // Migration NACK (hybrid): the home moved while the message was in
+        // flight. The cohort stays pending; the next round re-keys it.
+        HYP_CHECK_MSG(++reroutes < kMaxReroutes,
+                      "update flush: migration reroute did not converge");
+        continue;
+      }
     }
+    reroutes = 0;
+    std::erase_if(lane, in_cohort);
   }
 }
 
-void DsmSystem::handle_update_runs(cluster::Incoming& in, NodeId self) {
+void DsmSystem::handle_update(cluster::Incoming& in, NodeId self, bool runs) {
+  const cluster::ServiceId service = runs ? svc::kUpdateRuns : svc::kUpdateFields;
   NodeDsm& nd = node_dsm(self);
+  const auto nack = [&] {
+    Buffer b;
+    b.put<std::uint8_t>(1);
+    cluster_->reply(in, std::move(b));
+  };
+  // Success acks carry the home's epoch view when fencing is on (callers
+  // validate it); the historical ack is empty.
+  const auto ack = [&](TimeDelta depart_delay) {
+    Buffer b;
+    if (fencing_) b.put<std::uint64_t>(ha_->node_epoch(self));
+    cluster_->reply(in, std::move(b), depart_delay);
+  };
   if (fencing_) {
     const auto msg_epoch = in.reader.get<std::uint64_t>();
     if (msg_epoch < ha_->node_epoch(self)) {
-      // Epoch fence (see handle_update_fields).
+      // Epoch fence: a stale-epoch writer must not mutate home state (its
+      // routing view predates a promotion). 1-byte NACK, like the stale-home
+      // case below — the caller re-resolves and re-sends under a fresh epoch.
       cluster_->node(self).stats().add(Counter::kHaFencedRejects);
       cluster_->trace_event(self, cluster::TraceKind::kHaFencedReject,
-                            static_cast<std::int64_t>(msg_epoch), svc::kUpdateRuns);
-      Buffer nack;
-      nack.put<std::uint8_t>(1);
-      cluster_->reply(in, std::move(nack));
+                            static_cast<std::int64_t>(msg_epoch), service);
+      nack();
       return;
     }
   }
-  auto make_ack = [&] {
-    Buffer ack;
-    if (fencing_) ack.put<std::uint64_t>(ha_->node_epoch(self));
-    return ack;
-  };
-  // Bounded dedup window: skip already-applied replays (see
-  // handle_update_fields).
+  // Bounded dedup window: a re-delivered (window-evicted) update that was
+  // already applied must NOT re-apply — its bytes may be stale by now. Just
+  // re-ack (the original ack may be what got lost; a completed caller slot
+  // absorbs the second reply).
   std::uint64_t update_id = 0;
   if (update_ids_active()) {
     update_id = in.reader.get<std::uint64_t>();
     if (applied_updates_[static_cast<std::size_t>(self)].contains(update_id)) {
       cluster_->node(self).stats().add_named("dsm_update_replays_absorbed");
-      cluster_->reply(in, make_ack());
+      ack(0);
       return;
     }
   }
-  const auto runs = in.reader.get<std::uint32_t>();
-  std::size_t total_bytes = 0;
+  // Streaming apply: no per-message item vector (zero-allocation path).
   bool stale = false;
+  std::size_t bytes = 0;
   if (migrations_enabled()) mig_batch_.clear();
-  for (std::uint32_t i = 0; i < runs; ++i) {
+  const auto count = in.reader.get<std::uint32_t>();
+  for (std::uint32_t i = 0; i < count; ++i) {
     const auto addr = in.reader.get<std::uint64_t>();
-    const auto len = in.reader.get<std::uint32_t>();
-    auto bytes = in.reader.get_span(len);
+    const std::uint32_t len =
+        runs ? in.reader.get<std::uint32_t>() : in.reader.get<std::uint8_t>();
+    HYP_CHECK_MSG(runs || len == 1 || len == 2 || len == 4 || len == 8,
+                  "corrupt write-log entry size");
+    const auto payload = in.reader.get_span(len);
     const PageId pg = layout_.page_of(addr);
     const bool home = nd.is_home(pg);
     if ((ha_ != nullptr || migrations_enabled()) && !home) {
-      stale = true;  // keep consuming the reader; NACK the whole message
+      // Stale-home straggler (one cohort never mixes pages with different
+      // routing fates, so the whole message is stale together): keep
+      // consuming the reader and NACK the whole message below.
+      stale = true;
       continue;
     }
-    HYP_CHECK_MSG(home, "diff reached a non-home node");
-    std::memcpy(nd.arena() + addr, bytes.data(), len);
-    total_bytes += len;
+    HYP_CHECK_MSG(home, "update reached a non-home node");
+    std::memcpy(nd.arena() + addr, payload.data(), len);
+    bytes += len;
     if (migrations_enabled()) {
-      bool found = false;
-      for (auto& pr : mig_batch_) {
-        if (pr.first == pg) {
-          pr.second += len;
-          found = true;
-          break;
-        }
+      // Per-page byte subtotals for the dominant-writer tracker (fed after
+      // the whole message has applied — migrating mid-decode would misroute
+      // the remaining items).
+      auto it = std::find_if(mig_batch_.begin(), mig_batch_.end(),
+                             [pg](const auto& pr) { return pr.first == pg; });
+      if (it != mig_batch_.end()) {
+        it->second += len;
+      } else {
+        mig_batch_.emplace_back(pg, len);
       }
-      if (!found) mig_batch_.emplace_back(pg, static_cast<std::uint64_t>(len));
     }
   }
   if (stale) {
-    cluster_->trace_event(self, cluster::TraceKind::kHaNack, in.from, svc::kUpdateRuns);
-    Buffer nack;
-    nack.put<std::uint8_t>(1);
-    cluster_->reply(in, std::move(nack));
+    cluster_->trace_event(self, cluster::TraceKind::kHaNack, in.from, service);
+    nack();
     return;
   }
+  // Record only on actual apply: a NACKed straggler was NOT applied here, and
+  // must stay replayable in case a later promotion makes this node home.
   if (update_id != 0) applied_updates_[static_cast<std::size_t>(self)].insert(update_id);
-  if (ha_ != nullptr && total_bytes != 0) ha_->note_checkpoint(self, total_bytes);
+  // Home state changed: incremental checkpoint traffic to the backup,
+  // piggybacked on this very update (docs/RECOVERY.md).
+  if (ha_ != nullptr && bytes != 0) ha_->note_checkpoint(self, bytes);
   if (migrations_enabled()) {
     for (const auto& pr : mig_batch_) note_remote_update(self, pr.first, in.from, pr.second);
     mig_batch_.clear();
   }
-  const Time done_at =
-      cluster_->node(self).extend_service(cluster_->params().cpu.copy_cost(total_bytes));
-  cluster_->trace_event(self, cluster::TraceKind::kUpdateApplied, in.from,
-                        static_cast<std::int64_t>(total_bytes));
-  cluster_->reply(in, make_ack(), done_at - cluster_->engine().now());
-}
-
-// ---------------------------------------------------------------------------
-// hybrid: write-log + twin-diff flush with migration-aware routing
-//
-// Wire formats are exactly flush_ic's (svc::kUpdateFields) and flush_pf's
-// (svc::kUpdateRuns); only the grouping differs. Because a page's home can
-// move between building a message and its delivery, each send loop works on
-// a pending set: take the first pending item's routing key, peel off
-// everything sharing it, send; a NACK leaves the cohort pending and the next
-// iteration re-resolves against the (synchronously updated) override table.
-// Under HA the key is the page itself — page-pure cohorts, so ha_rpc_home's
-// internal re-resolve loop converges on a single moving page — while without
-// HA cohorts group by effective home, matching the paper protocols' message
-// counts whenever no migration is in flight.
-
-void DsmSystem::flush_hybrid(ThreadCtx& t) {
+  // The home's service cost: per entry for fields, per byte for runs.
   const auto& cpu = cluster_->params().cpu;
-  const std::size_t page_bytes = layout_.page_bytes();
-  FlushScratch& s = t.scratch;
-  s.begin_hybrid(t.wlog.size());
-
-  // Last-writer-wins dedup of the ic-mode write log into one flat vector,
-  // first-touch order (same semantics as flush_ic).
-  for (const auto& e : t.wlog.entries()) {
-    bool fresh = false;
-    IcDedupTable::Slot* slot = s.dedup.find_or_insert(e.addr, &fresh);
-    if (fresh) {
-      slot->home = 0;
-      slot->index = static_cast<std::uint32_t>(s.hy_pending.size());
-      s.hy_pending.push_back(e);
-    } else {
-      s.hy_pending[slot->index] = e;
-    }
-  }
-  if (!t.wlog.empty()) {
-    t.clock.charge(cpu.cycles(cpu.update_entry_cycles * t.wlog.size()));
-    t.clock.flush();
-  }
-
-  // Twin diffs of the pf-mode replicas (identical scan to flush_pf).
-  std::uint64_t diff_words = 0;
-  for (PageId p : t.nd->cached_pages()) {
-    if (!t.nd->has_twin(p)) continue;
-    t.clock.charge(cpu.diff_cost(page_bytes));
-    const std::byte* cur = t.nd->page_ptr(p);
-    const std::byte* twin = t.nd->twin(p);
-    const std::size_t words = page_bytes / 8;
-    bool page_dirty = false;
-    std::size_t w = 0;
-    while (w < words) {
-      if ((w & 7) == 0 && w + 8 <= words) {
-        std::uint64_t acc = 0;
-        for (std::size_t k = 0; k < 8; ++k) {
-          acc |= load_word(cur, w + k) ^ load_word(twin, w + k);
-        }
-        if (acc == 0) {
-          w += 8;
-          continue;
-        }
-      }
-      if (load_word(cur, w) == load_word(twin, w)) {
-        ++w;
-        continue;
-      }
-      const std::size_t run_begin = w;
-      while (w < words && load_word(cur, w) != load_word(twin, w)) ++w;
-      const std::size_t run_words = w - run_begin;
-      diff_words += run_words;
-      page_dirty = true;
-      const auto offset = static_cast<std::uint32_t>(s.run_bytes.size());
-      s.run_bytes.insert(s.run_bytes.end(), cur + run_begin * 8, cur + w * 8);
-      s.hy_runs_pending.push_back(DiffRun{layout_.page_base(p) + run_begin * 8, offset,
-                                          static_cast<std::uint32_t>(run_words * 8)});
-    }
-    if (page_dirty) t.nd->refresh_twin(p);
-  }
-  t.stats->add(Counter::kDiffWords, diff_words);
-  t.clock.flush();
-
-  const bool page_pure = ha_ != nullptr;
-
-  // --- ship the deduped write-log entries (svc::kUpdateFields) -------------
-  int guard = 0;
-  while (!s.hy_pending.empty()) {
-    HYP_CHECK_MSG(++guard < 256, "hybrid flush: field reroute did not converge");
-    s.hy_cohort.clear();
-    s.hy_rest.clear();
-    const PageId lead_page = layout_.page_of(s.hy_pending.front().addr);
-    const NodeId home = effective_home_of_page(lead_page);
-    for (const auto& e : s.hy_pending) {
-      const bool same = page_pure ? layout_.page_of(e.addr) == lead_page
-                                  : effective_home_of(e.addr) == home;
-      (same ? s.hy_cohort : s.hy_rest).push_back(e);
-    }
-    if (home == t.node) {
-      // A migration landed the home here: apply exactly the bytes the wire
-      // would have carried straight into the arena.
-      for (const auto& e : s.hy_cohort) {
-        std::memcpy(t.nd->arena() + e.addr, &e.value, e.size);
-      }
-      t.clock.charge(cpu.cycles(cpu.update_entry_cycles * s.hy_cohort.size()));
-      t.clock.flush();
-      s.hy_pending.swap(s.hy_rest);
-      continue;
-    }
-    Buffer msg;
-    if (update_ids_active()) msg.put<std::uint64_t>(next_update_id_++);
-    WriteLog::encode(&msg, s.hy_cohort);
-    t.stats->add(Counter::kUpdatesSent);
-    t.stats->add(Counter::kUpdateBytes, msg.size());
-    t.stats->record(Hist::kUpdatePayloadBytes, msg.size());
-    if (heat_ != nullptr) [[unlikely]] {
-      for (const auto& e : s.hy_cohort) heat_->record_update(layout_.page_of(e.addr), e.size);
-    }
-    cluster_->trace_event(t.node, cluster::TraceKind::kUpdateSent, home,
-                          static_cast<std::int64_t>(msg.size()));
-    if (ha_ == nullptr) {
-      Buffer ack =
-          rpc_with_retry(t.node, home, svc::kUpdateFields, std::move(msg), "write-log flush");
-      if (!ack.empty()) continue;  // migration NACK: re-resolve and resend
-    } else {
-      Buffer ack = ha_rpc_home(t, lead_page, svc::kUpdateFields, msg,
-                               /*reply_is_page=*/false, "write-log flush");
-      HYP_CHECK(ack.empty());
-    }
-    s.hy_pending.swap(s.hy_rest);
-  }
-  t.wlog.clear();
-
-  // --- ship the diff runs (svc::kUpdateRuns) -------------------------------
-  guard = 0;
-  while (!s.hy_runs_pending.empty()) {
-    HYP_CHECK_MSG(++guard < 256, "hybrid flush: run reroute did not converge");
-    s.hy_runs_cohort.clear();
-    s.hy_runs_rest.clear();
-    const PageId lead_page = layout_.page_of(s.hy_runs_pending.front().addr);
-    const NodeId home = effective_home_of_page(lead_page);
-    for (const DiffRun& r : s.hy_runs_pending) {
-      const bool same = page_pure ? layout_.page_of(r.addr) == lead_page
-                                  : effective_home_of(r.addr) == home;
-      (same ? s.hy_runs_cohort : s.hy_runs_rest).push_back(r);
-    }
-    if (home == t.node) {
-      std::size_t bytes = 0;
-      for (const DiffRun& r : s.hy_runs_cohort) {
-        std::memcpy(t.nd->arena() + r.addr, s.run_bytes.data() + r.offset, r.len);
-        bytes += r.len;
-      }
-      t.clock.charge(cpu.copy_cost(bytes));
-      t.clock.flush();
-      s.hy_runs_pending.swap(s.hy_runs_rest);
-      continue;
-    }
-    Buffer msg;
-    if (update_ids_active()) msg.put<std::uint64_t>(next_update_id_++);
-    msg.put<std::uint32_t>(static_cast<std::uint32_t>(s.hy_runs_cohort.size()));
-    for (const DiffRun& r : s.hy_runs_cohort) {
-      msg.put<std::uint64_t>(r.addr);
-      msg.put<std::uint32_t>(r.len);
-      msg.put_bytes(s.run_bytes.data() + r.offset, r.len);
-    }
-    t.stats->add(Counter::kUpdatesSent);
-    t.stats->add(Counter::kUpdateBytes, msg.size());
-    t.stats->record(Hist::kUpdatePayloadBytes, msg.size());
-    if (heat_ != nullptr) [[unlikely]] {
-      for (const DiffRun& r : s.hy_runs_cohort) {
-        heat_->record_update(layout_.page_of(r.addr), r.len);
-      }
-    }
-    cluster_->trace_event(t.node, cluster::TraceKind::kUpdateSent, home,
-                          static_cast<std::int64_t>(msg.size()));
-    if (ha_ == nullptr) {
-      Buffer ack = rpc_with_retry(t.node, home, svc::kUpdateRuns, std::move(msg), "diff flush");
-      if (!ack.empty()) continue;  // migration NACK: re-resolve and resend
-    } else {
-      Buffer ack = ha_rpc_home(t, lead_page, svc::kUpdateRuns, msg,
-                               /*reply_is_page=*/false, "diff flush");
-      HYP_CHECK(ack.empty());
-    }
-    s.hy_runs_pending.swap(s.hy_runs_rest);
-  }
+  const Time done_at = cluster_->node(self).extend_service(
+      runs ? cpu.copy_cost(bytes) : cpu.cycles(cpu.update_entry_cycles * count));
+  // Home-side confirmation of the flush; pairs with the sender's kUpdateSent
+  // for cross-node Perfetto flow arrows (docs/OBSERVABILITY.md).
+  cluster_->trace_event(self, cluster::TraceKind::kUpdateApplied, in.from,
+                        static_cast<std::int64_t>(runs ? bytes : count));
+  ack(done_at - cluster_->engine().now());
 }
 
 // ---------------------------------------------------------------------------
@@ -1254,31 +953,8 @@ void DsmSystem::maybe_migrate(NodeId self, PageId p, NodeId target) {
   if (f.crash_release(target, now) != 0) return;
   if (f.severed(self, target, now) || f.severed(target, self, now)) return;
 
-  NodeDsm& snd = node_dsm(self);
-  NodeDsm& wnd = node_dsm(target);
-  const std::size_t page_bytes = layout_.page_bytes();
-  const Gva begin = layout_.page_base(p);
-
-  // Realize the authoritative bytes in the new home's arena. If the target
-  // holds a pf-mode replica, its unflushed local writes (cur != twin words)
-  // survive: only clean words take the home's bytes (cf. HaManager::move_zone
-  // preserving the backup's pending diffs during zone failover).
-  if (wnd.has_twin(p)) {
-    std::byte* cur = wnd.page_ptr(p);
-    const std::byte* twin = wnd.twin(p);
-    const std::byte* src = snd.page_ptr(p);
-    for (std::size_t w = 0; w < page_bytes / 8; ++w) {
-      if (load_word(cur, w) == load_word(twin, w)) {
-        std::memcpy(cur + w * 8, src + w * 8, 8);
-      }
-    }
-  } else {
-    std::memcpy(wnd.page_ptr(p), snd.page_ptr(p), page_bytes);
-  }
-  wnd.promote_to_home(p, p + 1);
-  // Unflushed ic-mode stores of the target's threads stay visible as well.
-  replay_logged_writes(target, begin, begin + page_bytes);
-  snd.demote_home(p, p + 1);
+  hand_off_page(p, self, target);
+  node_dsm(self).demote_home(p, p + 1);
   home_override_[p] = target;
   mig_[p] = MigStat{};
 
@@ -1289,15 +965,40 @@ void DsmSystem::maybe_migrate(NodeId self, PageId p, NodeId target) {
   // into the new one's. The transfer itself rides the modeled checkpoint
   // path (the same global-metadata idealization as quorum reads).
   const auto& cpu = cluster_->params().cpu;
+  const std::size_t page_bytes = layout_.page_bytes();
   cluster_->node(self).extend_service(cpu.copy_cost(page_bytes));
   cluster_->node(target).extend_service(cpu.copy_cost(page_bytes));
   if (ha_ != nullptr) ha_->note_checkpoint(target, page_bytes);
+  const Gva begin = layout_.page_base(p);
   if (home_moved_) home_moved_(self, target, begin, begin + page_bytes);
+}
+
+void DsmSystem::hand_off_page(PageId p, NodeId from, NodeId to) {
+  NodeDsm& src = node_dsm(from);
+  NodeDsm& dst = node_dsm(to);
+  const std::size_t page_bytes = layout_.page_bytes();
+  // Realize the authoritative bytes in the new home's arena. If `to` holds a
+  // pf-mode replica, its unflushed local writes (cur != twin words) survive:
+  // only clean words take the old home's bytes (cf. HaManager::move_zone
+  // preserving the backup's pending diffs during zone failover).
+  if (dst.has_twin(p)) {
+    std::byte* cur = dst.page_ptr(p);
+    const std::byte* twin = dst.twin(p);
+    const std::byte* bytes = src.page_ptr(p);
+    for (std::size_t w = 0; w < page_bytes / 8; ++w) {
+      if (load_word(cur, w) == load_word(twin, w)) std::memcpy(cur + w * 8, bytes + w * 8, 8);
+    }
+  } else {
+    std::memcpy(dst.page_ptr(p), src.page_ptr(p), page_bytes);
+  }
+  dst.promote_to_home(p, p + 1);
+  // Unflushed ic-mode stores of `to`'s threads stay visible as well.
+  const Gva begin = layout_.page_base(p);
+  replay_logged_writes(to, begin, begin + page_bytes);
 }
 
 void DsmSystem::on_node_dead(NodeId dead) {
   if (home_override_.empty()) return;
-  const std::size_t page_bytes = layout_.page_bytes();
   NodeDsm& dnd = node_dsm(dead);
   for (std::size_t i = 0; i < home_override_.size(); ++i) {
     if (home_override_[i] != dead) continue;
@@ -1310,28 +1011,13 @@ void DsmSystem::on_node_dead(NodeId dead) {
     dnd.demote_home(p, p + 1);
     const NodeId back = effective_home_of_page(p);
     if (back == dead) continue;  // its own zone: confirm_death's failover realizes it
-    NodeDsm& bnd = node_dsm(back);
-    const Gva begin = layout_.page_base(p);
     // Re-realize the page at the fallback home from the dead node's
-    // replicated state, preserving the fallback's own unflushed writes
-    // exactly as maybe_migrate does.
-    if (bnd.has_twin(p)) {
-      std::byte* cur = bnd.page_ptr(p);
-      const std::byte* twin = bnd.twin(p);
-      const std::byte* src = dnd.page_ptr(p);
-      for (std::size_t w = 0; w < page_bytes / 8; ++w) {
-        if (load_word(cur, w) == load_word(twin, w)) {
-          std::memcpy(cur + w * 8, src + w * 8, 8);
-        }
-      }
-    } else {
-      std::memcpy(bnd.page_ptr(p), dnd.page_ptr(p), page_bytes);
-    }
-    bnd.promote_to_home(p, p + 1);
-    replay_logged_writes(back, begin, begin + page_bytes);
+    // replicated state, preserving the fallback's own unflushed writes.
+    hand_off_page(p, dead, back);
     cluster_->node(back).stats().add_named("dsm_migrations_reverted");
     cluster_->trace_event(dead, cluster::TraceKind::kHomeMigrated, p, back);
-    if (home_moved_) home_moved_(dead, back, begin, begin + page_bytes);
+    const Gva begin = layout_.page_base(p);
+    if (home_moved_) home_moved_(dead, back, begin, begin + layout_.page_bytes());
   }
 }
 

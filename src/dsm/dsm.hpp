@@ -22,7 +22,13 @@
 //     writer (heat-driven generalization of bench/ext_migration); stale-home
 //     requests are NACKed and rerouted, reusing the HA machinery.
 //
-// Consistency actions (both protocols, per the paper):
+// One consistency engine runs all three (docs/PROTOCOLS.md §One engine):
+// java_ic and java_pf are hybrid with every page pinned to ic or pf mode (no
+// heat, no give-up, no migration), sharing its miss path, update pipeline
+// and update handler. Only the access fast paths (dsm/access.hpp) stay
+// specialized per protocol at compile time.
+//
+// Consistency actions (all protocols, per the paper):
 //   monitor exit  -> updateMainMemory (modifications reach the home copies
 //                    before the lock is released; each update is acked)
 //   monitor entry -> updateMainMemory + invalidateCache (whole node cache)
@@ -58,8 +64,8 @@ ProtocolKind protocol_by_name(const std::string& name);
 // RPC service ids used by the memory subsystem.
 namespace svc {
 inline constexpr cluster::ServiceId kPageRequest = 10;
-inline constexpr cluster::ServiceId kUpdateFields = 11;  // java_ic write log
-inline constexpr cluster::ServiceId kUpdateRuns = 12;    // java_pf diff runs
+inline constexpr cluster::ServiceId kUpdateFields = 11;  // write-log fields
+inline constexpr cluster::ServiceId kUpdateRuns = 12;    // twin-diff runs
 inline constexpr cluster::ServiceId kQuorumRead = 13;    // backup-served page read
 }  // namespace svc
 
@@ -144,9 +150,9 @@ class DsmSystem {
   void on_release(ThreadCtx& t);  // flush
 
   // --- protocol cold paths (called from the access policies) --------------
-  void miss_ic(ThreadCtx& t, PageId p);
-  void miss_pf(ThreadCtx& t, PageId p);
-  void miss_hybrid(ThreadCtx& t, PageId p);
+  // Brings absent page `p` in: a pf-mode miss pays the fault and the
+  // reopening mprotect; under hybrid the page's mode is re-decided here.
+  void miss(ThreadCtx& t, PageId p);
   // Mid-generation ic escape (hybrid): flips a present ic-mode page to pf
   // once its raw access tally proves the generation dense (see
   // ThreadCtx::ic_giveup). Never yields — safe to call from the access fast
@@ -246,12 +252,32 @@ class DsmSystem {
   // time to Hist::kPageFetchLatency and Phase::kBlockedFetch (observation
   // only: the waits themselves are unchanged).
   void fetch_until_present(ThreadCtx& t, PageId p);
-  void flush_ic(ThreadCtx& t);
-  void flush_pf(ThreadCtx& t);
-  // hybrid flush: the write log covers ic-mode pages, twin diffs cover
-  // pf-mode pages; both are shipped grouped by *current* effective home with
-  // a rebuild-on-NACK loop so a mid-flight migration reroutes the remainder.
-  void flush_hybrid(ThreadCtx& t);
+  // Detection mode of page `p`: ic under java_ic, pf under java_pf, the
+  // presence byte's kIcModeBit under hybrid. (java_ic leaves the bit clear:
+  // set_ic_default would commit every node's lazy presence table.)
+  bool ic_mode(const NodeDsm& nd, PageId p) const {
+    return kind_ == ProtocolKind::kJavaIc || nd.ic_mode(p);
+  }
+
+  // --- the update pipeline (docs/PROTOCOLS.md §One engine) -----------------
+  // Cohort key of a pending update; one message ships one cohort.
+  //   kHome — the effective home at collect (java_ic/java_pf without chain
+  //           replicas, whose zones on one node always move together;
+  //           hybrid without HA, re-keyed when a home migrates);
+  //   kZone — the layout owner (java_ic/java_pf with replicas > 1: two zones
+  //           on one node today may be re-elected to different nodes);
+  //   kPage — the page (hybrid under HA, so ha_rpc_home's re-resolve loop
+  //           converges on a single moving page).
+  // Zone and page cohorts resolve their home per send.
+  enum class CohortKey { kHome, kZone, kPage };
+  CohortKey cohort_rule() const;
+  std::uint32_t cohort_key(CohortKey rule, Gva a) const;
+  // Ships the runs or fields lane of t.scratch, one cohort per message, in
+  // ascending key order (java_ic/java_pf) or first-touch order (hybrid).
+  // `keyed_at` is the home-migration count the lane's keys were taken at.
+  void ship(ThreadCtx& t, CohortKey rule, bool runs, std::uint64_t keyed_at);
+  // Bound on consecutive stale-home NACKs; a delivered cohort resets it.
+  static constexpr int kMaxReroutes = 64;
 
   // --- hybrid mode switching + home migration ------------------------------
   // Epoch lengths are virtual-time constants (decisions stay byte-identical
@@ -277,10 +303,13 @@ class DsmSystem {
   // migrates the page's home to a sustained dominant writer (see .cpp).
   void note_remote_update(NodeId self, PageId p, NodeId from, std::uint64_t bytes);
   void maybe_migrate(NodeId self, PageId p, NodeId target);
+  // Makes `to` the home of page `p` with `from`'s bytes, keeping `to`'s own
+  // unflushed writes (migration, and its revert when a node dies).
+  void hand_off_page(PageId p, NodeId from, NodeId to);
 
   void handle_page_request(cluster::Incoming& in, NodeId self);
-  void handle_update_fields(cluster::Incoming& in, NodeId self);
-  void handle_update_runs(cluster::Incoming& in, NodeId self);
+  // Services kUpdateFields (write-log fields) and kUpdateRuns (diff runs).
+  void handle_update(cluster::Incoming& in, NodeId self, bool runs);
   void handle_quorum_read(cluster::Incoming& in, NodeId self);
 
   // Quorum read from the chain backups while `home` is suspected but not yet

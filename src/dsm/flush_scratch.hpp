@@ -1,17 +1,22 @@
-// Reusable per-thread scratch state for the consistency flush hot paths.
+// Reusable per-thread scratch state for the consistency flush hot path.
 //
 // updateMainMemory runs at EVERY monitor entry/exit (§3.1), so its host cost
-// is paid millions of times per paper-size run. The original implementation
-// built fresh std::maps and per-run byte vectors on each flush; this scratch
-// keeps the equivalent structures alive on the ThreadCtx and recycles them:
+// is paid millions of times per paper-size run: this scratch lives on the
+// ThreadCtx and is recycled instead of building fresh maps and byte vectors
+// per flush. One update pipeline serves all three protocols
+// (DsmSystem::update_main_memory: collect -> group -> ship), with one lane
+// per wire format:
 //
-//   * java_ic — an open-addressing, generation-stamped dedup table
-//     (addr -> (home, index)) plus one flat entry vector per home node.
-//     First-touch order within a home and ascending-home send order exactly
-//     match the old std::map semantics, so messages are bit-identical.
-//   * java_pf — per-home flat run vectors whose payload bytes all land in
-//     one shared append-only arena (offsets, not pointers, survive arena
-//     growth).
+//   * fields — the write log, deduplicated to last-writer-wins through an
+//     open-addressing, generation-stamped table (addr -> lane index) while
+//     first-touch order is kept (svc::kUpdateFields);
+//   * runs — the modified-word runs of the twin diff, whose payload bytes all
+//     land in one shared append-only arena (offsets, not pointers, survive
+//     arena growth; svc::kUpdateRuns).
+//
+// java_ic never twins and java_pf never logs, so each finds one lane empty;
+// hybrid fills both. Every item carries its cohort key, and the ship loop
+// peels one cohort per message off its lane.
 //
 // Nothing here is visible in simulated time: the scratch only changes how
 // fast the host computes the same messages (docs/PERFORMANCE.md).
@@ -27,15 +32,14 @@
 
 namespace hyp::dsm {
 
-// Open-addressing hash table: Gva -> (home, index-in-home-vector), cleared
-// in O(1) by bumping a generation stamp. Linear probing, power-of-two
-// capacity kept at least 2x the expected entry count.
-class IcDedupTable {
+// Open-addressing hash table: Gva -> index in the fields lane, cleared in
+// O(1) by bumping a generation stamp. Linear probing, power-of-two capacity
+// kept at least 2x the expected entry count.
+class DedupTable {
  public:
   struct Slot {
     Gva addr = 0;
     std::uint32_t gen = 0;
-    std::uint32_t home = 0;
     std::uint32_t index = 0;
   };
 
@@ -55,7 +59,7 @@ class IcDedupTable {
   }
 
   // Returns the slot for `addr`; `*fresh` reports whether it was vacant.
-  // The caller fills home/index on fresh insertion.
+  // The caller fills the index on fresh insertion.
   Slot* find_or_insert(Gva addr, bool* fresh) {
     std::size_t i = hash(addr) & mask_;
     while (true) {
@@ -74,8 +78,6 @@ class IcDedupTable {
     }
   }
 
-  std::size_t capacity() const { return slots_.size(); }
-
  private:
   static std::size_t hash(Gva a) {
     // Fibonacci scrambling; addresses are 8-byte aligned so mix the high bits.
@@ -87,53 +89,33 @@ class IcDedupTable {
   std::uint32_t gen_ = 0;
 };
 
-// One modified-word run found by the java_pf twin diff: `len` payload bytes
-// at `offset` in the shared `run_bytes` arena, destined for `addr`.
-struct DiffRun {
+// One pending update of either lane: `len` bytes destined for `addr`, tagged
+// with its cohort key (a home, zone or page id; see DsmSystem::CohortKey).
+// A field carries its value inline in `data`; a run keeps its payload in the
+// shared `run_bytes` arena at offset `data`.
+struct PendingUpdate {
   Gva addr;
-  std::uint32_t offset;
+  std::uint32_t key;
   std::uint32_t len;
+  std::uint64_t data;
 };
 
 struct FlushScratch {
-  // --- java_ic -------------------------------------------------------------
-  IcDedupTable dedup;
-  std::vector<std::vector<WriteLogEntry>> ic_by_home;
+  DedupTable dedup;
+  std::vector<PendingUpdate> fields;  // svc::kUpdateFields lane
+  std::vector<PendingUpdate> runs;    // svc::kUpdateRuns lane
+  std::vector<std::byte> run_bytes;   // run payload arena, reset per flush
 
-  // --- java_pf -------------------------------------------------------------
-  std::vector<std::vector<DiffRun>> pf_by_home;
-  std::vector<std::byte> run_bytes;  // shared payload arena, reset per flush
-
-  // --- hybrid --------------------------------------------------------------
-  // The hybrid flush reroutes on migration NACKs, repeatedly re-partitioning
-  // the not-yet-acked remainder by its *current* effective home. These hold
-  // the pending/cohort/rest splits across iterations (same recycling
-  // discipline as above; never visible in simulated time).
-  std::vector<WriteLogEntry> hy_pending, hy_cohort, hy_rest;
-  std::vector<DiffRun> hy_runs_pending, hy_runs_cohort, hy_runs_rest;
-
-  // Clears per-home state for a new flush without releasing capacity.
-  void begin_ic(std::size_t homes, std::size_t expected_entries) {
-    if (ic_by_home.size() < homes) ic_by_home.resize(homes);
-    for (auto& v : ic_by_home) v.clear();
-    dedup.begin(expected_entries);
+  // Payload bytes of a pending update of the given lane.
+  const void* payload(const PendingUpdate& u, bool run) const {
+    return run ? static_cast<const void*>(run_bytes.data() + u.data) : &u.data;
   }
 
-  void begin_pf(std::size_t homes) {
-    if (pf_by_home.size() < homes) pf_by_home.resize(homes);
-    for (auto& v : pf_by_home) v.clear();
+  // Clears the lanes for a new flush without releasing capacity.
+  void begin() {
+    fields.clear();
+    runs.clear();
     run_bytes.clear();
-  }
-
-  void begin_hybrid(std::size_t expected_entries) {
-    hy_pending.clear();
-    hy_cohort.clear();
-    hy_rest.clear();
-    hy_runs_pending.clear();
-    hy_runs_cohort.clear();
-    hy_runs_rest.clear();
-    run_bytes.clear();
-    dedup.begin(expected_entries);
   }
 };
 

@@ -9,8 +9,9 @@
 //   * cached         — a replica fetched from the home (at most one per node,
 //                      shared by all the node's threads, per the paper);
 //   * absent         — any access must first load the page.
-// java_pf additionally keeps a *twin* (pristine copy at fetch time) per
-// cached page so updateMainMemory can diff out the modified words.
+// A pf-mode replica (every java_pf replica, hybrid's pf-mode ones)
+// additionally keeps a *twin* (pristine copy at fetch time) so
+// updateMainMemory can diff out the modified words.
 //
 // The per-page tables are lazily committed (common/lazy_array.hpp): set-up
 // and tear-down follow the node's own zone and live twins, never the region

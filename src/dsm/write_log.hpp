@@ -1,11 +1,13 @@
-// Field-granularity write logging for the java_ic protocol.
+// Field-granularity write logging for ic-mode pages (every java_ic page,
+// hybrid's ic-mode pages).
 //
 // Table 2 of the paper: "thanks to the put access primitives, the
 // modifications can be recorded at the moment when they are carried out,
 // with object-field granularity." Each entry captures address, width and the
 // *value at put time* (the JMM working-memory copy), so a later cache
-// invalidation cannot lose a pending store. updateMainMemory groups entries
-// by home node, deduplicates to last-writer-wins per field, and ships them.
+// invalidation cannot lose a pending store. updateMainMemory deduplicates
+// the entries to last-writer-wins per field and ships them home as the
+// kUpdateFields wire format below.
 #pragma once
 
 #include <cstdint>
@@ -50,13 +52,9 @@ class WriteLog {
     }
   }
 
-  // Streaming decode: invokes `fn(entry)` per entry without materializing a
-  // vector (the home-side apply loop runs on every flush; allocating there
-  // would break the steady-state zero-allocation property). Returns the
-  // entry count.
-  template <typename Fn>
-  static std::size_t decode_each(BufferReader& in, Fn&& fn) {
+  static std::vector<WriteLogEntry> decode(BufferReader& in) {
     const auto count = in.get<std::uint32_t>();
+    std::vector<WriteLogEntry> entries;
     for (std::uint32_t i = 0; i < count; ++i) {
       WriteLogEntry e;
       e.addr = in.get<std::uint64_t>();
@@ -65,14 +63,8 @@ class WriteLog {
                     "corrupt write-log entry size");
       e.value = 0;
       in.get_bytes(&e.value, e.size);
-      fn(e);
+      entries.push_back(e);
     }
-    return count;
-  }
-
-  static std::vector<WriteLogEntry> decode(BufferReader& in) {
-    std::vector<WriteLogEntry> entries;
-    decode_each(in, [&](const WriteLogEntry& e) { entries.push_back(e); });
     return entries;
   }
 

@@ -1,0 +1,255 @@
+// The update pipeline's cohort rules (docs/PROTOCOLS.md §One engine).
+//
+// updateMainMemory groups pending updates into cohorts, one message each.
+// The cohort key and the ship order differ per protocol and HA setting, and
+// each rule shows up on the wire, so these tests pin them one by one from
+// the kUpdateSent trace:
+//   * java_ic / java_pf key by home and ship in ascending key order;
+//   * with chain replicas (replicas > 1) they key by zone, so two zones that
+//     a promotion put on one node still travel as two messages;
+//   * hybrid ships in first-touch order, keys by page under HA, and re-keys
+//     the unshipped remainder when a home migrates mid-flush.
+// The FlushGuard tests flush one cohort per page for hundreds of pages,
+// which must not be mistaken for a reroute that does not converge.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "cluster/trace.hpp"
+#include "dsm/access.hpp"
+#include "dsm/dsm.hpp"
+#include "ha/ha.hpp"
+#include "hyperion/vm.hpp"
+#include "sim/engine.hpp"
+
+namespace hyp::dsm {
+namespace {
+
+using cluster::TraceEvent;
+using cluster::TraceKind;
+
+// Destinations of the update messages `node` sent among `events[from, to)`.
+std::vector<std::int64_t> update_dests(const std::vector<TraceEvent>& events, int node,
+                                       std::size_t from = 0, std::size_t to = ~std::size_t{0}) {
+  std::vector<std::int64_t> dests;
+  for (std::size_t i = from; i < events.size() && i < to; ++i) {
+    const TraceEvent& e = events[i];
+    if (e.kind == TraceKind::kUpdateSent && e.node == node) dests.push_back(e.a);
+  }
+  return dests;
+}
+
+// Node 0 stores to a word homed on node 3, then to one homed on node 1, and
+// flushes.
+std::vector<std::int64_t> two_home_flush(ProtocolKind kind) {
+  cluster::Cluster c(cluster::ClusterParams::myrinet200(), 4);
+  cluster::TraceLog trace;
+  c.set_trace(&trace);
+  DsmSystem dsm(&c, std::size_t{1} << 20, kind);
+  const Gva on3 = dsm.alloc(3, 8);
+  const Gva on1 = dsm.alloc(1, 8);
+  c.spawn_thread(0, "writer", [&] {
+    auto t = dsm.make_thread(0);
+    with_policy(kind, [&](auto policy) {
+      using P = decltype(policy);
+      P::template put<std::int64_t>(*t, on3, 3);
+      P::template put<std::int64_t>(*t, on1, 1);
+    });
+    dsm.update_main_memory(*t);
+  });
+  c.run();
+  EXPECT_EQ(dsm.read_home<std::int64_t>(on3), 3);
+  EXPECT_EQ(dsm.read_home<std::int64_t>(on1), 1);
+  return update_dests(trace.events(), 0);
+}
+
+TEST(FlushCohorts, PinnedProtocolsShipByAscendingHomeHybridByFirstTouch) {
+  EXPECT_EQ(two_home_flush(ProtocolKind::kJavaIc), (std::vector<std::int64_t>{1, 3}));
+  EXPECT_EQ(two_home_flush(ProtocolKind::kJavaPf), (std::vector<std::int64_t>{1, 3}));
+  EXPECT_EQ(two_home_flush(ProtocolKind::kHybrid), (std::vector<std::int64_t>{3, 1}));
+}
+
+// Zone 2's crash promotes node 3, which then homes zones 2 and 3.
+// Node 0 stores to a cell in each inside one synchronized block; returns the
+// destinations of that block's update messages.
+std::vector<std::int64_t> promoted_zone_flush(ProtocolKind kind, int replicas) {
+  hyperion::VmConfig cfg;
+  cfg.cluster.fault =
+      cluster::FaultProfile::parse("replicas=" + std::to_string(replicas) + ",crash2@1ms+800us");
+  cfg.nodes = 4;
+  cfg.protocol = kind;
+  cfg.region_bytes = std::size_t{16} << 20;
+  cluster::TraceLog trace(1 << 16);
+  cfg.trace = &trace;
+  hyperion::HyperionVM vm(cfg);
+  std::size_t from = 0;
+  std::size_t to = 0;
+  with_policy(kind, [&](auto policy) {
+    using P = decltype(policy);
+    vm.run_main([&](hyperion::JavaEnv& main) {
+      main.migrate_to(2);
+      auto in_zone2 = main.new_cell<std::int64_t>(0);
+      main.migrate_to(3);
+      auto in_zone3 = main.new_cell<std::int64_t>(0);
+      main.migrate_to(0);
+      auto lock = main.new_cell<std::int64_t>(0);
+      main.ctx().clock.flush();
+      sim::sleep_for(5 * kMillisecond);  // well past the promotion
+      EXPECT_EQ(vm.ha()->home_node(2), 3);
+      hyperion::Mem<P> mem(main.ctx());
+      from = trace.events().size();
+      main.synchronized(lock.addr, [&] {
+        mem.put(in_zone2, std::int64_t{22});
+        mem.put(in_zone3, std::int64_t{33});
+      });
+      to = trace.events().size();
+      EXPECT_EQ(vm.dsm().read_home<std::int64_t>(in_zone2.addr), 22);
+      EXPECT_EQ(vm.dsm().read_home<std::int64_t>(in_zone3.addr), 33);
+    });
+  });
+  return update_dests(trace.events(), 0, from, to);
+}
+
+TEST(FlushCohorts, PinnedProtocolsKeyByZoneOnlyWithChainReplicas) {
+  for (ProtocolKind kind : {ProtocolKind::kJavaIc, ProtocolKind::kJavaPf}) {
+    EXPECT_EQ(promoted_zone_flush(kind, 2), (std::vector<std::int64_t>{3, 3}))
+        << protocol_name(kind);
+    EXPECT_EQ(promoted_zone_flush(kind, 1), (std::vector<std::int64_t>{3}))
+        << protocol_name(kind);
+  }
+}
+
+TEST(FlushCohorts, HybridKeysByPageUnderHa) {
+  EXPECT_EQ(promoted_zone_flush(ProtocolKind::kHybrid, 2), (std::vector<std::int64_t>{3, 3}));
+  EXPECT_EQ(promoted_zone_flush(ProtocolKind::kHybrid, 1), (std::vector<std::int64_t>{3, 3}));
+}
+
+// hybrid, no HA: pages P and Q are homed on node 1. Node 2 flushes eight
+// stores to P at 0.1, 5.1 and 10.1 ms — two dominated migration epochs, so P
+// moves to node 2 at the third flush. Node 3 read P, Q and a node-0 word
+// early on; it stores to the word, P and Q and starts its flush `lead`
+// before 10.1 ms, racing the migration.
+struct MigrationRace {
+  std::vector<std::int64_t> dests;  // node 3's update messages
+  std::size_t nacks = 0;            // stale-home refusals node 3 received
+  NodeId p_home = -1;
+};
+
+MigrationRace flush_across_migration(TimeDelta lead) {
+  cluster::Cluster c(cluster::ClusterParams::myrinet200(), 4);
+  cluster::TraceLog trace;
+  c.set_trace(&trace);
+  DsmSystem dsm(&c, std::size_t{1} << 20, ProtocolKind::kHybrid);
+  const std::size_t page = dsm.layout().page_bytes();
+  const Gva word = dsm.alloc(0, 8);
+  const Gva p = dsm.alloc(1, page, page);
+  const Gva q = dsm.alloc(1, page, page);
+  const Time third_flush = 10 * kMillisecond + 100 * kMicrosecond;
+  c.spawn_thread(2, "dominant_writer", [&] {
+    auto t = dsm.make_thread(2);
+    for (int round = 0; round < 3; ++round) {
+      sim::sleep_until(100 * kMicrosecond + round * 5 * kMillisecond);
+      for (int i = 0; i < 8; ++i) {
+        HybridPolicy::put<std::int64_t>(*t, p + 8 * i, 10 * round + i);
+      }
+      dsm.update_main_memory(*t);
+    }
+  });
+  c.spawn_thread(3, "racer", [&] {
+    auto t = dsm.make_thread(3);
+    HybridPolicy::get<std::int64_t>(*t, p);
+    HybridPolicy::get<std::int64_t>(*t, q);
+    HybridPolicy::get<std::int64_t>(*t, word);
+    t->clock.flush();
+    sim::sleep_until(third_flush - lead);
+    HybridPolicy::put<std::int64_t>(*t, word, 100);
+    HybridPolicy::put<std::int64_t>(*t, p + 512, 101);
+    HybridPolicy::put<std::int64_t>(*t, q, 102);
+    dsm.update_main_memory(*t);
+  });
+  c.run();
+  MigrationRace out;
+  out.dests = update_dests(trace.events(), 3);
+  for (const TraceEvent& e : trace.events()) {
+    if (e.kind == TraceKind::kHaNack && e.a == 3) ++out.nacks;
+  }
+  out.p_home = dsm.effective_home_of(p);
+  EXPECT_EQ(dsm.read_home<std::int64_t>(word), 100);
+  EXPECT_EQ(dsm.read_home<std::int64_t>(p + 512), 101);
+  EXPECT_EQ(dsm.read_home<std::int64_t>(q), 102);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(dsm.read_home<std::int64_t>(p + 8 * i), 20 + i);
+  return out;
+}
+
+TEST(FlushCohorts, HybridReKeysTheRemainderWhenAHomeMigratesMidFlush) {
+  // The migration lands while node 3 ships to node 0: the remainder is
+  // re-keyed and P goes straight to its new home.
+  for (TimeDelta lead : {TimeDelta{0}, 10 * kMicrosecond}) {
+    const MigrationRace r = flush_across_migration(lead);
+    EXPECT_EQ(r.dests, (std::vector<std::int64_t>{0, 2, 1})) << "lead " << lead;
+    EXPECT_EQ(r.nacks, 0u) << "lead " << lead;
+    EXPECT_EQ(r.p_home, 2) << "lead " << lead;
+  }
+  // The migration lands while the {P, Q} cohort is in flight to node 1: the
+  // NACKed cohort is re-keyed too.
+  const MigrationRace r = flush_across_migration(20 * kMicrosecond);
+  EXPECT_EQ(r.dests, (std::vector<std::int64_t>{0, 1, 2, 1}));
+  EXPECT_EQ(r.nacks, 1u);
+  EXPECT_EQ(r.p_home, 2);
+}
+
+// HA on (a crash far beyond the run's end) makes hybrid cohorts page-pure.
+// Node 0 stores one element on each of 300 pages homed on node 1 inside one
+// synchronized block: 300 cohorts, each delivered at the first attempt.
+// `dense_reads_first` reads every page 2000 times before the block, which
+// flips the pages to pf mode, so the stores travel as twin-diff runs instead
+// of write-log fields.
+void flush_three_hundred_pages(bool dense_reads_first) {
+  constexpr std::int64_t kPages = 300;
+  hyperion::VmConfig cfg;
+  cfg.cluster.fault = cluster::FaultProfile::parse("crash3@5000ms+1ms,seed=7");
+  cfg.nodes = 4;
+  cfg.protocol = ProtocolKind::kHybrid;
+  cfg.region_bytes = std::size_t{16} << 20;
+  hyperion::HyperionVM vm(cfg);
+  const std::int64_t stride =
+      static_cast<std::int64_t>(vm.dsm().layout().page_bytes() / sizeof(std::int64_t));
+  vm.run_main([&](hyperion::JavaEnv& main) {
+    main.migrate_to(1);
+    auto arr = main.new_array<std::int64_t>(kPages * stride);
+    main.migrate_to(0);
+    auto lock = main.new_cell<std::int64_t>(0);
+    hyperion::Mem<HybridPolicy> mem(main.ctx());
+    if (dense_reads_first) {
+      for (std::int64_t i = 0; i < kPages; ++i) {
+        for (int r = 0; r < 2000; ++r) mem.aget(arr, i * stride);
+      }
+    }
+    const Stats before = vm.stats();
+    main.synchronized(lock.addr, [&] {
+      for (std::int64_t i = 0; i < kPages; ++i) mem.aput(arr, i * stride, i + 1);
+    });
+    const Stats after = vm.stats();
+    const Counter lane = dense_reads_first ? Counter::kDiffWords : Counter::kWriteLogEntries;
+    EXPECT_EQ(after.get(lane) - before.get(lane), std::uint64_t{kPages});
+    EXPECT_EQ(after.get(Counter::kUpdatesSent) - before.get(Counter::kUpdatesSent),
+              std::uint64_t{kPages});
+    for (std::int64_t i = 0; i < kPages; ++i) {
+      ASSERT_EQ(vm.dsm().read_home<std::int64_t>(arr.elem(i * stride)), i + 1) << i;
+    }
+  });
+  ASSERT_NE(vm.ha(), nullptr);
+}
+
+TEST(FlushGuard, HybridHaFlushShipsAFieldCohortPerPageForThreeHundredPages) {
+  flush_three_hundred_pages(/*dense_reads_first=*/false);
+}
+
+TEST(FlushGuard, HybridHaFlushShipsARunCohortPerPageForThreeHundredPages) {
+  flush_three_hundred_pages(/*dense_reads_first=*/true);
+}
+
+}  // namespace
+}  // namespace hyp::dsm

@@ -1,7 +1,8 @@
 // Behavioral tests of the DSM system under both protocols. Most tests are
 // parameterized over {java_ic, java_pf}: the protocols must agree on
 // *values* (both implement Java consistency) while differing in *events*
-// (checks vs faults) — exactly the paper's framing.
+// (checks vs faults) — exactly the paper's framing. The same cases also run
+// under hybrid, which must agree on the values too.
 #include "dsm/access.hpp"
 #include "dsm/dsm.hpp"
 #include "test_util.hpp"
@@ -39,6 +40,8 @@ class DsmProtocolTest : public ::testing::TestWithParam<ProtocolKind> {};
 
 INSTANTIATE_TEST_SUITE_P(BothProtocols, DsmProtocolTest,
                          ::testing::Values(ProtocolKind::kJavaIc, ProtocolKind::kJavaPf),
+                         [](const auto& param_info) { return protocol_name(param_info.param); });
+INSTANTIATE_TEST_SUITE_P(Hybrid, DsmProtocolTest, ::testing::Values(ProtocolKind::kHybrid),
                          [](const auto& param_info) { return protocol_name(param_info.param); });
 
 template <typename T>
