@@ -66,9 +66,6 @@ Cluster::Cluster(ClusterParams params, int nodes) : params_(std::move(params)) {
   for (int i = 0; i < n; ++i) {
     nodes_.push_back(std::make_unique<Node>(this, i));
   }
-  // Fold the legacy NetworkParams::jitter_max alias into the fault profile:
-  // all network perturbation lives behind one seeded interface now.
-  if (params_.fault.reorder_max == 0) params_.fault.reorder_max = params_.net.jitter_max;
   lossy_ = params_.fault.lossy();
   // Big clusters shard the event queue per node (no events exist yet — the
   // engine was just constructed, so configure_shards' precondition holds).

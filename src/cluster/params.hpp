@@ -28,12 +28,6 @@ struct NetworkParams {
   Time send_overhead = 0;              // sender-side protocol stack cost
   Time recv_overhead = 0;              // receiver-side dispatch cost
 
-  // Legacy failure-injection knob, kept as an alias: per-message latency
-  // jitter up to this many picoseconds. The Cluster constructor folds it into
-  // FaultProfile::reorder_max, where all network perturbation now lives
-  // behind one seeded interface (docs/FAULTS.md). 0 = off (default).
-  Time jitter_max = 0;
-
   // Wire time for a message of `bytes` payload (excluding end-point
   // overheads, which are charged to the respective CPUs/service queues).
   Time wire_time(std::size_t bytes) const {
@@ -364,8 +358,7 @@ struct ClusterParams {
   NetworkParams net;
   CpuParams cpu;
   // Deterministic network fault injection; default-off (the paper's
-  // interconnects were dedicated and lossless). The Cluster constructor
-  // folds the legacy net.jitter_max alias into fault.reorder_max.
+  // interconnects were dedicated and lossless).
   FaultProfile fault;
   std::size_t page_bytes = 4096;
 

@@ -1,5 +1,6 @@
 // UniqueFunction: a minimal move-only std::function<void(Args...)> with a
-// small-buffer optimisation.
+// small-buffer optimisation. FunctionRef (end of file): a non-owning
+// callable reference for callbacks that run only inside the call taking them.
 //
 // Simulator events must own their payloads (a message Buffer moves through
 // the event queue exactly once); std::function requires copyable targets and
@@ -14,6 +15,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -143,6 +145,32 @@ class UniqueFunction<R(Args...)> {
 
   alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
   const Ops* ops_ = nullptr;
+};
+
+// Non-owning reference to a callable, invoked only while the call that
+// received it runs (the referenced callable, often a temporary lambda, must
+// outlive that call). Two words, never allocates: std::function may, which
+// the allocation-free flush path cannot afford.
+template <typename Signature>
+class FunctionRef;
+
+template <typename R, typename... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  template <typename F,
+            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, FunctionRef> &&
+                                        std::is_invocable_r_v<R, F&, Args...>>>
+  FunctionRef(F&& f)  // NOLINT(google-explicit-constructor)
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        invoke_([](void* obj, Args... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(obj))(std::forward<Args>(args)...);
+        }) {}
+
+  R operator()(Args... args) const { return invoke_(obj_, std::forward<Args>(args)...); }
+
+ private:
+  void* obj_;
+  R (*invoke_)(void* obj, Args... args);
 };
 
 }  // namespace hyp

@@ -126,63 +126,33 @@ void DsmSystem::replay_logged_writes(NodeId node, Gva begin, Gva end) {
 }
 
 // ---------------------------------------------------------------------------
-// Transport-failure degradation
+// The one route to a home (docs/RECOVERY.md §Reaching a home)
 
-namespace {
-Buffer clone_payload(const Buffer& b) {
-  Buffer out(b.size());
-  out.put_bytes(b.data(), b.size());
-  return out;
-}
-}  // namespace
-
-Buffer DsmSystem::rpc_with_retry(NodeId from, NodeId to, cluster::ServiceId service, Buffer msg,
-                                 const char* what) {
-  if (!cluster_->transport_active()) {
-    // Lossless network: exactly the historical path, no payload copy.
-    return cluster_->call(from, to, service, std::move(msg));
-  }
-  for (int attempt = 1;; ++attempt) {
-    cluster::RpcResult r = cluster_->call_result(
-        from, to, service, attempt < kRpcAttempts ? clone_payload(msg) : std::move(msg));
-    if (r.ok()) return std::move(r.payload);
-    if (attempt >= kRpcAttempts) {
-      HYP_PANIC(std::string(what) + " abandoned after " + std::to_string(attempt) +
-                " attempts: " + r.error.message);
-    }
-  }
-}
-
-Buffer DsmSystem::ha_rpc_home(ThreadCtx& t, PageId p, cluster::ServiceId service,
-                              const Buffer& msg, bool reply_is_page, const char* what) {
-  HYP_DCHECK(ha_ != nullptr);
+Buffer DsmSystem::call_home(ThreadCtx& t, NodeId& target, PageId route_page,
+                            cluster::ServiceId service, std::size_t ok_body_bytes,
+                            BuildPayload build, const char* what, bool nack_to_caller) {
   const std::size_t epoch_bytes = fencing_ ? sizeof(std::uint64_t) : 0;
-  const std::size_t ok_size = (reply_is_page ? layout_.page_bytes() : 0) + epoch_bytes;
-  auto* eng = sim::Engine::current();
-  const Time started = cluster_->engine().now();
-  NodeId target = effective_home_of_page(p);
-  int attempts_at_target = 0;
+  sim::Engine& eng = cluster_->engine();
+  const Time started = eng.now();
+  int attempts = 0;  // at the current target
   bool rerouted = false;
-  // The guard bounds pathological NACK/re-resolve loops; a real failover
-  // converges in a handful of iterations (single-failure model).
-  for (int guard = 0; guard < 64; ++guard) {
-    const NodeId now_home = effective_home_of_page(p);
-    if (now_home != target) {
-      // The zone's home moved (promotion): fresh retry budget at the new one.
-      target = now_home;
-      attempts_at_target = 0;
+  // The guard bounds pathological NACK/re-resolve loops; a real failover or
+  // migration converges in a handful of iterations.
+  for (int guard = 0; guard < kMaxReroutes; ++guard) {
+    if (ha_ != nullptr && effective_home_of_page(route_page) != target) {
+      // The home moved (promotion or migration): fresh budget at the new one.
+      target = effective_home_of_page(route_page);
+      attempts = 0;
       rerouted = true;
       t.stats->add(Counter::kHaReroutes);
     }
-    ++attempts_at_target;
-    // The fencing epoch is prepended per attempt, not baked into msg: a retry
-    // after a local epoch bump must carry the fresh view, or the promoted
-    // home would fence the same stale request forever.
-    Buffer payload(msg.size() + epoch_bytes);
-    if (fencing_) payload.put<std::uint64_t>(ha_->node_epoch(t.node));
-    payload.put_bytes(msg.data(), msg.size());
-    cluster::RpcResult r = cluster_->call_result(t.node, target, service, std::move(payload));
-    if (r.ok() && r.payload.size() == ok_size) {
+    ++attempts;
+    // The epoch is taken per attempt: a retry after a local epoch bump must
+    // carry the fresh view, or the promoted home would fence the same stale
+    // request forever. A lossless call sends build()'s buffer as is.
+    cluster::RpcResult r = cluster_->call_result(
+        t.node, target, service, build(fencing_ ? ha_->node_epoch(t.node) : 0));
+    if (r.ok() && r.payload.size() == ok_body_bytes + epoch_bytes) {
       if (fencing_) {
         // The reply leads with the serving home's epoch view: a reply from a
         // home this side has already fenced off is discarded like a NACK and
@@ -197,56 +167,102 @@ Buffer DsmSystem::ha_rpc_home(ThreadCtx& t, PageId p, cluster::ServiceId service
           continue;
         }
       }
-      if (rerouted) {
-        t.stats->record(Hist::kHaRerouteWait,
-                        static_cast<std::uint64_t>(cluster_->engine().now() - started));
-      }
+      if (rerouted) t.stats->record(Hist::kHaRerouteWait, eng.now() - started);
       if (!fencing_) return std::move(r.payload);
-      Buffer out(r.payload.size() - epoch_bytes);
-      out.put_bytes(r.payload.data() + epoch_bytes, r.payload.size() - epoch_bytes);
-      return out;
+      Buffer body(ok_body_bytes);
+      body.put_bytes(r.payload.data() + epoch_bytes, ok_body_bytes);
+      return body;
     }
-    if (!r.ok() && r.error.status == cluster::RpcStatus::kNoQuorum) {
-      // Minority-side degradation: the wire to the home is cut. Park with a
-      // fresh budget until the surviving side can have re-homed the zone
-      // (cut start + confirm + watcher slack — the call then re-resolves) or
-      // the heal instant, whichever comes first. Both are deterministic.
-      attempts_at_target = 0;
-      t.stats->add(Counter::kHaNoQuorumHolds);
-      const auto& f = cluster_->params().fault;
-      const Time at = cluster_->engine().now();
-      const Time heal = f.severed_until(t.node, target, at);
-      if (heal > at) {
-        Time wake = heal;
-        const Time confirm_by =
-            f.severed_since(t.node, target, at) + f.confirm_after + 2 * f.hb_interval;
-        if (confirm_by > at && confirm_by < wake) wake = confirm_by;
-        eng->sleep_until(wake);
+    if (!r.ok()) {
+      if (ha_ != nullptr && r.error.status == cluster::RpcStatus::kNoQuorum) {
+        // Minority-side degradation: the wire to the home is cut. Park with a
+        // fresh budget until the surviving side can have re-homed the page
+        // (cut start + confirm + watcher slack — the call then re-resolves)
+        // or the heal instant, whichever comes first. Both are deterministic.
+        attempts = 0;
+        t.stats->add(Counter::kHaNoQuorumHolds);
+        const auto& f = cluster_->params().fault;
+        const Time at = eng.now();
+        const Time heal = f.severed_until(t.node, target, at);
+        if (heal > at) {
+          Time wake = heal;
+          const Time confirm_by =
+              f.severed_since(t.node, target, at) + f.confirm_after + 2 * f.hb_interval;
+          if (confirm_by > at && confirm_by < wake) wake = confirm_by;
+          eng.sleep_until(wake);
+        }
+        continue;
       }
-      continue;
+      // A failure against a node the detector has confirmed dead is not
+      // counted out: the next re-resolution moves past it.
+      if (attempts >= kRpcAttempts && (ha_ == nullptr || !ha_->confirmed_dead(target))) {
+        HYP_PANIC(std::string(what) + " abandoned after " + std::to_string(attempts) +
+                  " attempts: " + r.error.message);
+      }
+    } else if (ha_ == nullptr) {
+      // Without HA only a heat migration (hybrid) moves a home, and the
+      // override table changes synchronously with it, so re-resolving
+      // converges in one hop. The new home may be this node itself (the
+      // dominant writer); the runtime allows that loopback.
+      if (nack_to_caller) return std::move(r.payload);
+      t.stats->add(Counter::kHaReroutes);
+      target = effective_home_of_page(route_page);
+      attempts = 0;
     }
-    if (!r.ok() && attempts_at_target >= kRpcAttempts && !ha_->confirmed_dead(target)) {
-      HYP_PANIC(std::string(what) + " abandoned after " + std::to_string(attempts_at_target) +
-                " attempts: " + r.error.message);
-    }
-    // r.ok() with the wrong reply shape is a stale-home NACK: loop and
-    // re-resolve. A failed call against a down-but-unconfirmed target holds
-    // until the failure detector has had enough silence to decide.
-    const Time at = cluster_->engine().now();
+    if (ha_ == nullptr) continue;  // resend at once
+    // Under HA a NACK or a failed call against a down-but-unconfirmed target
+    // holds until the failure detector has had enough silence to decide.
+    const Time at = eng.now();
     Time hold = ha_->retry_hold(target, at);
     if (fencing_ && r.ok()) {
-      // The NACK may mean OUR epoch is stale (the empty reply cannot say):
-      // a node inside an open partition window catches up only at the heal,
-      // so retrying before then just burns the guard against more fences.
+      // The NACK may mean OUR epoch is stale (the NACK cannot say): a node
+      // inside an open partition window catches up only at the heal, so
+      // retrying before then just burns the guard against more fences.
       // Reaches here when the minority node addresses a bystander home that
       // is outside every partition group but already on the new epoch.
       const Time release = cluster_->params().fault.partition_release(t.node, at);
       if (release > hold) hold = release;
     }
-    if (hold > at) eng->sleep_until(hold);
+    if (hold > at) eng.sleep_until(hold);
   }
-  HYP_PANIC(std::string(what) + ": home failover did not converge (epoch " +
-            std::to_string(ha_->epoch()) + ")");
+  HYP_PANIC(std::string(what) + ": the route to the home did not converge");
+}
+
+namespace {
+// A NACK is a reply no success of `ok_body_bytes` (+ epoch) can be.
+Buffer nack_reply(std::size_t ok_body_bytes) {
+  Buffer nack;
+  if (ok_body_bytes == 0) nack.put<std::uint8_t>(1);
+  return nack;
+}
+}  // namespace
+
+bool DsmSystem::fenced(cluster::Incoming& in, NodeId self, cluster::ServiceId service,
+                       std::size_t ok_body_bytes) {
+  if (!fencing_) return false;
+  const auto msg_epoch = in.reader.get<std::uint64_t>();
+  if (msg_epoch >= ha_->node_epoch(self)) return false;
+  // The request was built under a routing view this node has already
+  // superseded (a promotion happened between send and receive): a stale
+  // writer must not mutate home state. NACK so the caller re-resolves and
+  // resends under a fresh epoch.
+  cluster_->node(self).stats().add(Counter::kHaFencedRejects);
+  cluster_->trace_event(self, cluster::TraceKind::kHaFencedReject,
+                        static_cast<std::int64_t>(msg_epoch), service);
+  cluster_->reply(in, nack_reply(ok_body_bytes));
+  return true;
+}
+
+void DsmSystem::nack_stale_home(cluster::Incoming& in, NodeId self, cluster::ServiceId service,
+                                std::size_t ok_body_bytes) {
+  cluster_->trace_event(self, cluster::TraceKind::kHaNack, in.from, service);
+  cluster_->reply(in, nack_reply(ok_body_bytes));
+}
+
+Buffer DsmSystem::stamped_reply(NodeId self) const {
+  Buffer head;
+  if (fencing_) head.put<std::uint64_t>(ha_->node_epoch(self));
+  return head;
 }
 
 // ---------------------------------------------------------------------------
@@ -267,43 +283,26 @@ void DsmSystem::fetch_page(ThreadCtx& t, PageId p) {
   const std::size_t page_bytes = layout_.page_bytes();
   const auto& cpu = cluster_->params().cpu;
 
-  Buffer req;
-  req.put<std::uint32_t>(p);
   Buffer reply;
-  if (ha_ == nullptr) {
-    reply = rpc_with_retry(t.node, home, svc::kPageRequest, std::move(req), "page fetch");
-    // Migration reroute (hybrid, no HA): an empty reply is the old home's
-    // NACK — the page's home moved while our request was in flight. The
-    // override table is updated synchronously at migration, so re-resolving
-    // converges in one hop; the guard bounds a pathological ping-pong.
-    int guard = 0;
-    while (migrations_enabled() && reply.size() != page_bytes) {
-      HYP_CHECK_MSG(++guard < 64, "page fetch: migration reroute did not converge");
-      t.stats->add(Counter::kHaReroutes);
-      home = effective_home_of_page(p);
-      Buffer again;
-      again.put<std::uint32_t>(p);
-      reply = rpc_with_retry(t.node, home, svc::kPageRequest, std::move(again), "page fetch");
-    }
-  } else if (fencing_ && ha_->suspected(home) && try_quorum_read(t, p, home, &reply)) {
+  if (fencing_ && ha_->suspected(home) && try_quorum_read(t, p, home, &reply)) {
     // Suspected-home window: a majority of the home's chain backups served
     // the read, so the fetch skips the detector's confirm wait entirely.
   } else {
-    reply = ha_rpc_home(t, p, svc::kPageRequest, req, /*reply_is_page=*/true, "page fetch");
-    home = effective_home_of_page(p);  // the node that actually served us
-    if (t.nd->present(p)) {
-      // A promotion made this node home for the page while we were failing
-      // over: the arena bytes are already authoritative — installing the
-      // reply as a "cached replica" would corrupt the presence table.
-      t.nd->finish_fetch(p);
-      return;
-    }
+    home = effective_home_of_page(p);  // a failed quorum read may have parked
+    reply = call_home(t, home, p, svc::kPageRequest, page_bytes, [this, p](std::uint64_t epoch) {
+      Buffer req;
+      if (fencing_) req.put<std::uint64_t>(epoch);
+      req.put<std::uint32_t>(p);
+      return req;
+    }, "page fetch");
+    // Under HA the trace names the page's home as of the reply.
+    if (ha_ != nullptr) home = effective_home_of_page(p);
   }
-  if (migrations_enabled() && t.nd->present(p)) {
-    // The page migrated TO this node while the fetch was in flight (the old
-    // home served us, then picked this node as the dominant writer): the
-    // arena bytes are already authoritative — installing the reply as a
-    // cached replica would corrupt the presence table.
+  if (t.nd->present(p)) {
+    // A promotion or migration made this node the page's home while the
+    // fetch was in flight: the arena bytes are already authoritative —
+    // installing the reply as a cached replica would corrupt the presence
+    // table.
     t.nd->finish_fetch(p);
     return;
   }
@@ -336,38 +335,24 @@ void DsmSystem::fetch_until_present(ThreadCtx& t, PageId p) {
 }
 
 void DsmSystem::handle_page_request(cluster::Incoming& in, NodeId self) {
-  std::uint64_t msg_epoch = 0;
-  if (fencing_) msg_epoch = in.reader.get<std::uint64_t>();
+  const std::size_t page_bytes = layout_.page_bytes();
+  if (fenced(in, self, svc::kPageRequest, page_bytes)) return;
   const auto p = in.reader.get<std::uint32_t>();
   NodeDsm& nd = node_dsm(self);
-  if (fencing_ && msg_epoch < ha_->node_epoch(self)) {
-    // Epoch fence: the request was built under a routing view this node has
-    // already superseded (a promotion happened between send and receive).
-    // NACK so the caller re-resolves against the current home map.
-    cluster_->node(self).stats().add(Counter::kHaFencedRejects);
-    cluster_->trace_event(self, cluster::TraceKind::kHaFencedReject,
-                          static_cast<std::int64_t>(msg_epoch), svc::kPageRequest);
-    cluster_->reply(in, Buffer{});
-    return;
-  }
   if ((ha_ != nullptr || migrations_enabled()) && !nd.is_home(p)) {
     // Stale-home straggler: a retransmit that outlived a promotion, a
     // request reaching a restarted (demoted) node, or a request that raced a
-    // hybrid home migration. NACK with an empty reply (success replies are
-    // page_bytes long) so the caller re-resolves.
-    cluster_->trace_event(self, cluster::TraceKind::kHaNack, in.from, svc::kPageRequest);
-    cluster_->reply(in, Buffer{});
+    // hybrid home migration.
+    nack_stale_home(in, self, svc::kPageRequest, page_bytes);
     return;
   }
   HYP_CHECK_MSG(nd.is_home(p), "page request reached a non-home node");
 
-  const std::size_t page_bytes = layout_.page_bytes();
   // The home's CPU/service copies the page out; the reply departs when that
   // work completes.
   const Time done_at = cluster_->node(self).extend_service(
       cluster_->params().cpu.copy_cost(page_bytes));
-  Buffer out;
-  if (fencing_) out.put<std::uint64_t>(ha_->node_epoch(self));
+  Buffer out = stamped_reply(self);
   out.put_bytes(nd.page_ptr(p), page_bytes);
   cluster_->reply(in, std::move(out), done_at - cluster_->engine().now());
 }
@@ -424,25 +409,18 @@ bool DsmSystem::try_quorum_read(ThreadCtx& t, PageId p, NodeId home, Buffer* out
 }
 
 void DsmSystem::handle_quorum_read(cluster::Incoming& in, NodeId self) {
-  const auto msg_epoch = in.reader.get<std::uint64_t>();
+  // Quorum reads are sent only under fencing (try_quorum_read).
+  const std::size_t page_bytes = layout_.page_bytes();
+  if (fenced(in, self, svc::kQuorumRead, page_bytes)) return;
   const auto p = in.reader.get<std::uint32_t>();
-  if (!fencing_ || msg_epoch < ha_->node_epoch(self)) {
-    cluster_->node(self).stats().add(Counter::kHaFencedRejects);
-    cluster_->trace_event(self, cluster::TraceKind::kHaFencedReject,
-                          static_cast<std::int64_t>(msg_epoch), svc::kQuorumRead);
-    cluster_->reply(in, Buffer{});
-    return;
-  }
   // The chain backup serves the page from its replicated copy of the home's
   // state. The modeled checkpoint stream keeps replicas current with every
   // committed update (docs/RECOVERY.md), so the effective home's arena IS the
   // replica's contents — the simulator reads it directly instead of keeping a
   // second materialized copy per backup.
-  const std::size_t page_bytes = layout_.page_bytes();
   const Time done_at = cluster_->node(self).extend_service(
       cluster_->params().cpu.copy_cost(page_bytes));
-  Buffer out;
-  out.put<std::uint64_t>(ha_->node_epoch(self));
+  Buffer out = stamped_reply(self);
   out.put_bytes(node_dsm(effective_home_of_page(p)).page_ptr(p), page_bytes);
   cluster_->reply(in, std::move(out), done_at - cluster_->engine().now());
 }
@@ -590,7 +568,8 @@ void DsmSystem::on_release(ThreadCtx& t) { update_main_memory(t); }
 // only], u32 item count, then per item u64 gva, its length (u8 for a field
 // of kUpdateFields, u32 for a run of kUpdateRuns) and that many payload
 // bytes. Runs are maximal spans of modified 8-byte words. With fencing on,
-// ha_rpc_home prepends the epoch per attempt.
+// the epoch leads, put in per attempt (call_home). Success acks are empty,
+// or the home's epoch view under fencing; a 1-byte reply is a NACK.
 
 namespace {
 // Both the arena page and the twin are at least 8-byte aligned; memcpy of a
@@ -746,36 +725,47 @@ void DsmSystem::ship(ThreadCtx& t, CohortKey rule, bool runs, std::uint64_t keye
       t.clock.charge(runs ? cpu.copy_cost(bytes) : cpu.cycles(cpu.update_entry_cycles * count));
       t.clock.flush();
     } else {
-      Buffer msg;
-      // Bounded dedup window: tag the message so a late re-delivery of an
-      // evicted packet cannot stale-revert newer home bytes (see dsm.hpp).
-      if (update_ids_active()) msg.put<std::uint64_t>(next_update_id_++);
-      msg.put<std::uint32_t>(static_cast<std::uint32_t>(count));
+      // The message is rebuilt per attempt (build below), so its size is
+      // summed from the wire format here, once per cohort sent.
+      const std::uint64_t update_id = update_ids_active() ? next_update_id_++ : 0;
+      std::size_t msg_bytes = (update_id != 0 ? sizeof(update_id) : 0) + sizeof(std::uint32_t);
       for (const PendingUpdate& u : lane) {
         if (!in_cohort(u)) continue;
-        msg.put<std::uint64_t>(u.addr);
-        if (runs) {
-          msg.put<std::uint32_t>(u.len);
-        } else {
-          msg.put<std::uint8_t>(static_cast<std::uint8_t>(u.len));
-        }
-        msg.put_bytes(s.payload(u, runs), u.len);
+        msg_bytes += sizeof(std::uint64_t) + (runs ? sizeof(std::uint32_t) : 1) + u.len;
         if (heat_ != nullptr) [[unlikely]] heat_->record_update(layout_.page_of(u.addr), u.len);
       }
       t.stats->add(Counter::kUpdatesSent);
-      t.stats->add(Counter::kUpdateBytes, msg.size());
-      t.stats->record(Hist::kUpdatePayloadBytes, msg.size());
+      t.stats->add(Counter::kUpdateBytes, msg_bytes);
+      t.stats->record(Hist::kUpdatePayloadBytes, msg_bytes);
       cluster_->trace_event(t.node, cluster::TraceKind::kUpdateSent, home,
-                            static_cast<std::int64_t>(msg.size()));
-      if (ha_ != nullptr) {
-        // Re-resolution key: the lead's page. A cohort never mixes pages
-        // with different routing fates (CohortKey).
-        const Buffer ack = ha_rpc_home(t, layout_.page_of(lead_addr), service, msg,
-                                       /*reply_is_page=*/false, what);
-        HYP_CHECK(ack.empty());
-      } else if (!rpc_with_retry(t.node, home, service, std::move(msg), what).empty()) {
-        // Migration NACK (hybrid): the home moved while the message was in
-        // flight. The cohort stays pending; the next round re-keys it.
+                            static_cast<std::int64_t>(msg_bytes));
+      const auto build = [&](std::uint64_t epoch) {
+        Buffer msg;
+        if (fencing_) msg.put<std::uint64_t>(epoch);
+        // Bounded dedup window: tag the message so a late re-delivery of an
+        // evicted packet cannot stale-revert newer home bytes (see dsm.hpp).
+        if (update_id != 0) msg.put<std::uint64_t>(update_id);
+        msg.put<std::uint32_t>(static_cast<std::uint32_t>(count));
+        for (const PendingUpdate& u : lane) {
+          if (!in_cohort(u)) continue;
+          msg.put<std::uint64_t>(u.addr);
+          if (runs) {
+            msg.put<std::uint32_t>(u.len);
+          } else {
+            msg.put<std::uint8_t>(static_cast<std::uint8_t>(u.len));
+          }
+          msg.put_bytes(s.payload(u, runs), u.len);
+        }
+        return msg;
+      };
+      // Routed by the lead's page: a cohort never mixes pages with different
+      // routing fates (CohortKey).
+      NodeId target = effective_home_of(lead_addr);
+      if (!call_home(t, target, layout_.page_of(lead_addr), service, /*ok_body_bytes=*/0, build,
+                     what, /*nack_to_caller=*/true)
+               .empty()) {
+        // Migration NACK (hybrid, no HA): the home moved while the message was
+        // in flight. The cohort stays pending; the next round re-keys it.
         HYP_CHECK_MSG(++reroutes < kMaxReroutes,
                       "update flush: migration reroute did not converge");
         continue;
@@ -789,31 +779,7 @@ void DsmSystem::ship(ThreadCtx& t, CohortKey rule, bool runs, std::uint64_t keye
 void DsmSystem::handle_update(cluster::Incoming& in, NodeId self, bool runs) {
   const cluster::ServiceId service = runs ? svc::kUpdateRuns : svc::kUpdateFields;
   NodeDsm& nd = node_dsm(self);
-  const auto nack = [&] {
-    Buffer b;
-    b.put<std::uint8_t>(1);
-    cluster_->reply(in, std::move(b));
-  };
-  // Success acks carry the home's epoch view when fencing is on (callers
-  // validate it); the historical ack is empty.
-  const auto ack = [&](TimeDelta depart_delay) {
-    Buffer b;
-    if (fencing_) b.put<std::uint64_t>(ha_->node_epoch(self));
-    cluster_->reply(in, std::move(b), depart_delay);
-  };
-  if (fencing_) {
-    const auto msg_epoch = in.reader.get<std::uint64_t>();
-    if (msg_epoch < ha_->node_epoch(self)) {
-      // Epoch fence: a stale-epoch writer must not mutate home state (its
-      // routing view predates a promotion). 1-byte NACK, like the stale-home
-      // case below — the caller re-resolves and re-sends under a fresh epoch.
-      cluster_->node(self).stats().add(Counter::kHaFencedRejects);
-      cluster_->trace_event(self, cluster::TraceKind::kHaFencedReject,
-                            static_cast<std::int64_t>(msg_epoch), service);
-      nack();
-      return;
-    }
-  }
+  if (fenced(in, self, service, /*ok_body_bytes=*/0)) return;
   // Bounded dedup window: a re-delivered (window-evicted) update that was
   // already applied must NOT re-apply — its bytes may be stale by now. Just
   // re-ack (the original ack may be what got lost; a completed caller slot
@@ -823,7 +789,7 @@ void DsmSystem::handle_update(cluster::Incoming& in, NodeId self, bool runs) {
     update_id = in.reader.get<std::uint64_t>();
     if (applied_updates_[static_cast<std::size_t>(self)].contains(update_id)) {
       cluster_->node(self).stats().add_named("dsm_update_replays_absorbed");
-      ack(0);
+      cluster_->reply(in, stamped_reply(self));
       return;
     }
   }
@@ -865,8 +831,7 @@ void DsmSystem::handle_update(cluster::Incoming& in, NodeId self, bool runs) {
     }
   }
   if (stale) {
-    cluster_->trace_event(self, cluster::TraceKind::kHaNack, in.from, service);
-    nack();
+    nack_stale_home(in, self, service, /*ok_body_bytes=*/0);
     return;
   }
   // Record only on actual apply: a NACKed straggler was NOT applied here, and
@@ -887,7 +852,7 @@ void DsmSystem::handle_update(cluster::Incoming& in, NodeId self, bool runs) {
   // for cross-node Perfetto flow arrows (docs/OBSERVABILITY.md).
   cluster_->trace_event(self, cluster::TraceKind::kUpdateApplied, in.from,
                         static_cast<std::int64_t>(runs ? bytes : count));
-  ack(done_at - cluster_->engine().now());
+  cluster_->reply(in, stamped_reply(self), done_at - cluster_->engine().now());
 }
 
 // ---------------------------------------------------------------------------

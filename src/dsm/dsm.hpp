@@ -28,6 +28,11 @@
 // and update handler. Only the access fast paths (dsm/access.hpp) stay
 // specialized per protocol at compile time.
 //
+// One route reaches a home (docs/RECOVERY.md §Reaching a home): page
+// fetches, update shipping and the monitors' remote operations all go
+// through call_home, which alone handles reroutes after a migration or
+// promotion, epoch fences, kNoQuorum parking and retry holds.
+//
 // Consistency actions (all protocols, per the paper):
 //   monitor exit  -> updateMainMemory (modifications reach the home copies
 //                    before the lock is released; each update is acked)
@@ -44,6 +49,7 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/ha_hooks.hpp"
+#include "common/function.hpp"
 #include "common/id_window.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
@@ -183,15 +189,55 @@ class DsmSystem {
   // --- high availability (optional; nullptr = off, docs/RECOVERY.md) -------
   // With hooks installed, home resolution goes through the HA routing table
   // (a promotion moves a dead node's zone to its backup), stale-home
-  // requests are NACKed instead of tripping is_home asserts, failed calls
-  // re-resolve the home per attempt, and flushes whose effective home is the
-  // local node (post-promotion) apply directly.
+  // requests are NACKed instead of tripping is_home asserts, call_home
+  // re-resolves the home per attempt, and flushes whose effective home is
+  // the local node (post-promotion) apply directly. The monitors read both
+  // settings from here.
   void set_ha(cluster::HaHooks* ha) {
     ha_ = ha;
-    // Epoch fencing tokens ride the DSM wire formats only when the profile
-    // schedules partitions — crash-only runs keep the goldens' exact shapes.
+    // Epoch fencing tokens ride the DSM and monitor wire formats only when
+    // the profile schedules partitions — crash-only runs keep the goldens'
+    // exact shapes.
     fencing_ = ha != nullptr && !cluster_->params().fault.partitions.empty();
   }
+  cluster::HaHooks* ha() const { return ha_; }
+  bool fencing() const { return fencing_; }
+
+  // --- the one route to a home (docs/RECOVERY.md §Reaching a home) ---------
+  // Page fetches, both update services and every remote monitor operation
+  // are requests to the home of one page, which a migration, promotion or
+  // partition may move while the request is in flight. call_home alone
+  // decides how to reach it: a typed transport failure is re-issued up to
+  // kRpcAttempts times per target; a reply that is not `ok_body_bytes` long
+  // (+8, the home's epoch, under fencing) is a stale-home NACK, answered by
+  // resending to the re-resolved home of `route_page`. Only under HA does it
+  // also re-resolve before every attempt (a move counts as a reroute),
+  // discard fenced replies, park on kNoQuorum and hold for
+  // HaHooks::retry_hold and FaultProfile::partition_release.
+  //
+  // `target` is where the first attempt goes; on return, the home that
+  // answered. `build(epoch)` makes each attempt's payload, putting in
+  // `epoch` (the caller's view) under fencing(). Returns the reply body
+  // without the epoch. With `nack_to_caller` a NACK without HA comes back as
+  // received instead (the update pipeline re-keys its cohorts first).
+  using BuildPayload = FunctionRef<Buffer(std::uint64_t epoch)>;
+  Buffer call_home(ThreadCtx& t, NodeId& target, PageId route_page, cluster::ServiceId service,
+                   std::size_t ok_body_bytes, BuildPayload build, const char* what,
+                   bool nack_to_caller = false);
+  // The home side of the route. fenced(): under fencing, reads the request's
+  // epoch token and, when it predates `self`'s view, refuses the request
+  // (counted, traced and NACKed) before it can touch home state; returns
+  // true when it did. nack_stale_home(): traces and sends the NACK of a home
+  // that no longer serves the request's page. A NACK is a reply no success
+  // of `ok_body_bytes` can be: empty, or one byte when success is empty.
+  // stamped_reply(): a success reply's head, `self`'s epoch view under
+  // fencing (empty otherwise), for the handler to append its body to.
+  bool fenced(cluster::Incoming& in, NodeId self, cluster::ServiceId service,
+              std::size_t ok_body_bytes);
+  void nack_stale_home(cluster::Incoming& in, NodeId self, cluster::ServiceId service,
+                       std::size_t ok_body_bytes);
+  Buffer stamped_reply(NodeId self) const;
+
   // Effective home of a page: a live migration override wins; otherwise the
   // layout's static zone owner, redirected by the HA routing table after a
   // promotion. The override table is only allocated under hybrid, so the
@@ -266,8 +312,8 @@ class DsmSystem {
   //           hybrid without HA, re-keyed when a home migrates);
   //   kZone — the layout owner (java_ic/java_pf with replicas > 1: two zones
   //           on one node today may be re-elected to different nodes);
-  //   kPage — the page (hybrid under HA, so ha_rpc_home's re-resolve loop
-  //           converges on a single moving page).
+  //   kPage — the page (hybrid under HA, so call_home's per-attempt
+  //           re-resolution converges on a single moving page).
   // Zone and page cohorts resolve their home per send.
   enum class CohortKey { kHome, kZone, kPage };
   CohortKey cohort_rule() const;
@@ -276,7 +322,8 @@ class DsmSystem {
   // ascending key order (java_ic/java_pf) or first-touch order (hybrid).
   // `keyed_at` is the home-migration count the lane's keys were taken at.
   void ship(ThreadCtx& t, CohortKey rule, bool runs, std::uint64_t keyed_at);
-  // Bound on consecutive stale-home NACKs; a delivered cohort resets it.
+  // Bound on consecutive stale-home NACKs of one cohort (a delivered cohort
+  // resets it), and on call_home's attempts for one request.
   static constexpr int kMaxReroutes = 64;
 
   // --- hybrid mode switching + home migration ------------------------------
@@ -319,25 +366,12 @@ class DsmSystem {
   // possibly parking path) when no quorum is available.
   bool try_quorum_read(ThreadCtx& t, PageId p, NodeId home, Buffer* out);
 
-  // Blocking RPC with whole-call re-request on typed transport failure
-  // (docs/FAULTS.md). Every DSM RPC is idempotent — page reads obviously,
-  // updates because re-applying the same bytes is a no-op — so when the
-  // reliable transport gives up (budget exhausted / reply undeliverable) the
-  // call is simply reissued, up to kRpcAttempts times; then the run aborts
-  // with the transport's diagnostic naming the peer node and service. On a
-  // lossless network this is exactly cluster::call().
-  Buffer rpc_with_retry(NodeId from, NodeId to, cluster::ServiceId service, Buffer msg,
-                        const char* what);
+  // call_home's attempts per target on typed transport failure. Every home
+  // request is idempotent — page reads obviously, updates because
+  // re-applying the same bytes is a no-op, monitor ops through their op ids
+  // — so a failed call is simply reissued; then the run aborts with the
+  // transport's diagnostic naming the peer node and service (docs/FAULTS.md).
   static constexpr int kRpcAttempts = 3;
-
-  // HA-aware home RPC: re-resolves the effective home of `p`'s zone on every
-  // attempt (a failed call against a node the detector confirms dead gets a
-  // fresh budget against the promoted backup), treats a wrong-size reply as
-  // a stale-home NACK, and holds while the target is down-but-unconfirmed.
-  // `reply_is_page` selects the success shape: page_bytes (page fetch, NACK
-  // = empty) vs empty (update ack, NACK = 1 byte).
-  Buffer ha_rpc_home(ThreadCtx& t, PageId p, cluster::ServiceId service, const Buffer& msg,
-                     bool reply_is_page, const char* what);
 
   // --- bounded-dedup-window replay absorption (docs/FAULTS.md) -------------
   //

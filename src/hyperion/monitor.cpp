@@ -1,8 +1,5 @@
 #include "hyperion/monitor.hpp"
 
-#include <cstring>
-
-#include "cluster/ha_hooks.hpp"
 #include "common/assert.hpp"
 
 namespace hyp::hyperion {
@@ -10,7 +7,7 @@ namespace hyp::hyperion {
 // Wire format: every monitor message starts (u64 obj, u64 uid); with epoch
 // fencing on (partition windows scheduled) the caller's u64 epoch view
 // follows; under an active lossy transport a u64 op id follows that
-// (remote_invoke/op_already_applied below); notify appends a one/all byte.
+// (call_home/op_already_applied below); notify appends a one/all byte.
 // Success replies are empty historically, the home's 8-byte epoch view under
 // fencing; a 1-byte reply is always a NACK.
 
@@ -35,140 +32,27 @@ MonitorSubsystem::MonitorSubsystem(cluster::Cluster* cluster, dsm::DsmSystem* ds
 // ---------------------------------------------------------------------------
 // Transport-failure degradation (docs/FAULTS.md)
 
-Buffer MonitorSubsystem::remote_invoke(dsm::ThreadCtx& t, cluster::NodeId home,
-                                       cluster::ServiceId service, dsm::Gva obj, int all_flag) {
+void MonitorSubsystem::call_home(dsm::ThreadCtx& t, cluster::NodeId home,
+                                 cluster::ServiceId service, dsm::Gva obj, int all_flag) {
+  // Every attempt carries the SAME op id, so whichever home finally applies
+  // the op absorbs earlier attempts through its reattach/dedup machinery (a
+  // previously applied enter/wait re-grants or repoints; exit/notify
+  // re-ack). A NACKing home answers before it records the op id.
   const bool lossy = cluster_->transport_active();
   const std::uint64_t op = lossy ? next_op_id_++ : 0;
-  auto build = [&]() {
-    Buffer b;
-    b.put<std::uint64_t>(obj);
-    b.put<std::uint64_t>(t.uid);
-    // Per-attempt epoch token: a retry after a promotion carries the caller's
-    // caught-up view, so only genuinely stale attempts get fenced.
-    if (fencing_) b.put<std::uint64_t>(ha_->node_epoch(t.node));
-    if (lossy) b.put<std::uint64_t>(op);
-    if (all_flag >= 0) b.put<std::uint8_t>(static_cast<std::uint8_t>(all_flag));
-    return b;
-  };
-  if (!lossy) {
-    if (!dsm_->migrations_enabled()) {
-      // Lossless network: the historical always-succeeds path, byte-identical
-      // wire format (no op id).
-      return cluster_->call(t.node, home, service, build());
-    }
-    // Heat-driven home migration (docs/PROTOCOLS.md §hybrid) can move the
-    // monitor while this call is in flight; the old home answers with a
-    // 1-byte NACK *before* touching monitor state, so a plain re-resolve and
-    // resend is a fresh first apply. The new home may be this node itself
-    // (the dominant writer), which the loopback path handles.
-    cluster::NodeId target = home;
-    for (int guard = 0; guard < 64; ++guard) {
-      Buffer reply = cluster_->call(t.node, target, service, build());
-      if (reply.size() != 1) return reply;
-      t.stats->add(Counter::kHaReroutes);
-      target = dsm_->effective_home_of(obj);
-    }
-    HYP_PANIC("monitor home migration reroute did not converge");
-  }
-  if (ha_ == nullptr) {
-    cluster::NodeId target = home;
-    int failures = 0;
-    for (int guard = 0; guard < 256; ++guard) {
-      cluster::RpcResult r = cluster_->call_result(t.node, target, service, build());
-      if (r.ok()) {
-        if (!dsm_->migrations_enabled() || r.payload.size() != 1) {
-          return std::move(r.payload);
-        }
-        // Migration NACK under a lossy transport: retry at the current home
-        // with the SAME op id, so an op an earlier home did apply (ack lost)
-        // reattaches instead of double-applying.
-        t.stats->add(Counter::kHaReroutes);
-        target = dsm_->effective_home_of(obj);
-        failures = 0;
-        continue;
-      }
-      if (++failures >= kRpcAttempts) {
-        HYP_PANIC("monitor operation abandoned after " + std::to_string(failures) +
-                  " attempts: " + r.error.message);
-      }
-    }
-    HYP_PANIC("monitor home migration reroute did not converge");
-  }
-  // HA path: re-resolve the monitor's home per attempt. Every attempt carries
-  // the SAME op id, so whichever home finally applies the op absorbs earlier
-  // attempts through its reattach/dedup machinery (a previously applied
-  // enter/wait re-grants or repoints; exit/notify re-ack). A 1-byte reply is
-  // a stale-home NACK: loop and re-resolve. Success is an empty reply, or the
-  // home's 8-byte epoch view under fencing.
-  const std::size_t ok_size = fencing_ ? sizeof(std::uint64_t) : 0;
-  auto* eng = sim::Engine::current();
-  const Time started = eng->now();
-  cluster::NodeId target = home;
-  int attempts_at_target = 0;
-  bool rerouted = false;
-  for (int guard = 0; guard < 64; ++guard) {
-    const cluster::NodeId now_home = dsm_->effective_home_of(obj);
-    if (now_home != target) {
-      target = now_home;
-      attempts_at_target = 0;
-      rerouted = true;
-      t.stats->add(Counter::kHaReroutes);
-    }
-    ++attempts_at_target;
-    cluster::RpcResult r = cluster_->call_result(t.node, target, service, build());
-    if (r.ok() && r.payload.size() == ok_size) {
-      if (fencing_) {
-        // A success reply stamped under an epoch this side has fenced off is
-        // discarded like a NACK: re-resolve and retry (the same op id makes
-        // the retry reattach if the op did land somewhere authoritative).
-        std::uint64_t reply_epoch = 0;
-        std::memcpy(&reply_epoch, r.payload.data(), sizeof(reply_epoch));
-        if (reply_epoch < ha_->node_epoch(t.node)) {
-          t.stats->add(Counter::kHaFencedRejects);
-          cluster_->trace_event(t.node, cluster::TraceKind::kHaFencedReject,
-                                static_cast<std::int64_t>(reply_epoch), service);
-          continue;
-        }
-      }
-      if (rerouted) t.stats->record(Hist::kHaRerouteWait, eng->now() - started);
-      return Buffer{};
-    }
-    if (!r.ok() && r.error.status == cluster::RpcStatus::kNoQuorum) {
-      // Minority-side degradation (see DsmSystem::ha_rpc_home): park until
-      // the surviving side can have re-homed the monitor or the heal instant.
-      attempts_at_target = 0;
-      t.stats->add(Counter::kHaNoQuorumHolds);
-      const auto& f = cluster_->params().fault;
-      const Time at = eng->now();
-      const Time heal = f.severed_until(t.node, target, at);
-      if (heal > at) {
-        Time wake = heal;
-        const Time confirm_by =
-            f.severed_since(t.node, target, at) + f.confirm_after + 2 * f.hb_interval;
-        if (confirm_by > at && confirm_by < wake) wake = confirm_by;
-        eng->sleep_until(wake);
-      }
-      continue;
-    }
-    // r.ok() with a non-empty payload is a stale-home NACK; fall through to
-    // re-resolve. A typed failure against a node the detector has not (yet)
-    // confirmed dead is a genuine transport exhaustion: abort as before.
-    if (!r.ok() && attempts_at_target >= kRpcAttempts && !ha_->confirmed_dead(target)) {
-      HYP_PANIC("monitor operation abandoned after " + std::to_string(attempts_at_target) +
-                " attempts: " + r.error.message);
-    }
-    const Time now = eng->now();
-    Time hold = ha_->retry_hold(target, now);
-    if (fencing_ && r.ok()) {
-      // The NACK may mean OUR epoch is stale (see DsmSystem::ha_rpc_home):
-      // a node inside an open partition window catches up only at the heal.
-      const Time release = cluster_->params().fault.partition_release(t.node, now);
-      if (release > hold) hold = release;
-    }
-    if (hold > now) eng->sleep_until(hold);
-  }
-  HYP_PANIC("monitor home failover did not converge (epoch " +
-            std::to_string(ha_->epoch()) + ")");
+  const Buffer reply = dsm_->call_home(
+      t, home, dsm_->layout().page_of(obj), service, /*ok_body_bytes=*/0,
+      [&](std::uint64_t epoch) {
+        Buffer b;
+        b.put<std::uint64_t>(obj);
+        b.put<std::uint64_t>(t.uid);
+        if (dsm_->fencing()) b.put<std::uint64_t>(epoch);
+        if (lossy) b.put<std::uint64_t>(op);
+        if (all_flag >= 0) b.put<std::uint8_t>(static_cast<std::uint8_t>(all_flag));
+        return b;
+      },
+      "monitor operation");
+  HYP_CHECK(reply.empty());
 }
 
 bool MonitorSubsystem::op_already_applied(cluster::Incoming& in, cluster::NodeId self) {
@@ -183,7 +67,7 @@ void MonitorSubsystem::reattach_enter(cluster::Incoming& in, cluster::NodeId sel
   // off from the caller; the caller is still parked in the retried call.
   MonitorState& m = state(self, obj);
   if (m.owner_uid == uid) {
-    cluster_->reply(in, make_ack(self));  // the lost grant, re-issued
+    cluster_->reply(in, dsm_->stamped_reply(self));  // the lost grant, re-issued
     return;
   }
   for (Contender& c : m.queue) {
@@ -202,7 +86,7 @@ void MonitorSubsystem::reattach_wait(cluster::Incoming& in, cluster::NodeId self
                                      std::uint64_t uid) {
   MonitorState& m = state(self, obj);
   if (m.owner_uid == uid) {
-    cluster_->reply(in, make_ack(self));  // notify + re-grant already happened
+    cluster_->reply(in, dsm_->stamped_reply(self));  // notify + re-grant already happened
     return;
   }
   for (Contender& c : m.queue) {
@@ -229,45 +113,6 @@ MonitorSubsystem::MonitorState& MonitorSubsystem::state(cluster::NodeId home, ds
 
 // ---------------------------------------------------------------------------
 // High availability (docs/RECOVERY.md)
-
-bool MonitorSubsystem::nack_if_stale(cluster::Incoming& in, cluster::NodeId self, dsm::Gva obj,
-                                     cluster::ServiceId service) {
-  // Stale routing arises from HA promotions and from heat-driven home
-  // migration (the two share this NACK discipline); with neither active the
-  // static home can never be wrong and the check costs nothing.
-  if (ha_ == nullptr && !dsm_->migrations_enabled()) return false;
-  if (dsm_->effective_home_of(obj) == self) return false;
-  // A straggler routed under an older epoch. Answer with a 1-byte NACK (all
-  // monitor successes are empty replies) BEFORE the op id is recorded, so the
-  // caller's retry at the promoted home is a fresh apply, not a reattach.
-  cluster_->trace_event(self, cluster::TraceKind::kHaNack, in.from, service);
-  Buffer nack;
-  nack.put<std::uint8_t>(1);
-  cluster_->reply(in, std::move(nack));
-  return true;
-}
-
-bool MonitorSubsystem::fenced(cluster::Incoming& in, cluster::NodeId self,
-                              cluster::ServiceId service) {
-  const auto msg_epoch = in.reader.get<std::uint64_t>();
-  if (msg_epoch >= ha_->node_epoch(self)) return false;
-  // The request was built under a routing view this node has superseded:
-  // reject it before it can touch monitor state or record its op id (the
-  // caller's retry under the fresh epoch is then an ordinary first apply).
-  cluster_->node(self).stats().add(Counter::kHaFencedRejects);
-  cluster_->trace_event(self, cluster::TraceKind::kHaFencedReject,
-                        static_cast<std::int64_t>(msg_epoch), service);
-  Buffer nack;
-  nack.put<std::uint8_t>(1);
-  cluster_->reply(in, std::move(nack));
-  return true;
-}
-
-Buffer MonitorSubsystem::make_ack(cluster::NodeId self) const {
-  Buffer ack;
-  if (fencing_) ack.put<std::uint64_t>(ha_->node_epoch(self));
-  return ack;
-}
 
 void MonitorSubsystem::fail_over_home(cluster::NodeId dead, cluster::NodeId backup,
                                       std::uint64_t zbegin, std::uint64_t zend) {
@@ -324,8 +169,7 @@ void MonitorSubsystem::enter(dsm::ThreadCtx& t, dsm::Gva obj) {
   } else {
     t.clock.flush();
     requested_at = cluster_->engine().now();
-    Buffer grant_msg = remote_invoke(t, home, svc::kMonitorEnter, obj);
-    HYP_CHECK(grant_msg.empty());
+    call_home(t, home, svc::kMonitorEnter, obj);
   }
   const TimeDelta waited = cluster_->engine().now() - requested_at;
   t.stats->record(Hist::kMonitorAcquireWait, waited);
@@ -358,8 +202,7 @@ void MonitorSubsystem::exit(dsm::ThreadCtx& t, dsm::Gva obj) {
   if (home == t.node) {
     do_exit(home, obj, t.uid);
   } else {
-    Buffer ack = remote_invoke(t, home, svc::kMonitorExit, obj);
-    HYP_CHECK(ack.empty());
+    call_home(t, home, svc::kMonitorExit, obj);
   }
 }
 
@@ -393,9 +236,7 @@ void MonitorSubsystem::wait(dsm::ThreadCtx& t, dsm::Gva obj) {
   } else {
     t.clock.flush();
     requested_at = cluster_->engine().now();
-    // The reply arrives only after notify + re-grant.
-    Buffer grant_msg = remote_invoke(t, home, svc::kMonitorWait, obj);
-    HYP_CHECK(grant_msg.empty());
+    call_home(t, home, svc::kMonitorWait, obj);  // answered after notify + re-grant
   }
   cluster_->phase_add(t.node, obs::Phase::kBarrier,
                       cluster_->engine().now() - requested_at);
@@ -418,8 +259,7 @@ void MonitorSubsystem::notify_one(dsm::ThreadCtx& t, dsm::Gva obj) {
     do_notify(home, obj, t.uid, /*all=*/false);
   } else {
     t.clock.flush();
-    Buffer ack = remote_invoke(t, home, svc::kMonitorNotify, obj, /*all_flag=*/0);
-    HYP_CHECK(ack.empty());
+    call_home(t, home, svc::kMonitorNotify, obj, /*all_flag=*/0);
   }
 }
 
@@ -437,8 +277,7 @@ void MonitorSubsystem::notify_all(dsm::ThreadCtx& t, dsm::Gva obj) {
     do_notify(home, obj, t.uid, /*all=*/true);
   } else {
     t.clock.flush();
-    Buffer ack = remote_invoke(t, home, svc::kMonitorNotify, obj, /*all_flag=*/1);
-    HYP_CHECK(ack.empty());
+    call_home(t, home, svc::kMonitorNotify, obj, /*all_flag=*/1);
   }
 }
 
@@ -500,7 +339,7 @@ void MonitorSubsystem::grant_next_if_free(cluster::NodeId home, MonitorState& m)
 }
 
 void MonitorSubsystem::grant(cluster::NodeId home, MonitorState&, Contender c) {
-  if (ha_ != nullptr && c.from >= 0) {
+  if (dsm_->ha() != nullptr && c.from >= 0) {
     // A grant must never land on a node that is inside a crash window: a dead
     // node processes nothing until its restart. This matters for contenders
     // that were queued at a home which then died — the failover moves the
@@ -528,72 +367,76 @@ void MonitorSubsystem::grant(cluster::NodeId home, MonitorState&, Contender c) {
     *c.granted_flag = true;
     sim::Engine::current()->unpark(c.fiber);
   } else {
-    cluster_->reply_to(home, c.from, c.reply_token, make_ack(home));
+    cluster_->reply_to(home, c.from, c.reply_token, dsm_->stamped_reply(home));
   }
 }
 
 // ---------------------------------------------------------------------------
 // RPC handlers
 
-void MonitorSubsystem::handle_enter(cluster::Incoming& in, cluster::NodeId self) {
-  const auto obj = in.reader.get<std::uint64_t>();
-  const auto uid = in.reader.get<std::uint64_t>();
-  if (fencing_ && fenced(in, self, svc::kMonitorEnter)) return;
-  if (nack_if_stale(in, self, obj, svc::kMonitorEnter)) return;
-  const bool retry = op_already_applied(in, self);
+bool MonitorSubsystem::admit(cluster::Incoming& in, cluster::NodeId self,
+                             cluster::ServiceId service, Request* req) {
+  req->obj = in.reader.get<std::uint64_t>();
+  req->uid = in.reader.get<std::uint64_t>();
+  if (dsm_->fenced(in, self, service, /*ok_body_bytes=*/0)) return false;
+  // Stale routing arises from HA promotions and from heat-driven home
+  // migration (the two share this NACK discipline); with neither active the
+  // static home can never be wrong and the check costs nothing. A straggler
+  // is refused BEFORE its op id is recorded, so the caller's retry at the
+  // new home is a fresh apply, not a reattach.
+  if ((dsm_->ha() != nullptr || dsm_->migrations_enabled()) &&
+      dsm_->effective_home_of(req->obj) != self) {
+    dsm_->nack_stale_home(in, self, service, /*ok_body_bytes=*/0);
+    return false;
+  }
+  req->retry = op_already_applied(in, self);
   cluster_->node(self).extend_service(cluster_->params().cpu.cycles(kManagerCycles));
-  if (retry) {
-    reattach_enter(in, self, obj, uid);
+  return true;
+}
+
+void MonitorSubsystem::handle_enter(cluster::Incoming& in, cluster::NodeId self) {
+  Request req;
+  if (!admit(in, self, svc::kMonitorEnter, &req)) return;
+  if (req.retry) {
+    reattach_enter(in, self, req.obj, req.uid);
     return;
   }
   Contender c;
-  c.uid = uid;
+  c.uid = req.uid;
   c.local = false;
   c.from = in.from;
   c.reply_token = in.reply_token;
-  do_enter(self, obj, std::move(c));
+  do_enter(self, req.obj, std::move(c));
 }
 
 void MonitorSubsystem::handle_exit(cluster::Incoming& in, cluster::NodeId self) {
-  const auto obj = in.reader.get<std::uint64_t>();
-  const auto uid = in.reader.get<std::uint64_t>();
-  if (fencing_ && fenced(in, self, svc::kMonitorExit)) return;
-  if (nack_if_stale(in, self, obj, svc::kMonitorExit)) return;
-  const bool retry = op_already_applied(in, self);
-  cluster_->node(self).extend_service(cluster_->params().cpu.cycles(kManagerCycles));
-  if (!retry) do_exit(self, obj, uid);  // retry of an applied exit: just re-ack
-  cluster_->reply(in, make_ack(self));
+  Request req;
+  if (!admit(in, self, svc::kMonitorExit, &req)) return;
+  if (!req.retry) do_exit(self, req.obj, req.uid);  // retry of an applied exit: just re-ack
+  cluster_->reply(in, dsm_->stamped_reply(self));
 }
 
 void MonitorSubsystem::handle_wait(cluster::Incoming& in, cluster::NodeId self) {
-  const auto obj = in.reader.get<std::uint64_t>();
-  const auto uid = in.reader.get<std::uint64_t>();
-  if (fencing_ && fenced(in, self, svc::kMonitorWait)) return;
-  if (nack_if_stale(in, self, obj, svc::kMonitorWait)) return;
-  const bool retry = op_already_applied(in, self);
-  cluster_->node(self).extend_service(cluster_->params().cpu.cycles(kManagerCycles));
-  if (retry) {
-    reattach_wait(in, self, obj, uid);
+  Request req;
+  if (!admit(in, self, svc::kMonitorWait, &req)) return;
+  if (req.retry) {
+    reattach_wait(in, self, req.obj, req.uid);
     return;
   }
   Contender c;
-  c.uid = uid;
+  c.uid = req.uid;
   c.local = false;
   c.from = in.from;
   c.reply_token = in.reply_token;  // answered on re-grant
-  do_wait(self, obj, std::move(c));
+  do_wait(self, req.obj, std::move(c));
 }
 
 void MonitorSubsystem::handle_notify(cluster::Incoming& in, cluster::NodeId self) {
-  const auto obj = in.reader.get<std::uint64_t>();
-  const auto uid = in.reader.get<std::uint64_t>();
-  if (fencing_ && fenced(in, self, svc::kMonitorNotify)) return;
-  if (nack_if_stale(in, self, obj, svc::kMonitorNotify)) return;
-  const bool retry = op_already_applied(in, self);
+  Request req;
+  if (!admit(in, self, svc::kMonitorNotify, &req)) return;
   const bool all = in.reader.get<std::uint8_t>() != 0;
-  cluster_->node(self).extend_service(cluster_->params().cpu.cycles(kManagerCycles));
-  if (!retry) do_notify(self, obj, uid, all);  // applied already: just re-ack
-  cluster_->reply(in, make_ack(self));
+  if (!req.retry) do_notify(self, req.obj, req.uid, all);  // applied already: just re-ack
+  cluster_->reply(in, dsm_->stamped_reply(self));
 }
 
 }  // namespace hyp::hyperion

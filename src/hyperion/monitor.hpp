@@ -2,10 +2,11 @@
 //
 // Every shared object has a monitor managed at the object's home node,
 // matching Hyperion's centralized object management: entering a monitor from
-// a remote node is an RPC to the home; the home's manager is an event-driven
-// state machine (handlers never block) that queues contenders FIFO and
-// grants by deferred reply. Local threads use the same state machine
-// directly, paying a cycles-only cost.
+// a remote node is an RPC to the home, sent through DsmSystem::call_home like
+// a page fetch (the monitor lives on its object's page and moves with it);
+// the home's manager is an event-driven state machine (handlers never block)
+// that queues contenders FIFO and grants by deferred reply. Local threads use
+// the same state machine directly, paying a cycles-only cost.
 //
 // The memory subsystem's consistency hooks are driven from the caller side:
 //   enter: (grant) -> DsmSystem::on_acquire  (flush + invalidate)
@@ -48,20 +49,14 @@ class MonitorSubsystem {
   void notify_one(dsm::ThreadCtx& t, dsm::Gva obj);
   void notify_all(dsm::ThreadCtx& t, dsm::Gva obj);
 
-  // --- high availability (optional; nullptr = off, docs/RECOVERY.md) -------
-  // With hooks installed, monitor homes resolve through the HA routing table,
-  // remote ops re-resolve the home per attempt (carrying the SAME op id, so
-  // the new home's reattach/dedup absorbs a previously applied attempt), and
-  // stale-home requests are NACKed (1-byte reply) instead of asserting.
-  // When the fault profile also schedules partition windows, every remote op
-  // additionally carries the caller's epoch view and every success reply the
-  // home's (epoch fencing, docs/PARTITIONS.md): a stale-epoch request is
-  // NACKed before it can mutate monitor state, and a stale-epoch reply is
-  // discarded by the caller like a NACK.
-  void set_ha(cluster::HaHooks* ha) {
-    ha_ = ha;
-    fencing_ = ha != nullptr && !cluster_->params().fault.partitions.empty();
-  }
+  // --- high availability (docs/RECOVERY.md) --------------------------------
+  // Monitor homes resolve, like pages, through DsmSystem: every remote op
+  // goes through DsmSystem::call_home (re-resolution, NACK, epoch fencing,
+  // parking) and every home-side check through its fenced/nack_stale_home,
+  // with the HA and fencing settings read from there. A retry carries the
+  // SAME op id, so the new home's reattach/dedup absorbs a previously
+  // applied attempt.
+  //
   // Moves the monitors of objects in the global-address range [zbegin, zend)
   // from the dead node's table to the backup's (the simulator realizes the
   // checkpointed state the incremental replication stream has been
@@ -109,6 +104,16 @@ class MonitorSubsystem {
   void handle_exit(cluster::Incoming& in, cluster::NodeId self);
   void handle_wait(cluster::Incoming& in, cluster::NodeId self);
   void handle_notify(cluster::Incoming& in, cluster::NodeId self);
+  // Every handler's prologue: reads (obj, uid), refuses a fenced or
+  // stale-home request (returns false; the NACK is sent), then dedups the op
+  // id and charges the manager's service time.
+  struct Request {
+    dsm::Gva obj = 0;
+    std::uint64_t uid = 0;
+    bool retry = false;  // the op was already applied here (op_already_applied)
+  };
+  bool admit(cluster::Incoming& in, cluster::NodeId self, cluster::ServiceId service,
+             Request* req);
 
   MonitorState& state(cluster::NodeId home, dsm::Gva obj);
 
@@ -122,11 +127,10 @@ class MonitorSubsystem {
   // Quiet networks keep the historical wire format byte-for-byte (the op id
   // is only appended when Cluster::transport_active()).
   //
-  // `all_flag` >= 0 appends the notify one/all byte. Retries the whole call
-  // up to kRpcAttempts times on typed transport failure, then aborts with the
-  // transport's diagnostic naming the home node and service.
-  Buffer remote_invoke(dsm::ThreadCtx& t, cluster::NodeId home, cluster::ServiceId service,
-                       dsm::Gva obj, int all_flag = -1);
+  // Sends one op to the monitor's home through DsmSystem::call_home;
+  // `all_flag` >= 0 appends the notify one/all byte.
+  void call_home(dsm::ThreadCtx& t, cluster::NodeId home, cluster::ServiceId service,
+                 dsm::Gva obj, int all_flag = -1);
   // Parses the op id (lossy runs only) and dedups it. Returns true when the
   // message is a retry of an op the home has already applied.
   bool op_already_applied(cluster::Incoming& in, cluster::NodeId self);
@@ -134,28 +138,15 @@ class MonitorSubsystem {
                       std::uint64_t uid);
   void reattach_wait(cluster::Incoming& in, cluster::NodeId self, dsm::Gva obj,
                      std::uint64_t uid);
-  // HA: answers a stale-home straggler with a 1-byte NACK (before the op id
-  // is recorded) and returns true; false = this node owns the monitor.
-  bool nack_if_stale(cluster::Incoming& in, cluster::NodeId self, dsm::Gva obj,
-                     cluster::ServiceId service);
-  // Epoch fencing (partitions only): consumes the request's epoch token and,
-  // when it predates this node's view, NACKs (1 byte) and returns true.
-  bool fenced(cluster::Incoming& in, cluster::NodeId self, cluster::ServiceId service);
-  // Success reply body: empty historically, the home's 8-byte epoch view
-  // under fencing (the caller validates it against its own).
-  Buffer make_ack(cluster::NodeId self) const;
 
   cluster::Cluster* cluster_;
   dsm::DsmSystem* dsm_;
-  cluster::HaHooks* ha_ = nullptr;
-  bool fencing_ = false;  // ha_ installed AND partition windows scheduled
   // monitors_[home] maps object address -> state.
   std::vector<std::map<dsm::Gva, MonitorState>> monitors_;
   // Lossy-transport idempotence state (empty on quiet networks): the next
   // cluster-unique op id, and per home node the set of applied op ids.
   std::uint64_t next_op_id_ = 1;
   std::vector<IdWindow> applied_ops_;
-  static constexpr int kRpcAttempts = 3;
 
   // Cycle costs for the manager's bookkeeping (charged to the home service
   // for remote callers, to the caller's clock for local ones).

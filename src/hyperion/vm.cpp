@@ -183,8 +183,7 @@ HyperionVM::HyperionVM(VmConfig config)
   if (crash_applies || partition_applies) {
     ha_ = std::make_unique<ha::HaManager>(&cluster_, &dsm_, &monitors_);
     cluster_.set_ha_hooks(ha_.get());
-    dsm_.set_ha(ha_.get());
-    monitors_.set_ha(ha_.get());
+    dsm_.set_ha(ha_.get());  // the monitors read HA and fencing from the DSM
     ha_->start();
   }
 }

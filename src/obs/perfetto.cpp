@@ -264,6 +264,124 @@ class Emitter {
   bool first_ = true;
 };
 
+// The per-event body both writers share, in event order: each event's
+// instant, the epoch counter sample and, with derive_slices, the paired
+// slices and flows:
+//   page_fetch slice: last unmatched kPageFault on (node, page) -> kPageFetch;
+//   monitor_acquire slice: kMonitorEnter -> kMonitorAcquired on
+//     (node, object, uid);
+//   update_flow arrows: each kUpdateSent on node S toward home H opens a flow
+//     that the next kUpdateApplied on H from S closes. The cluster's per-pair
+//     delivery is FIFO in virtual time, so a per-(src,home) id queue pairs
+//     them exactly; an unmatched tail (trace capacity cut) simply leaves open
+//     flows.
+// A lazy encoder (the streaming writer) announces each track the first time
+// it is written to; the one-shot writer announces every track up front.
+class EventEncoder {
+ public:
+  EventEncoder(std::ostream& os, const PerfettoOptions& opts, bool lazy_tracks)
+      : emit(os), opts_(opts), lazy_(lazy_tracks) {}
+
+  void encode(const TraceEvent& e) {
+    if (lazy_ && nodes_.insert(e.node).second) {
+      emit.metadata(e.node, -1, "process_name", "node " + std::to_string(e.node));
+      emit.metadata(e.node, 0, "thread_name", "protocol events");
+    }
+    emit.instant(e);
+    // Epoch counter track: every kEpochBump bumps the cluster-wide routing
+    // epoch; a "C" sample on the promoting node's process makes the step
+    // visible as a staircase. HA-off runs record no such events, so the
+    // golden trace is unaffected.
+    if (e.kind == TraceKind::kEpochBump) {
+      emit.counter("cluster_epoch", e.at, e.node, "epoch", e.a);
+    }
+    if (!opts_.derive_slices) return;
+    // node_down slice: kNodeCrash carries the scheduled restart time, so the
+    // whole outage window is known at crash time.
+    if (e.kind == TraceKind::kNodeCrash && e.a > 0) {
+      const Time up_at = static_cast<Time>(e.a) * kMicrosecond;
+      if (up_at > e.at) {
+        emit.slice("node_down", "ha", e.at, up_at, e.node, 0, event_args(e));
+      }
+    }
+    if (e.kind == TraceKind::kUpdateSent) {
+      const std::uint64_t id = next_flow_id_++;
+      update_flows_[{e.node, static_cast<int>(e.a)}].push_back(id);
+      emit.flow("update_flow", "dsm", 's', id, e.at, e.node, 0);
+    } else if (e.kind == TraceKind::kUpdateApplied) {
+      auto it = update_flows_.find({static_cast<int>(e.a), e.node});
+      if (it != update_flows_.end() && !it->second.empty()) {
+        const std::uint64_t id = it->second.front();
+        it->second.pop_front();
+        emit.flow("update_flow", "dsm", 'f', id, e.at, e.node, 0);
+      }
+    }
+    switch (e.kind) {
+      case TraceKind::kPageFault:
+        pending_fault_[{e.node, e.a}] = e.at;
+        break;
+      case TraceKind::kPageFetch: {
+        auto it = pending_fault_.find({e.node, e.a});
+        if (it != pending_fault_.end()) {
+          track(fetch_tracks_, e.node, kFetchTid, "dsm fetch");
+          emit.slice("page_fetch", "dsm", it->second, e.at, e.node, kFetchTid, event_args(e));
+          pending_fault_.erase(it);
+        }
+        break;
+      }
+      case TraceKind::kMonitorEnter:
+        pending_enter_[{e.node, e.a, e.b}] = e.at;
+        java_thread(e.node, e.b);
+        break;
+      case TraceKind::kMonitorAcquired: {
+        java_thread(e.node, e.b);
+        auto it = pending_enter_.find({e.node, e.a, e.b});
+        if (it != pending_enter_.end()) {
+          emit.slice("monitor_acquire", "monitor", it->second, e.at, e.node,
+                     static_cast<int>(e.b), event_args(e));
+          pending_enter_.erase(it);
+        }
+        break;
+      }
+      case TraceKind::kServeOp: {
+        // Retrospective: the completion event carries the open-loop latency,
+        // so the [scheduled arrival, completion] span is known here.
+        track(serve_tracks_, e.node, kServeTid, "serve ops");
+        const Time latency = static_cast<Time>(e.b >> 1);
+        const Time begin = latency > e.at ? Time{0} : e.at - latency;
+        emit.slice((e.b & 1) ? "serve_put" : "serve_get", "serve", begin, e.at, e.node,
+                   kServeTid, event_args(e));
+        break;
+      }
+      default:
+        break;
+    }
+  }
+
+  Emitter emit;
+
+ private:
+  void track(std::set<int>& seen, int node, int tid, const char* name) {
+    if (lazy_ && seen.insert(node).second) emit.metadata(node, tid, "thread_name", name);
+  }
+  void java_thread(int node, std::int64_t uid) {
+    if (!lazy_ || !java_threads_.insert({node, uid}).second) return;
+    emit.metadata(node, static_cast<int>(uid), "thread_name",
+                  "java thread " + std::to_string(uid));
+  }
+
+  PerfettoOptions opts_;
+  bool lazy_;
+  std::set<int> nodes_;
+  std::set<int> fetch_tracks_;
+  std::set<int> serve_tracks_;
+  std::set<std::pair<int, std::int64_t>> java_threads_;
+  std::map<std::pair<int, int>, std::deque<std::uint64_t>> update_flows_;
+  std::uint64_t next_flow_id_ = 1;
+  std::map<std::pair<int, std::int64_t>, Time> pending_fault_;
+  std::map<std::tuple<int, std::int64_t, std::int64_t>, Time> pending_enter_;
+};
+
 }  // namespace
 
 void write_perfetto_trace(std::ostream& os, const TraceLog& log, const PerfettoOptions& opts) {
@@ -284,7 +402,7 @@ void write_perfetto_trace(std::ostream& os, const TraceLog& log, const PerfettoO
   }
   os << "},\n\"traceEvents\":[";
 
-  Emitter emit(os);
+  EventEncoder enc(os, opts, /*lazy_tracks=*/false);
 
   // --- track metadata -------------------------------------------------------
   std::set<int> nodes;
@@ -300,102 +418,23 @@ void write_perfetto_trace(std::ostream& os, const TraceLog& log, const PerfettoO
     }
   }
   for (int n : nodes) {
-    emit.metadata(n, -1, "process_name", "node " + std::to_string(n));
-    emit.metadata(n, 0, "thread_name", "protocol events");
+    enc.emit.metadata(n, -1, "process_name", "node " + std::to_string(n));
+    enc.emit.metadata(n, 0, "thread_name", "protocol events");
     if (opts.derive_slices && any_fault) {
-      emit.metadata(n, kFetchTid, "thread_name", "dsm fetch");
+      enc.emit.metadata(n, kFetchTid, "thread_name", "dsm fetch");
     }
     if (opts.derive_slices && any_serve) {
-      emit.metadata(n, kServeTid, "thread_name", "serve ops");
+      enc.emit.metadata(n, kServeTid, "thread_name", "serve ops");
     }
   }
   if (opts.derive_slices) {
     for (const auto& [node, uid] : monitor_threads) {
-      emit.metadata(node, static_cast<int>(uid), "thread_name",
-                    "java thread " + std::to_string(uid));
+      enc.emit.metadata(node, static_cast<int>(uid), "thread_name",
+                        "java thread " + std::to_string(uid));
     }
   }
 
-  // --- instants + derived slices, in event order ----------------------------
-  // page_fetch slice: last unmatched kPageFault on (node, page) -> kPageFetch.
-  // monitor_acquire slice: kMonitorEnter -> kMonitorAcquired on
-  // (node, object, uid).
-  // update_flow arrows: each kUpdateSent on node S toward home H opens a flow
-  // that the next kUpdateApplied on H from S closes. The cluster's per-pair
-  // delivery is FIFO in virtual time, so a per-(src,home) id queue pairs them
-  // exactly; an unmatched tail (trace capacity cut) simply leaves open flows.
-  std::map<std::pair<int, int>, std::deque<std::uint64_t>> update_flows;
-  std::uint64_t next_flow_id = 1;
-  std::map<std::pair<int, std::int64_t>, Time> pending_fault;
-  std::map<std::tuple<int, std::int64_t, std::int64_t>, Time> pending_enter;
-  for (const TraceEvent& e : log.events()) {
-    emit.instant(e);
-    // Epoch counter track: every kEpochBump bumps the cluster-wide routing
-    // epoch; a "C" sample on the promoting node's process makes the step
-    // visible as a staircase. HA-off runs record no such events, so the
-    // golden trace is unaffected.
-    if (e.kind == TraceKind::kEpochBump) {
-      emit.counter("cluster_epoch", e.at, e.node, "epoch", e.a);
-    }
-    if (!opts.derive_slices) continue;
-    // node_down slice: kNodeCrash carries the scheduled restart time, so the
-    // whole outage window is known at crash time.
-    if (e.kind == TraceKind::kNodeCrash && e.a > 0) {
-      const Time up_at = static_cast<Time>(e.a) * kMicrosecond;
-      if (up_at > e.at) {
-        emit.slice("node_down", "ha", e.at, up_at, e.node, 0, event_args(e));
-      }
-    }
-    if (e.kind == TraceKind::kUpdateSent) {
-      const std::uint64_t id = next_flow_id++;
-      update_flows[{e.node, static_cast<int>(e.a)}].push_back(id);
-      emit.flow("update_flow", "dsm", 's', id, e.at, e.node, 0);
-    } else if (e.kind == TraceKind::kUpdateApplied) {
-      auto it = update_flows.find({static_cast<int>(e.a), e.node});
-      if (it != update_flows.end() && !it->second.empty()) {
-        const std::uint64_t id = it->second.front();
-        it->second.pop_front();
-        emit.flow("update_flow", "dsm", 'f', id, e.at, e.node, 0);
-      }
-    }
-    switch (e.kind) {
-      case TraceKind::kPageFault:
-        pending_fault[{e.node, e.a}] = e.at;
-        break;
-      case TraceKind::kPageFetch: {
-        auto it = pending_fault.find({e.node, e.a});
-        if (it != pending_fault.end()) {
-          emit.slice("page_fetch", "dsm", it->second, e.at, e.node, kFetchTid,
-                     event_args(e));
-          pending_fault.erase(it);
-        }
-        break;
-      }
-      case TraceKind::kMonitorEnter:
-        pending_enter[{e.node, e.a, e.b}] = e.at;
-        break;
-      case TraceKind::kMonitorAcquired: {
-        auto it = pending_enter.find({e.node, e.a, e.b});
-        if (it != pending_enter.end()) {
-          emit.slice("monitor_acquire", "monitor", it->second, e.at, e.node,
-                     static_cast<int>(e.b), event_args(e));
-          pending_enter.erase(it);
-        }
-        break;
-      }
-      case TraceKind::kServeOp: {
-        // Retrospective: the completion event carries the open-loop latency,
-        // so the [scheduled arrival, completion] span is known here.
-        const Time latency = static_cast<Time>(e.b >> 1);
-        const Time begin = latency > e.at ? Time{0} : e.at - latency;
-        emit.slice((e.b & 1) ? "serve_put" : "serve_get", "serve", begin, e.at,
-                   e.node, kServeTid, event_args(e));
-        break;
-      }
-      default:
-        break;
-    }
-  }
+  for (const TraceEvent& e : log.events()) enc.encode(e);
 
   os << "\n]}\n";
 }
@@ -404,112 +443,15 @@ void write_perfetto_trace(std::ostream& os, const TraceLog& log, const PerfettoO
 // PerfettoStreamWriter
 
 struct PerfettoStreamWriter::Impl {
-  Impl(std::ostream& out, PerfettoOptions options) : os(out), opts(options), emit(out) {
+  Impl(std::ostream& out, const PerfettoOptions& options)
+      : os(out), enc(out, options, /*lazy_tracks=*/true) {
     out << "{\"displayTimeUnit\":\"ns\",\n\"traceEvents\":[";
   }
 
-  // Lazily announces tracks the one-shot writer pre-scans for: process/
-  // protocol-track names on first sight of a node, fetch/java-thread tracks
-  // on first sight of the events that populate them.
-  void ensure_node(int node) {
-    if (!nodes_seen.insert(node).second) return;
-    emit.metadata(node, -1, "process_name", "node " + std::to_string(node));
-    emit.metadata(node, 0, "thread_name", "protocol events");
-  }
-  void ensure_fetch_track(int node) {
-    if (!fetch_tracks_seen.insert(node).second) return;
-    emit.metadata(node, kFetchTid, "thread_name", "dsm fetch");
-  }
-  void ensure_serve_track(int node) {
-    if (!serve_tracks_seen.insert(node).second) return;
-    emit.metadata(node, kServeTid, "thread_name", "serve ops");
-  }
-  void ensure_java_thread(int node, std::int64_t uid) {
-    if (!monitor_threads_seen.insert({node, uid}).second) return;
-    emit.metadata(node, static_cast<int>(uid), "thread_name",
-                  "java thread " + std::to_string(uid));
-  }
-
-  void consume_one(const TraceEvent& e) {
-    ensure_node(e.node);
-    emit.instant(e);
-    ++events_written;
-    if (e.kind == TraceKind::kEpochBump) {
-      emit.counter("cluster_epoch", e.at, e.node, "epoch", e.a);
-    }
-    if (!opts.derive_slices) return;
-    if (e.kind == TraceKind::kNodeCrash && e.a > 0) {
-      const Time up_at = static_cast<Time>(e.a) * kMicrosecond;
-      if (up_at > e.at) {
-        emit.slice("node_down", "ha", e.at, up_at, e.node, 0, event_args(e));
-      }
-    }
-    if (e.kind == TraceKind::kUpdateSent) {
-      const std::uint64_t id = next_flow_id++;
-      update_flows[{e.node, static_cast<int>(e.a)}].push_back(id);
-      emit.flow("update_flow", "dsm", 's', id, e.at, e.node, 0);
-    } else if (e.kind == TraceKind::kUpdateApplied) {
-      auto it = update_flows.find({static_cast<int>(e.a), e.node});
-      if (it != update_flows.end() && !it->second.empty()) {
-        const std::uint64_t id = it->second.front();
-        it->second.pop_front();
-        emit.flow("update_flow", "dsm", 'f', id, e.at, e.node, 0);
-      }
-    }
-    switch (e.kind) {
-      case TraceKind::kPageFault:
-        pending_fault[{e.node, e.a}] = e.at;
-        break;
-      case TraceKind::kPageFetch: {
-        auto it = pending_fault.find({e.node, e.a});
-        if (it != pending_fault.end()) {
-          ensure_fetch_track(e.node);
-          emit.slice("page_fetch", "dsm", it->second, e.at, e.node, kFetchTid,
-                     event_args(e));
-          pending_fault.erase(it);
-        }
-        break;
-      }
-      case TraceKind::kMonitorEnter:
-        pending_enter[{e.node, e.a, e.b}] = e.at;
-        ensure_java_thread(e.node, e.b);
-        break;
-      case TraceKind::kMonitorAcquired: {
-        ensure_java_thread(e.node, e.b);
-        auto it = pending_enter.find({e.node, e.a, e.b});
-        if (it != pending_enter.end()) {
-          emit.slice("monitor_acquire", "monitor", it->second, e.at, e.node,
-                     static_cast<int>(e.b), event_args(e));
-          pending_enter.erase(it);
-        }
-        break;
-      }
-      case TraceKind::kServeOp: {
-        ensure_serve_track(e.node);
-        const Time latency = static_cast<Time>(e.b >> 1);
-        const Time begin = latency > e.at ? Time{0} : e.at - latency;
-        emit.slice((e.b & 1) ? "serve_put" : "serve_get", "serve", begin, e.at,
-                   e.node, kServeTid, event_args(e));
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
   std::ostream& os;
-  PerfettoOptions opts;
-  Emitter emit;
+  EventEncoder enc;
   bool finished = false;
   std::uint64_t events_written = 0;
-  std::set<int> nodes_seen;
-  std::set<int> fetch_tracks_seen;
-  std::set<int> serve_tracks_seen;
-  std::set<std::pair<int, std::int64_t>> monitor_threads_seen;
-  std::map<std::pair<int, int>, std::deque<std::uint64_t>> update_flows;
-  std::uint64_t next_flow_id = 1;
-  std::map<std::pair<int, std::int64_t>, Time> pending_fault;
-  std::map<std::tuple<int, std::int64_t, std::int64_t>, Time> pending_enter;
 };
 
 PerfettoStreamWriter::PerfettoStreamWriter(std::ostream& os, PerfettoOptions opts)
@@ -518,7 +460,8 @@ PerfettoStreamWriter::PerfettoStreamWriter(std::ostream& os, PerfettoOptions opt
 PerfettoStreamWriter::~PerfettoStreamWriter() = default;
 
 void PerfettoStreamWriter::consume(const std::vector<TraceEvent>& batch) {
-  for (const TraceEvent& e : batch) impl_->consume_one(e);
+  for (const TraceEvent& e : batch) impl_->enc.encode(e);
+  impl_->events_written += batch.size();
 }
 
 void PerfettoStreamWriter::finish(const TraceLog& log) {

@@ -42,10 +42,11 @@ void write_perfetto_trace(std::ostream& os, const cluster::TraceLog& log,
 // with --trace-stream): the JSON header goes out up front, each drained
 // buffer appends its events immediately (so memory stays bounded by the two
 // log buffers however long the run), and finish() closes the file with the
-// run totals. Track metadata is emitted lazily, the first time a node or
-// java thread appears; `otherData` trails the event array (its counts are
-// only known at the end). The one-shot write_perfetto_trace above is
-// untouched byte-for-byte — tests/goldens/perfetto_golden.json pins it.
+// run totals. Both writers encode each event through one shared encoder, so
+// their non-metadata records match; here track metadata is emitted lazily,
+// the first time a node or java thread appears, and `otherData` trails the
+// event array (its counts are only known at the end). The one-shot output
+// is pinned byte-for-byte by tests/goldens/perfetto_golden.json.
 class PerfettoStreamWriter {
  public:
   explicit PerfettoStreamWriter(std::ostream& os, PerfettoOptions opts = {});

@@ -94,7 +94,7 @@ TEST(AppShapeStats, NetworkJitterChangesTimingNotResults) {
   p.n = 48;
   auto cfg = make_config("myri200", dsm::ProtocolKind::kJavaPf, 4);
   const auto quiet = asp_parallel(cfg, p);
-  cfg.cluster.net.jitter_max = 20 * kMicrosecond;
+  cfg.cluster.fault.reorder_max = 20 * kMicrosecond;
   const auto noisy1 = asp_parallel(cfg, p);
   const auto noisy2 = asp_parallel(cfg, p);
   EXPECT_EQ(quiet.value, noisy1.value);      // same answer

@@ -1,4 +1,5 @@
-// The update pipeline's cohort rules (docs/PROTOCOLS.md §One engine).
+// The update pipeline's cohort rules (docs/PROTOCOLS.md §One engine) and
+// home routing across a migration.
 //
 // updateMainMemory groups pending updates into cohorts, one message each.
 // The cohort key and the ship order differ per protocol and HA setting, and
@@ -9,8 +10,11 @@
 //     a promotion put on one node still travel as two messages;
 //   * hybrid ships in first-touch order, keys by page under HA, and re-keys
 //     the unshipped remainder when a home migrates mid-flush.
-// The FlushGuard tests flush one cohort per page for hundreds of pages,
-// which must not be mistaken for a reroute that does not converge.
+// The HomeRoute tests race a page fetch and monitor enter/exit against a
+// home migration: the old home refuses the request and the caller resends
+// it to the new one. The FlushGuard tests flush one cohort per page for
+// hundreds of pages, which must not be mistaken for a reroute that does not
+// converge.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +25,7 @@
 #include "dsm/access.hpp"
 #include "dsm/dsm.hpp"
 #include "ha/ha.hpp"
+#include "hyperion/monitor.hpp"
 #include "hyperion/vm.hpp"
 #include "sim/engine.hpp"
 
@@ -198,6 +203,125 @@ TEST(FlushCohorts, HybridReKeysTheRemainderWhenAHomeMigratesMidFlush) {
   EXPECT_EQ(r.dests, (std::vector<std::int64_t>{0, 1, 2, 1}));
   EXPECT_EQ(r.nacks, 1u);
   EXPECT_EQ(r.p_home, 2);
+}
+
+// Home requests racing a heat migration (hybrid, no HA). As in
+// flush_across_migration, node 2 flushes stores to page P at 0.1, 5.1 and
+// 10.1 ms, so P moves from node 1 to node 2 when node 1 applies the third
+// flush. Node 3 sends one request for P at 10.108 ms: a page fetch, or a
+// monitor enter or exit on a lock word living on P. The request leaves
+// before the migration and reaches node 1 after it, so node 1 refuses it and
+// node 3 must re-resolve the home and resend to node 2.
+enum class RacedOp { kFetch, kEnter, kExit };
+
+struct HomeRace {
+  std::size_t nacks = 0;       // node 1's refusals of the raced request
+  std::uint64_t reroutes = 0;  // node 3's ha_reroutes
+};
+
+HomeRace home_request_across_migration(RacedOp op, const std::string& profile) {
+  cluster::ClusterParams params = cluster::ClusterParams::myrinet200();
+  params.fault = cluster::FaultProfile::parse(profile);
+  cluster::Cluster c(params, 4);
+  cluster::TraceLog trace;
+  c.set_trace(&trace);
+  DsmSystem dsm(&c, std::size_t{1} << 20, ProtocolKind::kHybrid);
+  hyperion::MonitorSubsystem monitors(&c, &dsm);
+  // Monitor state moves with its page, as HyperionVM wires it.
+  c.allow_loopback();
+  dsm.set_home_moved_hook([&](NodeId from, NodeId to, Gva begin, Gva end) {
+    monitors.fail_over_home(from, to, begin, end);
+  });
+  const std::size_t page = dsm.layout().page_bytes();
+  const Gva p = dsm.alloc(1, page, page);
+  const Gva lock = p + 512;
+  const Time send_at = 10 * kMillisecond + 108 * kMicrosecond;
+  c.spawn_thread(2, "dominant_writer", [&] {
+    auto t = dsm.make_thread(2);
+    for (int round = 0; round < 3; ++round) {
+      sim::sleep_until(100 * kMicrosecond + round * 5 * kMillisecond);
+      for (int i = 0; i < 8; ++i) {
+        HybridPolicy::put<std::int64_t>(*t, p + 8 * i, 10 * round + i);
+      }
+      dsm.update_main_memory(*t);
+    }
+  });
+  std::vector<std::int64_t> seen;  // node 3's reads of the writer's words
+  c.spawn_thread(3, "racer", [&] {
+    auto t = dsm.make_thread(3);
+    const auto read_p = [&] {
+      for (int i = 0; i < 8; ++i) seen.push_back(HybridPolicy::get<std::int64_t>(*t, p + 8 * i));
+    };
+    const auto synchronized_block = [&] {
+      monitors.enter(*t, lock);
+      read_p();
+      HybridPolicy::put<std::int64_t>(*t, lock + 8, 77);
+      monitors.exit(*t, lock);
+    };
+    switch (op) {
+      case RacedOp::kFetch:
+        sim::sleep_until(send_at);
+        read_p();
+        break;
+      case RacedOp::kEnter:
+        sim::sleep_until(send_at);
+        synchronized_block();
+        break;
+      case RacedOp::kExit:
+        monitors.enter(*t, lock);
+        t->clock.flush();
+        sim::sleep_until(send_at);
+        monitors.exit(*t, lock);
+        synchronized_block();  // the released lock is free at its new home
+        break;
+    }
+  });
+  c.run();
+  const cluster::ServiceId raced = op == RacedOp::kFetch   ? svc::kPageRequest
+                                   : op == RacedOp::kEnter ? hyperion::svc::kMonitorEnter
+                                                           : hyperion::svc::kMonitorExit;
+  HomeRace out;
+  for (const TraceEvent& e : trace.events()) {
+    if (e.kind == TraceKind::kHaNack && e.node == 1 && e.a == 3 && e.b == raced) ++out.nacks;
+  }
+  out.reroutes = c.node(3).stats().get(Counter::kHaReroutes);
+  EXPECT_EQ(dsm.effective_home_of(p), 2);
+  EXPECT_EQ(seen.size(), 8u);
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], 20 + static_cast<std::int64_t>(i)) << i;
+  }
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(dsm.read_home<std::int64_t>(p + 8 * i), 20 + i);
+  if (op != RacedOp::kFetch) {
+    EXPECT_EQ(dsm.read_home<std::int64_t>(lock + 8), 77);
+  }
+  return out;
+}
+
+// Lossless, and on a lossy transport without HA (monitor ops carry op ids).
+const char* const kRaceProfiles[] = {"", "dup2%,seed=3"};
+
+TEST(HomeRoute, PageFetchRefusedByTheOldHomeIsResentToTheNewOne) {
+  for (const char* profile : kRaceProfiles) {
+    const HomeRace r = home_request_across_migration(RacedOp::kFetch, profile);
+    EXPECT_EQ(r.nacks, 1u) << "profile '" << profile << "'";
+    EXPECT_GE(r.reroutes, 1u) << "profile '" << profile << "'";
+  }
+}
+
+TEST(HomeRoute, MonitorEnterRefusedByTheOldHomeIsResentToTheNewOne) {
+  for (const char* profile : kRaceProfiles) {
+    const HomeRace r = home_request_across_migration(RacedOp::kEnter, profile);
+    EXPECT_EQ(r.nacks, 1u) << "profile '" << profile << "'";
+    EXPECT_GE(r.reroutes, 1u) << "profile '" << profile << "'";
+  }
+}
+
+TEST(HomeRoute, MonitorExitRefusedByTheOldHomeIsResentToTheNewOne) {
+  for (const char* profile : kRaceProfiles) {
+    const HomeRace r = home_request_across_migration(RacedOp::kExit, profile);
+    EXPECT_EQ(r.nacks, 1u) << "profile '" << profile << "'";
+    EXPECT_GE(r.reroutes, 1u) << "profile '" << profile << "'";
+  }
 }
 
 // HA on (a crash far beyond the run's end) makes hybrid cohorts page-pure.

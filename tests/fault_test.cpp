@@ -138,11 +138,10 @@ TEST(FaultProfilePrimitives, WindowsAdjustArrivals) {
   EXPECT_EQ(p.apply_windows(0, 120 * kMicrosecond), 120 * kMicrosecond);
 }
 
-TEST(FaultProfilePrimitives, LegacyJitterAliasFoldsIntoReorder) {
+TEST(FaultProfilePrimitives, ReorderOnlyProfileLeavesTheTransportInactive) {
   ClusterParams p = tiny_params();
-  p.net.jitter_max = 3 * kMicrosecond;
+  p.fault.reorder_max = 3 * kMicrosecond;
   Cluster c(p, 2);
-  EXPECT_EQ(c.params().fault.reorder_max, 3 * kMicrosecond);
   EXPECT_FALSE(c.transport_active());  // reorder alone stays on the fast path
 }
 
@@ -363,7 +362,8 @@ TEST(FaultVm, SynchronizedCounterIsExactUnderChaos) {
   // The lost-update litmus from hyperion_monitor_test, now on a lossy
   // network: monitor grants, DSM page fetches and update flushes all ride
   // the reliable transport, and the answer must still be exact.
-  for (auto kind : {dsm::ProtocolKind::kJavaIc, dsm::ProtocolKind::kJavaPf}) {
+  for (auto kind :
+       {dsm::ProtocolKind::kJavaIc, dsm::ProtocolKind::kJavaPf, dsm::ProtocolKind::kHybrid}) {
     hyperion::VmConfig cfg;
     cfg.cluster = ClusterParams::myrinet200();
     cfg.cluster.fault = FaultProfile::parse("drop5%,dup2%,reorder2us,seed=11");
@@ -445,7 +445,8 @@ TEST(FaultVm, MonitorOpIdsAbsorbDupReorderAndCrashCombined) {
   // reordered packets AND the monitor's home dying mid-run. Grant requests
   // replayed against the dead home must re-attach at the promoted home under
   // the same op id — any double-apply shows up as a lost or extra increment.
-  for (auto kind : {dsm::ProtocolKind::kJavaIc, dsm::ProtocolKind::kJavaPf}) {
+  for (auto kind :
+       {dsm::ProtocolKind::kJavaIc, dsm::ProtocolKind::kJavaPf, dsm::ProtocolKind::kHybrid}) {
     Stats stats;
     const std::int64_t result = synchronized_counter_run(
         kind, "dup2%,reorder3us,crash2@1ms+800us,seed=11", /*home_on_node=*/2, &stats);
@@ -462,7 +463,8 @@ TEST(FaultVm, TinyDedupWindowStaysExact) {
   // will forget sparse sequence numbers and re-deliver duplicates, so
   // correctness must come from the layer above (monitor op ids, idempotent
   // DSM applies) — the answer must still be exact.
-  for (auto kind : {dsm::ProtocolKind::kJavaIc, dsm::ProtocolKind::kJavaPf}) {
+  for (auto kind :
+       {dsm::ProtocolKind::kJavaIc, dsm::ProtocolKind::kJavaPf, dsm::ProtocolKind::kHybrid}) {
     Stats stats;
     const std::int64_t result = synchronized_counter_run(
         kind, "dup20%,reorder5us,dedupwin=1,seed=13", /*home_on_node=*/-1, &stats);

@@ -5,10 +5,13 @@
 // time by a single picosecond.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/jacobi.hpp"
 #include "cluster/trace.hpp"
@@ -323,6 +326,53 @@ TEST(PerfettoExport, InstantsOnlyWhenSlicesDisabled) {
   const std::string out = os.str();
   EXPECT_NE(out.find("\"page_fault\""), std::string::npos);
   EXPECT_EQ(out.find("\"ph\":\"X\""), std::string::npos);
+}
+
+// The records of an export other than track metadata ("ph":"M"), in order:
+// both writers put one JSON object per line in the traceEvents array.
+std::vector<std::string> non_metadata_records(const std::string& json) {
+  std::vector<std::string> out;
+  std::istringstream in(json);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("  {", 0) != 0) continue;
+    if (line.back() == ',') line.pop_back();
+    if (line.find("\"ph\":\"M\"") == std::string::npos) out.push_back(line);
+  }
+  return out;
+}
+
+TEST(PerfettoExport, StreamedAndOneShotExportsCarryTheSameEvents) {
+  // The golden's Jacobi run, plus the kinds it lacks: a crash window, an
+  // epoch bump and a serve op. The streaming writer gets uneven batches.
+  ObservedRun run = observed_jacobi();
+  const Time end = run.result.elapsed;
+  run.trace.record(end + kMicrosecond, 1, cluster::TraceKind::kNodeCrash,
+                   static_cast<std::int64_t>((end + 50 * kMicrosecond) / kMicrosecond), 0);
+  run.trace.record(end + 2 * kMicrosecond, 0, cluster::TraceKind::kEpochBump, 1, 1);
+  run.trace.record(end + 3 * kMicrosecond, 0, cluster::TraceKind::kServeOp, 7,
+                   static_cast<std::int64_t>(kMicrosecond << 1) | 1);
+  const std::vector<cluster::TraceEvent>& events = run.trace.events();
+  for (bool derive : {true, false}) {
+    PerfettoOptions opts;
+    opts.derive_slices = derive;
+    std::ostringstream one_shot;
+    write_perfetto_trace(one_shot, run.trace, opts);
+    std::ostringstream streamed;
+    PerfettoStreamWriter writer(streamed, opts);
+    for (std::size_t i = 0; i < events.size(); i += 97) {
+      const std::size_t j = std::min(i + 97, events.size());
+      writer.consume({events.begin() + static_cast<std::ptrdiff_t>(i),
+                      events.begin() + static_cast<std::ptrdiff_t>(j)});
+    }
+    writer.finish(run.trace);
+    EXPECT_EQ(writer.events_written(), events.size());
+    const std::vector<std::string> want = non_metadata_records(one_shot.str());
+    // Each event's instant, plus the counter sample and, with slices on, the
+    // derived slices and flows.
+    EXPECT_GT(want.size(), events.size()) << "derive_slices " << derive;
+    EXPECT_EQ(non_metadata_records(streamed.str()), want) << "derive_slices " << derive;
+  }
 }
 
 TEST(MetricsJson, CarriesCountersHistogramsHeatPhasesAndDrops) {
