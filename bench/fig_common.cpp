@@ -30,10 +30,6 @@ void ObsRecorder::add_flags(Cli& cli) {
       .flag_string("fault-profile", "",
                    "deterministic network fault injection, e.g. "
                    "drop2%,dup1%,reorder5us,seed=7 (docs/FAULTS.md; default off)")
-      .flag_int("rpc-dedup-window", -1,
-                "receiver-side RPC dedup window size in sequence numbers "
-                "(>=1; 0 = unbounded exact dedup; -1 = keep the profile's "
-                "dedupwin=N or the default)")
       .flag_bool("trace-stream", false,
                  "stream the trace to --trace-out incrementally (no events "
                  "are ever dropped; covers every attached run)")
@@ -51,15 +47,6 @@ void ObsRecorder::configure(const Cli& cli, std::string tool) {
   const std::string fault_spec = cli.get_string("fault-profile");
   if (!fault_spec.empty()) {
     fault_ = cluster::FaultProfile::parse(fault_spec);
-  }
-  // --rpc-dedup-window overrides the profile's dedupwin=N token. Same
-  // validation as the parser: a 0-entry window would disable dedup outright
-  // and break at-most-once delivery, so only 0 (= unbounded) and >= 1 are
-  // meaningful; the parser rejects an explicit dedupwin=0 and the flag
-  // reserves -1 for "no override".
-  const int dedup_flag = cli.get_int("rpc-dedup-window");
-  if (dedup_flag >= 0) {
-    fault_.dedup_window = static_cast<std::uint32_t>(dedup_flag);
   }
   if (fault_.any()) {
     std::printf("# fault profile: %s\n", fault_.to_string().c_str());

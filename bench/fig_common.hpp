@@ -67,10 +67,6 @@ SweepOptions sweep_from_cli(const Cli& cli);
 //   --fault-profile S   deterministic network fault injection for every run
 //                       (docs/FAULTS.md grammar, e.g.
 //                       "drop2%,dup1%,reorder5us,seed=7"; default off).
-//   --rpc-dedup-window N  overrides the profile's receiver-side dedup window
-//                       (dedupwin=N): how many out-of-order sequence numbers
-//                       each receiver remembers for duplicate suppression.
-//                       0 = unbounded exact dedup; -1 (default) = no override.
 //   --trace-stream      stream the trace to --trace-out incrementally
 //                       (double-buffered sink; nothing is ever dropped and
 //                       the file covers *every* attached run, not just the

@@ -10,31 +10,22 @@
 #   - the metrics file is schema hyp-metrics-v1 with counters, histograms,
 #     page heat and phase sections on its points.
 #
-# Usage: scripts/check_obs.sh [build_dir]   (default: ./build)
+# Usage: scripts/check_obs.sh [build_dir]   (default: build)
 set -euo pipefail
-
-repo_root="$(cd "$(dirname "$0")/.." && pwd)"
-build_dir="${1:-$repo_root/build}"
-out_dir="$(mktemp -d)"
-trap 'rm -rf "$out_dir"' EXIT
-
-if [[ ! -x "$build_dir/bench/fig1_pi" || ! -x "$build_dir/bench/fig2_jacobi" ]]; then
-  echo "check_obs: bench binaries missing; build first:" >&2
-  echo "  cmake -B $build_dir -S $repo_root && cmake --build $build_dir -j" >&2
-  exit 1
-fi
+source "$(dirname "$0")/smoke_lib.sh"
+smoke_init check_obs "${1:-build}" bench/fig1_pi bench/fig2_jacobi
 
 echo "== fig1_pi (tiny sweep) with trace + metrics =="
-"$build_dir/bench/fig1_pi" --quick --sci=false --max-nodes=4 --intervals 20000 \
-  --trace-stream --trace-out="$out_dir/fig1.trace.json" \
-  --metrics-out="$out_dir/fig1.metrics.json" > /dev/null
+run "$WORK/fig1.txt" "$BUILD/bench/fig1_pi" --quick --sci=false --max-nodes=4 --intervals 20000 \
+  --trace-stream --trace-out="$WORK/fig1.trace.json" \
+  --metrics-out="$WORK/fig1.metrics.json"
 
 echo "== fig2_jacobi (tiny sweep) with trace + metrics =="
-"$build_dir/bench/fig2_jacobi" --quick --sci=false --max-nodes=4 --n 32 --steps 4 \
-  --trace-stream --trace-out="$out_dir/fig2.trace.json" \
-  --metrics-out="$out_dir/fig2.metrics.json" > /dev/null
+run "$WORK/fig2.txt" "$BUILD/bench/fig2_jacobi" --quick --sci=false --max-nodes=4 --n 32 --steps 4 \
+  --trace-stream --trace-out="$WORK/fig2.trace.json" \
+  --metrics-out="$WORK/fig2.metrics.json"
 
-python3 - "$out_dir" <<'EOF'
+python3 - "$WORK" <<'EOF' || fail "trace or metrics artifacts invalid (see above)"
 import json, sys
 out = sys.argv[1]
 

@@ -19,23 +19,12 @@
 #
 # Usage: scripts/hybrid_smoke.sh [build-dir]       (default: build)
 set -euo pipefail
-cd "$(dirname "$0")/.."
-
-BUILD="${1:-build}"
-SERVE="$BUILD/bench/serve"
-[[ -x "$SERVE" ]] || {
-  echo "hybrid_smoke: $SERVE not built (run cmake --build $BUILD)" >&2
-  exit 2
-}
-
-WORK="$(mktemp -d)"
-trap 'rm -rf "$WORK"' EXIT
+source "$(dirname "$0")/smoke_lib.sh"
+smoke_init hybrid_smoke "${1:-build}" bench/serve bench/fig2_jacobi bench/fig5_asp
 
 # 1. Figure dominance: hybrid <= min(java_ic, java_pf) * 1.01 per point.
 for fig in fig2_jacobi fig5_asp; do
-  BIN="$BUILD/bench/$fig"
-  [[ -x "$BIN" ]] || { echo "hybrid_smoke: $BIN not built" >&2; exit 2; }
-  "$BIN" --quick --no-sci --max-nodes 4 > "$WORK/$fig.txt"
+  run "$WORK/$fig.txt" "$BUILD/bench/$fig" --quick --no-sci --max-nodes 4
   if ! awk -F, '
     /^fig[0-9]+,/ { t[$2 "," $4 "," $3] = $5; pts[$2 "," $4] = 1 }
     END {
@@ -52,23 +41,14 @@ for fig in fig2_jacobi fig5_asp; do
       }
       exit bad
     }' "$WORK/$fig.txt"; then
-    echo "hybrid_smoke: FAIL — $fig: hybrid lost to a paper protocol" >&2
-    exit 1
+    fail "$fig: hybrid lost to a paper protocol"
   fi
   echo "hybrid_smoke: $fig — hybrid beats or ties both protocols at every point"
 done
 
 # 2+3. Serving: skew (steady-state migration win) + hot (crash revert).
-run_serve() {
-  local out="$1" metrics="$2"
-  if ! "$SERVE" --profiles=skew,hot --thetas=0.99 \
-       --metrics-out="$metrics" > "$out" 2> "$out.err"; then
-    echo "hybrid_smoke: FAIL — bench/serve verification failed" >&2
-    tail -n 20 "$out" >&2
-    exit 1
-  fi
-}
-run_serve "$WORK/serve.txt" "$WORK/serve.json"
+SERVE=("$BUILD/bench/serve" --profiles=skew,hot --thetas=0.99)
+run "$WORK/serve.txt" "${SERVE[@]}" --metrics-out="$WORK/serve.json"
 
 python3 - "$WORK/serve.json" <<'EOF'
 import json, sys
@@ -91,12 +71,9 @@ print(f"hybrid_smoke: skew p99 — hybrid {hy}us beats ic {ic}us and pf {pf}us "
 EOF
 
 # 4. Same-seed determinism of every serve cell, decisions included.
-run_serve "$WORK/serve2.txt" "$WORK/serve2.json"
-if ! python3 scripts/compare_metrics.py "$WORK/serve.json" "$WORK/serve2.json" \
-     --threshold 0 -q; then
-  echo "hybrid_smoke: FAIL — same-seed serve rerun drifted" >&2
-  exit 1
-fi
+run "$WORK/serve2.txt" "${SERVE[@]}" --metrics-out="$WORK/serve2.json"
+python3 scripts/compare_metrics.py "$WORK/serve.json" "$WORK/serve2.json" \
+    --threshold 0 -q || fail "same-seed serve rerun drifted"
 echo "hybrid_smoke: same-seed rerun is metrics-identical"
 
 echo "hybrid_smoke: OK"

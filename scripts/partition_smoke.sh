@@ -5,58 +5,34 @@
 #   1. actually exercise the partition path (the trace contains the window
 #      open/heal events, and — for the splits that isolate a home — a quorum
 #      promotion, an epoch bump and the heal-time rejoin),
-#   2. reproduce the fault-free answers exactly at every sweep point, both
-#      protocols (split-brain safety: parked minorities and epoch fencing may
-#      cost virtual time but never correctness), and
+#   2. reproduce the fault-free answers exactly at every sweep point, all
+#      three protocols (split-brain safety: parked minorities and epoch
+#      fencing may cost virtual time but never correctness), and
 #   3. be byte-identical on a same-seed rerun (the cut, the detector's quorum
 #      votes and the heal catch-up are all virtual-time-deterministic).
 #
 # Three profiles: a minority-isolated home (majority side promotes), an even
 # split (no side may promote on the 4-node points; larger points fail over
 # the cross-cut watch edge), and a partition overlapping a crash window (the
-# confirm defers until the watcher side holds a quorum).
+# confirm defers until the watcher side holds a quorum). Each (figure,
+# profile) pair is one fault_cell (scripts/smoke_lib.sh).
 #
 # Usage: scripts/partition_smoke.sh [build-dir]       (default: build)
 #        PARTITION_SMOKE=1 scripts/partition_smoke.sh (fig1 only; the ctest
 #                                                      and sanitizer-CI entry)
 set -euo pipefail
-cd "$(dirname "$0")/.."
+source "$(dirname "$0")/smoke_lib.sh"
 
-BUILD="${1:-build}"
 FIGS=(fig1_pi fig2_jacobi fig3_barnes fig4_tsp fig5_asp)
 if [[ "${PARTITION_SMOKE:-0}" == "1" ]]; then
   FIGS=(fig1_pi)
 fi
-for fig in "${FIGS[@]}"; do
-  [[ -x "$BUILD/bench/$fig" ]] || {
-    echo "partition_smoke: $BUILD/bench/$fig not built (run cmake --build $BUILD)" >&2
-    exit 2
-  }
-done
+smoke_init partition_smoke "${1:-build}" "${FIGS[@]/#/bench/}"
 
-WORK="$(mktemp -d)"
-trap 'rm -rf "$WORK"' EXIT
-
-answers() {
-  awk -F, '/^fig[0-9]+,/ { print $2 "," $3 "," $4 "," $6 }' "$1"
-}
-
-run() {
-  local out="$1"
-  shift
-  local rc=0
-  "$@" > "$out" 2> "$out.err" || rc=$?
-  if [[ $rc -ne 0 ]]; then
-    echo "partition_smoke: FAIL — '$*' exited $rc" >&2
-    sed 's/^/    stderr: /' "$out.err" | tail -n 20 >&2
-    exit 1
-  fi
-}
-
-# Profile table: label;fault profile;required trace events (';'-separated —
-# the profiles themselves contain '|' group separators). The quick sweep
-# points (1, 4, 12 nodes) cover inert (a 1-node run is never split),
-# exact-group and bystander-node placements.
+# Profile table: fault profile;required trace events (';'-separated — the
+# profiles themselves contain '|' group separators). The quick sweep points
+# (1, 4, 12 nodes) cover inert (a 1-node run is never split), exact-group
+# and bystander-node placements.
 PROFILES=(
   # The home of node 2's zones is alone on the minority side. On the 4-node
   # points {0,1,3} is a corroborated strict majority (every member fails to
@@ -64,67 +40,22 @@ PROFILES=(
   # at the heal. On the 12-node points the bystanders 4-11 still reach node 2
   # fine, so silence is never corroborated and NOBODY promotes — cross-cut
   # accesses park until the heal instead (the promotion events below come
-  # from the 4-node runs; --trace-stream covers every run of the sweep).
-  'minority;partition@3ms+2ms:2|0.1.3,seed=7;ha_partition home_promoted epoch_bump ha_rejoined'
+  # from the 4-node runs; the streamed trace covers every run of the sweep).
+  'partition@3ms+2ms:2|0.1.3,seed=7;ha_partition home_promoted epoch_bump ha_rejoined'
   # 2/2 split on the 4-node points: neither watcher side reaches a strict
   # majority, both sides park on kNoQuorum and drain at the heal. On the
   # 12-node point the bystanders still hear both groups, so the corroboration
   # vote blocks any cross-cut confirmation there too.
-  'even;partition@3ms+2ms:0.1|2.3,seed=7;ha_partition'
+  'partition@3ms+2ms:0.1|2.3,seed=7;ha_partition'
   # Node 2 crashes, then a split cuts its watcher off from half the cluster:
   # on the 4-node point the confirm defers until the heal restores the
   # promotion quorum.
-  'overlap;crash2@3ms+2ms,partition@3.2ms+1ms:0.1|2.3,seed=7;ha_partition node_crash home_promoted node_restart'
+  'crash2@3ms+2ms,partition@3.2ms+1ms:0.1|2.3,seed=7;ha_partition node_crash home_promoted node_restart'
 )
 
 for fig in "${FIGS[@]}"; do
-  FIG="$BUILD/bench/$fig"
-  run "$WORK/$fig.base.txt" "$FIG" --quick --no-sci
-  answers "$WORK/$fig.base.txt" > "$WORK/$fig.base.ans"
-  n_points=$(wc -l < "$WORK/$fig.base.ans")
-
   for row in "${PROFILES[@]}"; do
-    IFS=';' read -r tag profile events <<< "$row"
-
-    run "$WORK/$fig.$tag.txt" "$FIG" --quick --no-sci --fault-profile="$profile" \
-        --trace-stream --trace-out "$WORK/$fig.$tag.trace.json"
-    answers "$WORK/$fig.$tag.txt" > "$WORK/$fig.$tag.ans"
-
-    # 1. the split really engaged the partition machinery.
-    for ev in $events; do
-      if ! grep -q "\"$ev\"" "$WORK/$fig.$tag.trace.json"; then
-        echo "partition_smoke: FAIL — $fig under '$profile' trace is missing" \
-             "'$ev' (partition HA never engaged?)" >&2
-        exit 1
-      fi
-    done
-
-    # 2. exact fault-free answers (split-brain safety as an answer oracle).
-    if ! cmp -s "$WORK/$fig.base.ans" "$WORK/$fig.$tag.ans"; then
-      echo "partition_smoke: FAIL — $fig answers diverged under '$profile'" >&2
-      diff "$WORK/$fig.base.ans" "$WORK/$fig.$tag.ans" >&2 || true
-      exit 1
-    fi
-
-    # 3. same-seed split rerun is byte-identical — stdout (modulo the trace
-    # path line) AND the exported trace itself.
-    run "$WORK/$fig.$tag.rerun.txt" "$FIG" --quick --no-sci \
-        --fault-profile="$profile" --trace-stream --trace-out "$WORK/$fig.$tag.trace2.json"
-    grep -v '^trace \(written\|streamed\)' "$WORK/$fig.$tag.txt" > "$WORK/$fig.$tag.cmp"
-    grep -v '^trace \(written\|streamed\)' "$WORK/$fig.$tag.rerun.txt" > "$WORK/$fig.$tag.rerun.cmp"
-    if ! cmp -s "$WORK/$fig.$tag.cmp" "$WORK/$fig.$tag.rerun.cmp"; then
-      echo "partition_smoke: FAIL — $fig same-seed rerun not byte-identical" \
-           "under '$profile'" >&2
-      diff "$WORK/$fig.$tag.cmp" "$WORK/$fig.$tag.rerun.cmp" >&2 || true
-      exit 1
-    fi
-    if ! cmp -s "$WORK/$fig.$tag.trace.json" "$WORK/$fig.$tag.trace2.json"; then
-      echo "partition_smoke: FAIL — $fig same-seed rerun produced a different" \
-           "trace under '$profile'" >&2
-      exit 1
-    fi
-    echo "partition_smoke: $fig under '$profile' reproduced the fault-free" \
-         "answers ($n_points points, rerun byte-identical)"
+    fault_cell "$fig" "${row%;*}" "${row#*;}" --quick --no-sci
   done
 done
 

@@ -16,36 +16,13 @@
 #      tests/native_stress_test.cpp) passes repeatedly.
 #
 # Usage: scripts/race_smoke.sh [build-dir]       (default: build)
-# RACE_SMOKE_NATIVE_REPS overrides the native stress repeat count.
+# RACE_SMOKE_NATIVE_REPS overrides the native stress repeat count. Check 5
+# needs tests/native_tests, so build-dir must have the tests built.
 set -euo pipefail
-cd "$(dirname "$0")/.."
-
-BUILD="${1:-build}"
+source "$(dirname "$0")/smoke_lib.sh"
+FIGS=(fig1_pi fig2_jacobi fig3_barnes fig4_tsp fig5_asp)
+smoke_init race_smoke "${1:-build}" bench/litmus "${FIGS[@]/#/bench/}" tests/native_tests
 LITMUS="$BUILD/bench/litmus"
-NATIVE="$BUILD/tests/native_tests"
-[[ -x "$LITMUS" ]] || {
-  echo "race_smoke: $LITMUS not built (run cmake --build $BUILD)" >&2
-  exit 2
-}
-
-WORK="$(mktemp -d)"
-trap 'rm -rf "$WORK"' EXIT
-
-answers() {
-  awk -F, '/^fig[0-9]+,/ { print $2 "," $3 "," $4 "," $6 }' "$1"
-}
-
-run() {
-  local out="$1"
-  shift
-  local rc=0
-  "$@" > "$out" 2> "$out.err" || rc=$?
-  if [[ $rc -ne 0 ]]; then
-    echo "race_smoke: FAIL — '$*' exited $rc" >&2
-    sed 's/^/    stderr: /' "$out.err" | tail -n 20 >&2
-    exit 1
-  fi
-}
 
 # 1. Litmus verdicts (the binary exits non-zero on any verdict mismatch).
 for proto in java_pf java_ic hybrid; do
@@ -60,35 +37,26 @@ echo "race_smoke: litmus verdicts hold (3 protocols x 2 granularities)"
 # 3. Same-seed determinism: rerun one litmus config, compare reports.
 run "$WORK/litmus.rerun.txt" "$LITMUS" --all --race-detect on \
     --race-out "$WORK/litmus.rerun.report"
-if ! cmp -s "$WORK/litmus.java_pf.field.report" "$WORK/litmus.rerun.report"; then
-  echo "race_smoke: FAIL — same-seed race reports differ" >&2
-  diff "$WORK/litmus.java_pf.field.report" "$WORK/litmus.rerun.report" >&2 || true
-  exit 1
-fi
+same "same-seed race reports differ" \
+     "$WORK/litmus.java_pf.field.report" "$WORK/litmus.rerun.report"
 echo "race_smoke: same-seed race report is byte-identical"
 
 # 2+4. Zero-race oracle over the five paper figures, plus non-perturbation.
 # Each figure binary sweeps all three protocols (java_ic, java_pf, hybrid)
 # per run, so the oracle covers the adaptive protocol's mode switches and
 # home migrations too.
-for fig in fig1_pi fig2_jacobi fig3_barnes fig4_tsp fig5_asp; do
+for fig in "${FIGS[@]}"; do
   BIN="$BUILD/bench/$fig"
-  [[ -x "$BIN" ]] || { echo "race_smoke: $BIN not built" >&2; exit 2; }
   run "$WORK/$fig.off.txt" "$BIN" --quick --no-sci --max-nodes 4
   run "$WORK/$fig.on.txt" "$BIN" --quick --no-sci --max-nodes 4 \
       --race-detect on --race-out "$WORK/$fig.report"
   if grep -E '^  races: [1-9]' "$WORK/$fig.report" > /dev/null; then
-    echo "race_smoke: FAIL — $fig reported data races:" >&2
-    grep -E -A1 '^== run|^  races: [1-9]|^  addr' "$WORK/$fig.report" | head -n 30 >&2
-    exit 1
+    grep -E -A1 '^== run|^  races: [1-9]|^  addr' "$WORK/$fig.report" | head -n 30 >&2 || true
+    fail "$fig reported data races"
   fi
   answers "$WORK/$fig.off.txt" > "$WORK/$fig.off.ans"
   answers "$WORK/$fig.on.txt" > "$WORK/$fig.on.ans"
-  if ! cmp -s "$WORK/$fig.off.ans" "$WORK/$fig.on.ans"; then
-    echo "race_smoke: FAIL — $fig answers changed with the detector on" >&2
-    diff "$WORK/$fig.off.ans" "$WORK/$fig.on.ans" >&2 || true
-    exit 1
-  fi
+  same "$fig answers changed with the detector on" "$WORK/$fig.off.ans" "$WORK/$fig.on.ans"
 done
 echo "race_smoke: zero-race oracle holds on all five figures (answers unperturbed)"
 
@@ -96,19 +64,10 @@ echo "race_smoke: zero-race oracle holds on all five figures (answers unperturbe
 # flush/invalidate-vs-writer stress must pass back-to-back. Full 100x runs
 # live in scripts/soak_faults.sh territory; the smoke keeps CI fast.
 REPS="${RACE_SMOKE_NATIVE_REPS:-10}"
-if [[ -x "$NATIVE" ]]; then
-  for ((i = 1; i <= REPS; i++)); do
-    if ! "$NATIVE" --gtest_brief=1 \
-         --gtest_filter='*FlushInvalidateVsConcurrentWriterLosesNoUpdates*:*MonitorContentionAcrossManyObjects*' \
-         > "$WORK/native.$i.txt" 2>&1; then
-      echo "race_smoke: FAIL — native lost-update stress failed on rep $i" >&2
-      tail -n 30 "$WORK/native.$i.txt" >&2
-      exit 1
-    fi
-  done
-  echo "race_smoke: native lost-update stress passed ${REPS}x"
-else
-  echo "race_smoke: skipping native stress ($NATIVE not built)"
-fi
+for ((i = 1; i <= REPS; i++)); do
+  run "$WORK/native.$i.txt" "$BUILD/tests/native_tests" --gtest_brief=1 \
+      --gtest_filter='*FlushInvalidateVsConcurrentWriterLosesNoUpdates*:*MonitorContentionAcrossManyObjects*'
+done
+echo "race_smoke: native lost-update stress passed ${REPS}x"
 
 echo "race_smoke: OK"

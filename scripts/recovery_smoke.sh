@@ -4,105 +4,32 @@
 #
 #   1. actually exercise the HA path (the trace contains a home promotion
 #      and a rejoin),
-#   2. reproduce the fault-free answers exactly at every sweep point, both
-#      protocols, and
+#   2. reproduce the fault-free answers exactly at every sweep point, all
+#      three protocols, and
 #   3. be byte-identical on a same-seed rerun (kill-and-recover is as
 #      deterministic as a quiet run).
 #
 # Two phases: the historical single-crash profile (K=1 ring successor), then
 # a multi-failure profile — two distinct nodes dying in sequence under K=2
-# chain replication — with the same three assertions.
+# chain replication — with the same three assertions (each a fault_cell,
+# scripts/smoke_lib.sh).
 #
 # Usage: scripts/recovery_smoke.sh [build-dir]       (default: build)
 set -euo pipefail
-cd "$(dirname "$0")/.."
+source "$(dirname "$0")/smoke_lib.sh"
+smoke_init recovery_smoke "${1:-build}" bench/fig1_pi
 
-BUILD="${1:-build}"
-FIG="$BUILD/bench/fig1_pi"
-[[ -x "$FIG" ]] || {
-  echo "recovery_smoke: $FIG not built (run cmake --build $BUILD)" >&2
-  exit 2
-}
-
-WORK="$(mktemp -d)"
-trap 'rm -rf "$WORK"' EXIT
-
-answers() {
-  awk -F, '/^fig[0-9]+,/ { print $2 "," $3 "," $4 "," $6 }' "$1"
-}
-
-run() {
-  local out="$1"
-  shift
-  local rc=0
-  "$@" > "$out" 2> "$out.err" || rc=$?
-  if [[ $rc -ne 0 ]]; then
-    echo "recovery_smoke: FAIL — '$*' exited $rc" >&2
-    sed 's/^/    stderr: /' "$out.err" | tail -n 20 >&2
-    exit 1
-  fi
-}
+# The crash really engaged HA on the multi-node points.
+EVENTS='node_crash home_promoted epoch_bump ha_rejoined node_restart'
 
 # Myrinet sweep only: its --quick points (1, 4, 12 nodes) cover inert
 # (1 node: no crashed nodes), mid-cluster and full-cluster crash placements.
-run "$WORK/base.txt" "$FIG" --quick --no-sci
-answers "$WORK/base.txt" > "$WORK/base.ans"
-n_points=$(wc -l < "$WORK/base.ans")
-
-# Runs one kill-and-recover profile through assertions 1–3. $1 is a label
-# used for scratch files, $2 the fault profile.
-check_profile() {
-  local tag="$1" profile="$2"
-
-  run "$WORK/$tag.txt" "$FIG" --quick --no-sci --fault-profile="$profile" \
-      --trace-out "$WORK/$tag.trace.json"
-  answers "$WORK/$tag.txt" > "$WORK/$tag.ans"
-
-  # 1. the crash really engaged HA on the multi-node points.
-  local ev
-  for ev in node_crash home_promoted epoch_bump ha_rejoined node_restart; do
-    if ! grep -q "\"$ev\"" "$WORK/$tag.trace.json"; then
-      echo "recovery_smoke: FAIL — '$profile' trace is missing '$ev'" \
-           "(HA never engaged?)" >&2
-      exit 1
-    fi
-  done
-
-  # 2. exact fault-free answers.
-  if ! cmp -s "$WORK/base.ans" "$WORK/$tag.ans"; then
-    echo "recovery_smoke: FAIL — answers diverged under '$profile'" >&2
-    diff "$WORK/base.ans" "$WORK/$tag.ans" >&2 || true
-    exit 1
-  fi
-
-  # 3. same-seed kill-and-recover rerun is byte-identical — the stdout
-  # (modulo the trace-file path line) AND the exported trace itself.
-  run "$WORK/$tag.rerun.txt" "$FIG" --quick --no-sci --fault-profile="$profile" \
-      --trace-out "$WORK/$tag.trace2.json"
-  grep -v '^trace written' "$WORK/$tag.txt" > "$WORK/$tag.cmp"
-  grep -v '^trace written' "$WORK/$tag.rerun.txt" > "$WORK/$tag.rerun.cmp"
-  if ! cmp -s "$WORK/$tag.cmp" "$WORK/$tag.rerun.cmp"; then
-    echo "recovery_smoke: FAIL — same-seed rerun not byte-identical" \
-         "under '$profile'" >&2
-    diff "$WORK/$tag.cmp" "$WORK/$tag.rerun.cmp" >&2 || true
-    exit 1
-  fi
-  if ! cmp -s "$WORK/$tag.trace.json" "$WORK/$tag.trace2.json"; then
-    echo "recovery_smoke: FAIL — same-seed rerun produced a different trace" \
-         "under '$profile'" >&2
-    exit 1
-  fi
-  echo "recovery_smoke: '$profile' reproduced the fault-free answers" \
-       "($n_points points, rerun byte-identical)"
-}
-
 # Phase 1: the historical single crash (default replicas=1, ring successor).
-check_profile crash 'crash2@3ms+2ms,seed=7'
+fault_cell fig1_pi 'crash2@3ms+2ms,seed=7' "$EVENTS" --quick --no-sci
 
 # Phase 2: sequential double failure under K=2 chain backups. Node 1 dies and
 # recovers, then node 2 dies; every zone keeps at least one of its three
 # copies alive, so the run must still land on the exact answers.
-check_profile multi 'replicas=2,crash1@3ms+2ms,crash2@8ms+2ms,seed=7'
+fault_cell fig1_pi 'replicas=2,crash1@3ms+2ms,crash2@8ms+2ms,seed=7' "$EVENTS" --quick --no-sci
 
-echo "recovery_smoke: fig1 survived single and multi-failure kill-and-recover" \
-     "runs ($n_points points each)"
+echo "recovery_smoke: fig1 survived single and multi-failure kill-and-recover runs"

@@ -19,7 +19,7 @@ ctest --test-dir build 2>&1 | tee test_output.txt
   done
   for b in table1_modules table2_primitives ablation_checkcost ablation_pagesize \
            ablation_interp ext_threads_per_node ext_migration \
-           micro_native_detection micro_sim_overhead; do
+           micro_native_detection; do
     echo "===== $b ====="
     ./build/bench/$b
   done

@@ -12,39 +12,20 @@
 #
 # Usage: scripts/scale_smoke.sh [build-dir]       (default: build)
 set -euo pipefail
-cd "$(dirname "$0")/.."
-
-BUILD="${1:-build}"
-SWEEP="$BUILD/bench/sweep_scale"
-[[ -x "$SWEEP" ]] || {
-  echo "scale_smoke: $SWEEP not built (run cmake --build $BUILD)" >&2
-  exit 2
-}
-
-WORK="$(mktemp -d)"
-trap 'rm -rf "$WORK"' EXIT
+source "$(dirname "$0")/smoke_lib.sh"
+smoke_init scale_smoke "${1:-build}" bench/sweep_scale
 
 PROFILE='replicas=2,crash2@3ms+2ms,seed=7'
-ARGS=(--nodes 256 --jacobi-n 512 --jacobi-steps 2
-      --barnes-bodies 512 --barnes-steps 1
-      --fault-profile "$PROFILE")
+SWEEP=("$BUILD/bench/sweep_scale" --nodes 256 --jacobi-n 512 --jacobi-steps 2
+       --barnes-bodies 512 --barnes-steps 1
+       --fault-profile "$PROFILE")
 
-run() {
-  local out="$1" metrics="$2"
-  local rc=0
-  "$SWEEP" "${ARGS[@]}" --metrics-out "$metrics" > "$out" 2>&1 || rc=$?
-  if [[ $rc -ne 0 ]]; then
-    echo "scale_smoke: FAIL — sweep_scale exited $rc (answers diverged?)" >&2
-    tail -n 30 "$out" | sed 's/^/    /' >&2
-    exit 1
-  fi
-}
-
-run "$WORK/run.txt" "$WORK/run.json"
+# 1. sweep_scale exits non-zero when an answer diverges.
+run "$WORK/run.txt" "${SWEEP[@]}" --metrics-out "$WORK/run.json"
 
 # 2. recovery engaged at N=256: one promotion and checkpoint traffic on
 # every point.
-python3 - "$WORK/run.json" <<'EOF'
+python3 - "$WORK/run.json" <<'EOF' || fail "recovery did not engage on every N=256 point"
 import json, sys
 points = json.load(open(sys.argv[1]))["points"]
 assert points, "no metrics points recorded"
@@ -59,13 +40,10 @@ EOF
 
 # 3. same-seed rerun: identical virtual results (strip the host section —
 # wall clock and RSS are allowed to move).
-run "$WORK/rerun.txt" "$WORK/rerun.json"
-strip_host() { grep -v '"host":' "$1"; }
-if ! cmp -s <(strip_host "$WORK/run.json") <(strip_host "$WORK/rerun.json"); then
-  echo "scale_smoke: FAIL — same-seed rerun metrics differ" >&2
-  diff <(strip_host "$WORK/run.json") <(strip_host "$WORK/rerun.json") | head -n 20 >&2
-  exit 1
-fi
+run "$WORK/rerun.txt" "${SWEEP[@]}" --metrics-out "$WORK/rerun.json"
+sed '/"host":/d' "$WORK/run.json" > "$WORK/run.virt.json"
+sed '/"host":/d' "$WORK/rerun.json" > "$WORK/rerun.virt.json"
+same "same-seed rerun metrics differ" "$WORK/run.virt.json" "$WORK/rerun.virt.json"
 
 echo "scale_smoke: N=256 kill-and-recover sweep reproduced serial answers," \
      "rerun bit-identical"

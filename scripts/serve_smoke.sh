@@ -16,30 +16,9 @@
 #
 # Usage: scripts/serve_smoke.sh [build-dir]       (default: build)
 set -euo pipefail
-cd "$(dirname "$0")/.."
-
-BUILD="${1:-build}"
+source "$(dirname "$0")/smoke_lib.sh"
+smoke_init serve_smoke "${1:-build}" bench/serve
 SERVE="$BUILD/bench/serve"
-[[ -x "$SERVE" ]] || {
-  echo "serve_smoke: $SERVE not built (run cmake --build $BUILD)" >&2
-  exit 2
-}
-
-WORK="$(mktemp -d)"
-trap 'rm -rf "$WORK"' EXIT
-
-run() {
-  local out="$1"
-  shift
-  local rc=0
-  "$@" > "$out" 2> "$out.err" || rc=$?
-  if [[ $rc -ne 0 ]]; then
-    echo "serve_smoke: FAIL — '$*' exited $rc" >&2
-    sed 's/^/    stdout: /' "$out" | tail -n 10 >&2
-    sed 's/^/    stderr: /' "$out.err" | tail -n 10 >&2
-    exit 1
-  fi
-}
 
 # All six cells in one sweep: {java_ic, java_pf} x theta 0.99 x
 # {none, crash(K=2), partition}. --trace-stream so the trace covers every
@@ -51,26 +30,18 @@ run "$WORK/a.txt" "$SERVE" "${ARGS[@]}" \
 
 # 1. every cell matched its serial reference.
 if ! grep -q '^verification: PASS' "$WORK/a.txt"; then
-  echo "serve_smoke: FAIL — a cell diverged from its serial reference" >&2
   tail -n 20 "$WORK/a.txt" >&2
-  exit 1
+  fail "a cell diverged from its serial reference"
 fi
 
 # 2a. the trace carries the serving timeline and the injected faults.
-for ev in serve_get serve_put node_crash home_promoted node_restart; do
-  if ! grep -q "\"$ev\"" "$WORK/a.trace.json"; then
-    echo "serve_smoke: FAIL — trace is missing '$ev'" >&2
-    exit 1
-  fi
-done
+trace_has "the serve sweep" "$WORK/a.trace.json" \
+    serve_get serve_put node_crash home_promoted node_restart
 
 # 2b. the partition cells held writes for quorum, and the SLO summary rows
 # landed in the metrics JSON for compare_metrics.py to gate.
 for c in ha_no_quorum_holds serve_p99_us serve_throughput_ops serve_faultwin_ops; do
-  if ! grep -q "\"$c\"" "$WORK/a.metrics.json"; then
-    echo "serve_smoke: FAIL — metrics JSON is missing counter '$c'" >&2
-    exit 1
-  fi
+  grep -q "\"$c\"" "$WORK/a.metrics.json" || fail "metrics JSON is missing counter '$c'"
 done
 
 # 3. same-seed rerun is byte-identical: stdout (modulo the artifact path
@@ -78,46 +49,27 @@ done
 run "$WORK/b.txt" "$SERVE" "${ARGS[@]}" \
     --metrics-out "$WORK/b.metrics.json" \
     --trace-out "$WORK/b.trace.json" --trace-stream
-grep -vE ' written: | streamed: ' "$WORK/a.txt" > "$WORK/a.cmp"
-grep -vE ' written: | streamed: ' "$WORK/b.txt" > "$WORK/b.cmp"
-if ! cmp -s "$WORK/a.cmp" "$WORK/b.cmp"; then
-  echo "serve_smoke: FAIL — same-seed rerun stdout not byte-identical" >&2
-  diff "$WORK/a.cmp" "$WORK/b.cmp" >&2 || true
-  exit 1
-fi
-if ! cmp -s "$WORK/a.metrics.json" "$WORK/b.metrics.json"; then
-  echo "serve_smoke: FAIL — same-seed rerun produced different metrics" >&2
-  exit 1
-fi
-if ! cmp -s "$WORK/a.trace.json" "$WORK/b.trace.json"; then
-  echo "serve_smoke: FAIL — same-seed rerun produced a different trace" >&2
-  exit 1
-fi
+same "same-seed rerun stdout not byte-identical" "$WORK/a.txt" "$WORK/b.txt"
+same "same-seed rerun produced different metrics" "$WORK/a.metrics.json" "$WORK/b.metrics.json"
+same "same-seed rerun produced a different trace" "$WORK/a.trace.json" "$WORK/b.trace.json"
 
 # The A/B gate itself must see the rerun as clean at threshold 0 (and it
 # exercises the direction-aware serve_* rows on real data).
 if command -v python3 > /dev/null; then
-  if ! python3 scripts/compare_metrics.py -q \
-       "$WORK/a.metrics.json" "$WORK/b.metrics.json" > "$WORK/cmp.txt" 2>&1; then
-    echo "serve_smoke: FAIL — compare_metrics flags a same-seed rerun" >&2
-    cat "$WORK/cmp.txt" >&2
-    exit 1
-  fi
+  run "$WORK/cmp.txt" python3 scripts/compare_metrics.py -q \
+      "$WORK/a.metrics.json" "$WORK/b.metrics.json"
 fi
 
 # 4. warmup/cooldown trimming stamps the window object; the default run
 # carries none (the option is strictly opt-in).
 if grep -q '"window"' "$WORK/a.metrics.json"; then
-  echo "serve_smoke: FAIL — untrimmed run must not carry a window object" >&2
-  exit 1
+  fail "untrimmed run must not carry a window object"
 fi
 run "$WORK/w.txt" "$SERVE" --nodes 2 --thetas 0.9 --profiles none \
     --ops 150 --rate 4000 --seed 11 --warmup-us 8000 --cooldown-us 8000 \
     --metrics-out "$WORK/w.metrics.json"
-if ! grep -q '"window":{"start_ps":' "$WORK/w.metrics.json"; then
-  echo "serve_smoke: FAIL — trimmed run is missing the window object" >&2
-  exit 1
-fi
+grep -q '"window":{"start_ps":' "$WORK/w.metrics.json" ||
+  fail "trimmed run is missing the window object"
 
 echo "serve_smoke: both protocols x {none, crash K=2, partition} verified" \
      "(zero lost acked writes, rerun byte-identical, window stamped)"

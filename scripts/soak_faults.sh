@@ -6,31 +6,29 @@
 #      cluster/protocol/nodes) are byte-identical to the fault-free run —
 #      faults may cost virtual time but must never change results;
 #   2. a same-seed rerun of each faulty sweep is byte-identical end to end
-#      (timings included) — the injection itself is deterministic; and
+#      (timings included, and its streamed trace too) — the injection itself
+#      is deterministic; and
 #   3. the benchmark binaries themselves exit 0 under every profile — a
 #      crash/panic inside a faulty run is a failure of that profile's row,
 #      not a silent abort of the whole soak.
 #
-# The figure binaries sweep all three protocols (java_ic, java_pf, hybrid)
-# per invocation, so every profile row exercises the adaptive protocol's
-# mode switches and home migrations under faults too; the baseline check
-# below asserts the hybrid rows are actually present.
+# Each (figure, profile) pair is one fault_cell (scripts/smoke_lib.sh). The
+# figure binaries sweep all three protocols (java_ic, java_pf, hybrid) per
+# invocation, so every profile row exercises the adaptive protocol's mode
+# switches and home migrations under faults too; fault_cell asserts the
+# hybrid rows are actually present in the fault-free run.
 #
-# Every (figure, profile) pair is driven to completion even after a failure;
-# the per-profile pass/fail summary table at the end shows which combinations
-# broke, and the script's exit code is 1 iff any row failed.
+# Every (figure, profile) pair is driven to completion even after a failure
+# (each cell runs in its own subshell); the per-profile pass/fail summary
+# table at the end shows which combinations broke, and the script's exit
+# code is 1 iff any row failed.
 #
 # Usage: scripts/soak_faults.sh [build-dir]          (default: build)
-#        SOAK_SMOKE=1 scripts/soak_faults.sh         (fig1 only, two profiles;
-#                                                     the ctest smoke entry)
+#        SOAK_SMOKE=1 scripts/soak_faults.sh         (fig1 only, three
+#                                                     profiles; the ctest
+#                                                     smoke entry)
 set -euo pipefail
-cd "$(dirname "$0")/.."
-
-BUILD="${1:-build}"
-[[ -x "$BUILD/bench/fig1_pi" ]] || {
-  echo "soak_faults: $BUILD/bench/fig1_pi not built (run cmake --build $BUILD)" >&2
-  exit 2
-}
+source "$(dirname "$0")/smoke_lib.sh"
 
 FIGS=(fig1_pi fig2_jacobi fig3_barnes fig4_tsp fig5_asp)
 PROFILES=(
@@ -58,84 +56,24 @@ if [[ "${SOAK_SMOKE:-0}" == "1" ]]; then
   PROFILES=('drop2%,dup1%,reorder5us,seed=7' 'crash2@3ms+2ms,seed=7'
             'replicas=2,crash1@3ms+2ms,crash2@8ms+2ms,seed=7')
 fi
-
-WORK="$(mktemp -d)"
-trap 'rm -rf "$WORK"' EXIT
-
-# Extracts "cluster,protocol,nodes,value" from a figure binary's CSV block.
-answers() {
-  awk -F, '/^fig[0-9]+,/ { print $2 "," $3 "," $4 "," $6 }' "$1"
-}
-
-# Runs one benchmark invocation without tripping `set -e`; captures stdout to
-# $1 and reports (but does not abort on) a non-zero exit.
-run_bench() {
-  local out="$1"
-  shift
-  local rc=0
-  "$@" > "$out" 2> "$out.err" || rc=$?
-  if [[ $rc -ne 0 ]]; then
-    echo "FAIL: '$*' exited $rc" >&2
-    sed 's/^/    stderr: /' "$out.err" | tail -n 20 >&2
-  fi
-  return $rc
-}
+smoke_init soak_faults "${1:-build}" "${FIGS[@]/#/bench/}"
 
 declare -a SUMMARY=()
-fail=0
-
+failed=0
 for fig in "${FIGS[@]}"; do
-  base="$WORK/$fig.base.txt"
-  if ! run_bench "$base" "$BUILD"/bench/"$fig" --quick; then
-    # No baseline, no comparisons: every profile row for this figure fails.
-    for prof in "${PROFILES[@]}"; do
-      SUMMARY+=("$fig;$prof;FAIL (no fault-free baseline)")
-    done
-    fail=1
-    continue
-  fi
-  answers "$base" > "$WORK/$fig.base.ans"
-  n_points=$(wc -l < "$WORK/$fig.base.ans")
-  if ! grep -q ',hybrid,' "$WORK/$fig.base.ans"; then
-    echo "FAIL: $fig baseline has no hybrid rows — protocol matrix shrank" >&2
-    for prof in "${PROFILES[@]}"; do
-      SUMMARY+=("$fig;$prof;FAIL (no hybrid rows in baseline)")
-    done
-    fail=1
-    continue
-  fi
-
-  for i in "${!PROFILES[@]}"; do
-    prof="${PROFILES[$i]}"
-    out="$WORK/$fig.p$i.txt"
-    if ! run_bench "$out" "$BUILD"/bench/"$fig" --quick --fault-profile="$prof"; then
-      SUMMARY+=("$fig;$prof;FAIL (non-zero exit)")
-      fail=1
-      continue
+  for prof in "${PROFILES[@]}"; do
+    # A failed cell exits only its subshell. Not tested with if/||, which
+    # would switch errexit off inside the cell.
+    set +e
+    (set -e; fault_cell "$fig" "$prof" '' --quick)
+    rc=$?
+    set -e
+    if [[ $rc -eq 0 ]]; then
+      SUMMARY+=("$fig;$prof;pass")
+    else
+      SUMMARY+=("$fig;$prof;FAIL")
+      failed=$((failed + 1))
     fi
-    answers "$out" > "$WORK/$fig.p$i.ans"
-    if ! cmp -s "$WORK/$fig.base.ans" "$WORK/$fig.p$i.ans"; then
-      echo "FAIL: $fig answers diverged under '$prof'" >&2
-      diff "$WORK/$fig.base.ans" "$WORK/$fig.p$i.ans" >&2 || true
-      SUMMARY+=("$fig;$prof;FAIL (answers diverged)")
-      fail=1
-      continue
-    fi
-    # Determinism: same seed, same bytes (including timings).
-    if ! run_bench "$out.rerun" "$BUILD"/bench/"$fig" --quick --fault-profile="$prof"; then
-      SUMMARY+=("$fig;$prof;FAIL (rerun non-zero exit)")
-      fail=1
-      continue
-    fi
-    if ! cmp -s "$out" "$out.rerun"; then
-      echo "FAIL: $fig same-seed rerun not byte-identical under '$prof'" >&2
-      diff "$out" "$out.rerun" >&2 || true
-      SUMMARY+=("$fig;$prof;FAIL (rerun not byte-identical)")
-      fail=1
-      continue
-    fi
-    echo "ok: $fig under '$prof' ($n_points points, answers exact, rerun identical)"
-    SUMMARY+=("$fig;$prof;pass")
   done
 done
 
@@ -147,8 +85,7 @@ for row in "${SUMMARY[@]}"; do
   printf '%-12s %-52s %s\n' "$f" "$p" "$r"
 done
 
-if [[ $fail -ne 0 ]]; then
-  echo "soak_faults: FAILURES above" >&2
-  exit 1
+if [[ $failed -ne 0 ]]; then
+  fail "$failed of ${#SUMMARY[@]} (figure, profile) cells failed (see above)"
 fi
 echo "soak_faults: all figures produce fault-free answers under every profile"

@@ -138,7 +138,7 @@ struct FaultProfile {
   // remembers. 0 = unbounded (exact dedup, the default). A too-small window
   // can forget a seen seq and re-deliver a duplicate — the runtime stays
   // correct (monitor op ids / idempotent DSM applies absorb it), which
-  // tests/fault_test.cpp pins. Token `dedupwin=N`; bench `--rpc-dedup-window`.
+  // tests/fault_test.cpp pins. Token `dedupwin=N`.
   std::uint32_t dedup_window = 0;
 
   // Failure-detector tuning (engaged only when crashes are scheduled).

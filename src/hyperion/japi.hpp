@@ -39,57 +39,6 @@ void arraycopy(JavaEnv& env, GArray<T> src, std::int64_t src_pos, GArray<T> dst,
   }
 }
 
-// java.util.Random: the exact JDK linear congruential generator, so that
-// ported Java programs reproduce their original pseudo-random sequences.
-// (Sun JDK 1.1 semantics: 48-bit LCG, next(bits) returns the high bits.)
-class JRandom {
- public:
-  explicit JRandom(std::int64_t seed) { set_seed(seed); }
-
-  void set_seed(std::int64_t seed) {
-    state_ = (static_cast<std::uint64_t>(seed) ^ kMultiplier) & kMask;
-  }
-
-  std::int32_t next_int() { return static_cast<std::int32_t>(next(32)); }
-
-  // Java's bounded nextInt (JDK 1.2 algorithm, the canonical one).
-  std::int32_t next_int(std::int32_t bound) {
-    HYP_CHECK(bound > 0);
-    if ((bound & -bound) == bound) {  // power of two
-      return static_cast<std::int32_t>(
-          (static_cast<std::int64_t>(bound) * static_cast<std::int64_t>(next(31))) >> 31);
-    }
-    std::int32_t bits, val;
-    do {
-      bits = static_cast<std::int32_t>(next(31));
-      val = bits % bound;
-    } while (bits - val + (bound - 1) < 0);
-    return val;
-  }
-
-  std::int64_t next_long() {
-    return (static_cast<std::int64_t>(next(32)) << 32) + static_cast<std::int32_t>(next(32));
-  }
-
-  double next_double() {
-    const auto high = static_cast<std::int64_t>(next(26));
-    const auto low = static_cast<std::int64_t>(next(27));
-    return static_cast<double>((high << 27) + low) * 0x1.0p-53;
-  }
-
- private:
-  static constexpr std::uint64_t kMultiplier = 0x5DEECE66DULL;
-  static constexpr std::uint64_t kAddend = 0xBULL;
-  static constexpr std::uint64_t kMask = (1ULL << 48) - 1;
-
-  std::uint32_t next(int bits) {
-    state_ = (state_ * kMultiplier + kAddend) & kMask;
-    return static_cast<std::uint32_t>(state_ >> (48 - bits));
-  }
-
-  std::uint64_t state_;
-};
-
 // A cyclic barrier in the classic Java synchronized/wait/notifyAll idiom.
 // The handle is a small value type; copy it into thread closures.
 struct JBarrier {

@@ -5,8 +5,6 @@
 // support was the paper's future-work hook for dynamic policies.
 #pragma once
 
-#include <vector>
-
 #include "cluster/params.hpp"
 #include "common/assert.hpp"
 
@@ -27,28 +25,6 @@ class RoundRobinBalancer final : public LoadBalancer {
     return thread_index % nodes;
   }
   const char* name() const override { return "round-robin"; }
-};
-
-// Tracks placements and always picks the node with the fewest threads so
-// far (ties to the lowest id). With uniform thread counts it degenerates to
-// round-robin; with uneven spawn patterns it evens the load — the kind of
-// dynamic policy the paper's pluggable balancer was designed to admit.
-class LeastLoadedBalancer final : public LoadBalancer {
- public:
-  cluster::NodeId place(int, int nodes) override {
-    HYP_DCHECK(nodes > 0);
-    if (static_cast<int>(counts_.size()) < nodes) counts_.resize(static_cast<std::size_t>(nodes), 0);
-    int best = 0;
-    for (int n = 1; n < nodes; ++n) {
-      if (counts_[static_cast<std::size_t>(n)] < counts_[static_cast<std::size_t>(best)]) best = n;
-    }
-    ++counts_[static_cast<std::size_t>(best)];
-    return best;
-  }
-  const char* name() const override { return "least-loaded"; }
-
- private:
-  std::vector<int> counts_;
 };
 
 // Pins every thread to one node (useful for tests and for the

@@ -265,8 +265,7 @@ class Emitter {
 };
 
 // The per-event body both writers share, in event order: each event's
-// instant, the epoch counter sample and, with derive_slices, the paired
-// slices and flows:
+// instant, the epoch counter sample and the paired slices and flows:
 //   page_fetch slice: last unmatched kPageFault on (node, page) -> kPageFetch;
 //   monitor_acquire slice: kMonitorEnter -> kMonitorAcquired on
 //     (node, object, uid);
@@ -279,8 +278,7 @@ class Emitter {
 // it is written to; the one-shot writer announces every track up front.
 class EventEncoder {
  public:
-  EventEncoder(std::ostream& os, const PerfettoOptions& opts, bool lazy_tracks)
-      : emit(os), opts_(opts), lazy_(lazy_tracks) {}
+  EventEncoder(std::ostream& os, bool lazy_tracks) : emit(os), lazy_(lazy_tracks) {}
 
   void encode(const TraceEvent& e) {
     if (lazy_ && nodes_.insert(e.node).second) {
@@ -295,7 +293,6 @@ class EventEncoder {
     if (e.kind == TraceKind::kEpochBump) {
       emit.counter("cluster_epoch", e.at, e.node, "epoch", e.a);
     }
-    if (!opts_.derive_slices) return;
     // node_down slice: kNodeCrash carries the scheduled restart time, so the
     // whole outage window is known at crash time.
     if (e.kind == TraceKind::kNodeCrash && e.a > 0) {
@@ -370,7 +367,6 @@ class EventEncoder {
                   "java thread " + std::to_string(uid));
   }
 
-  PerfettoOptions opts_;
   bool lazy_;
   std::set<int> nodes_;
   std::set<int> fetch_tracks_;
@@ -384,7 +380,7 @@ class EventEncoder {
 
 }  // namespace
 
-void write_perfetto_trace(std::ostream& os, const TraceLog& log, const PerfettoOptions& opts) {
+void write_perfetto_trace(std::ostream& os, const TraceLog& log) {
   os << "{\"displayTimeUnit\":\"ns\",\n\"otherData\":{";
   os << "\"generator\":\"hyperion-repro obs (virtual time)\"";
   os << ",\"events_recorded\":" << log.events().size();
@@ -402,7 +398,7 @@ void write_perfetto_trace(std::ostream& os, const TraceLog& log, const PerfettoO
   }
   os << "},\n\"traceEvents\":[";
 
-  EventEncoder enc(os, opts, /*lazy_tracks=*/false);
+  EventEncoder enc(os, /*lazy_tracks=*/false);
 
   // --- track metadata -------------------------------------------------------
   std::set<int> nodes;
@@ -420,18 +416,12 @@ void write_perfetto_trace(std::ostream& os, const TraceLog& log, const PerfettoO
   for (int n : nodes) {
     enc.emit.metadata(n, -1, "process_name", "node " + std::to_string(n));
     enc.emit.metadata(n, 0, "thread_name", "protocol events");
-    if (opts.derive_slices && any_fault) {
-      enc.emit.metadata(n, kFetchTid, "thread_name", "dsm fetch");
-    }
-    if (opts.derive_slices && any_serve) {
-      enc.emit.metadata(n, kServeTid, "thread_name", "serve ops");
-    }
+    if (any_fault) enc.emit.metadata(n, kFetchTid, "thread_name", "dsm fetch");
+    if (any_serve) enc.emit.metadata(n, kServeTid, "thread_name", "serve ops");
   }
-  if (opts.derive_slices) {
-    for (const auto& [node, uid] : monitor_threads) {
-      enc.emit.metadata(node, static_cast<int>(uid), "thread_name",
-                        "java thread " + std::to_string(uid));
-    }
+  for (const auto& [node, uid] : monitor_threads) {
+    enc.emit.metadata(node, static_cast<int>(uid), "thread_name",
+                      "java thread " + std::to_string(uid));
   }
 
   for (const TraceEvent& e : log.events()) enc.encode(e);
@@ -443,8 +433,7 @@ void write_perfetto_trace(std::ostream& os, const TraceLog& log, const PerfettoO
 // PerfettoStreamWriter
 
 struct PerfettoStreamWriter::Impl {
-  Impl(std::ostream& out, const PerfettoOptions& options)
-      : os(out), enc(out, options, /*lazy_tracks=*/true) {
+  explicit Impl(std::ostream& out) : os(out), enc(out, /*lazy_tracks=*/true) {
     out << "{\"displayTimeUnit\":\"ns\",\n\"traceEvents\":[";
   }
 
@@ -454,8 +443,8 @@ struct PerfettoStreamWriter::Impl {
   std::uint64_t events_written = 0;
 };
 
-PerfettoStreamWriter::PerfettoStreamWriter(std::ostream& os, PerfettoOptions opts)
-    : impl_(std::make_unique<Impl>(os, opts)) {}
+PerfettoStreamWriter::PerfettoStreamWriter(std::ostream& os)
+    : impl_(std::make_unique<Impl>(os)) {}
 
 PerfettoStreamWriter::~PerfettoStreamWriter() = default;
 

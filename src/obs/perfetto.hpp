@@ -31,12 +31,7 @@
 
 namespace hyp::obs {
 
-struct PerfettoOptions {
-  bool derive_slices = true;  // emit the paired duration slices
-};
-
-void write_perfetto_trace(std::ostream& os, const cluster::TraceLog& log,
-                          const PerfettoOptions& opts = {});
+void write_perfetto_trace(std::ostream& os, const cluster::TraceLog& log);
 
 // Incremental writer for TraceLog's double-buffered sink mode (--trace-out
 // with --trace-stream): the JSON header goes out up front, each drained
@@ -49,7 +44,7 @@ void write_perfetto_trace(std::ostream& os, const cluster::TraceLog& log,
 // is pinned byte-for-byte by tests/goldens/perfetto_golden.json.
 class PerfettoStreamWriter {
  public:
-  explicit PerfettoStreamWriter(std::ostream& os, PerfettoOptions opts = {});
+  explicit PerfettoStreamWriter(std::ostream& os);
   ~PerfettoStreamWriter();
   PerfettoStreamWriter(const PerfettoStreamWriter&) = delete;
   PerfettoStreamWriter& operator=(const PerfettoStreamWriter&) = delete;

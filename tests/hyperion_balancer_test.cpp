@@ -15,25 +15,8 @@ TEST(Balancers, RoundRobinCycles) {
   EXPECT_EQ(got, (std::vector<cluster::NodeId>{0, 1, 2, 0, 1, 2, 0}));
 }
 
-TEST(Balancers, LeastLoadedEvensOut) {
-  LeastLoadedBalancer ll;
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 9; ++i) ++counts[static_cast<std::size_t>(ll.place(i, 3))];
-  EXPECT_EQ(counts, (std::vector<int>{3, 3, 3}));
-}
-
-TEST(Balancers, LeastLoadedBreaksTiesLow) {
-  LeastLoadedBalancer ll;
-  EXPECT_EQ(ll.place(0, 4), 0);
-  EXPECT_EQ(ll.place(1, 4), 1);
-  EXPECT_EQ(ll.place(2, 4), 2);
-  EXPECT_EQ(ll.place(3, 4), 3);
-  EXPECT_EQ(ll.place(4, 4), 0);
-}
-
 TEST(Balancers, NamesExposed) {
   EXPECT_STREQ(RoundRobinBalancer{}.name(), "round-robin");
-  EXPECT_STREQ(LeastLoadedBalancer{}.name(), "least-loaded");
   EXPECT_STREQ(PinnedBalancer{0}.name(), "pinned");
 }
 
@@ -43,7 +26,7 @@ TEST(Balancers, VmUsesInstalledPolicy) {
   cfg.protocol = dsm::ProtocolKind::kJavaPf;
   cfg.region_bytes = std::size_t{16} << 20;
   HyperionVM vm(cfg);
-  vm.set_balancer(std::make_unique<LeastLoadedBalancer>());
+  vm.set_balancer(std::make_unique<PinnedBalancer>(2));
   std::vector<NodeId> nodes;
   vm.run_main([&](JavaEnv& main) {
     std::vector<JThread> ts;
@@ -53,9 +36,7 @@ TEST(Balancers, VmUsesInstalledPolicy) {
     }
     for (auto& t : ts) main.join(t);
   });
-  int per_node[4] = {};
-  for (NodeId n : nodes) ++per_node[n];
-  for (int c : per_node) EXPECT_EQ(c, 2);
+  EXPECT_EQ(nodes, std::vector<NodeId>(8, 2));
 }
 
 TEST(Japi, ThreadSleepAdvancesVirtualTime) {

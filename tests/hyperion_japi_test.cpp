@@ -1,5 +1,5 @@
-// Java API subsystem tests: JRandom (JDK-compatible LCG), arraycopy edge
-// cases, barrier edge cases, currentTimeMillis.
+// Java API subsystem tests: arraycopy edge cases, barrier edge cases,
+// currentTimeMillis.
 #include <gtest/gtest.h>
 
 #include "hyperion/japi.hpp"
@@ -15,61 +15,6 @@ VmConfig test_config(dsm::ProtocolKind kind, int nodes) {
   cfg.protocol = kind;
   cfg.region_bytes = std::size_t{16} << 20;
   return cfg;
-}
-
-// --- JRandom: values cross-checked against java.util.Random ----------------
-
-TEST(JRandom, MatchesJavaSeed42) {
-  // Reference sequence from `new java.util.Random(42).nextInt()`.
-  japi::JRandom r(42);
-  EXPECT_EQ(r.next_int(), -1170105035);
-  EXPECT_EQ(r.next_int(), 234785527);
-  EXPECT_EQ(r.next_int(), -1360544799);
-}
-
-TEST(JRandom, MatchesJavaBoundedSeed42) {
-  // Reference: new java.util.Random(42): nextInt(100) -> 30, 63, 48, 84, 70.
-  japi::JRandom r(42);
-  EXPECT_EQ(r.next_int(100), 30);
-  EXPECT_EQ(r.next_int(100), 63);
-  EXPECT_EQ(r.next_int(100), 48);
-  EXPECT_EQ(r.next_int(100), 84);
-  EXPECT_EQ(r.next_int(100), 70);
-}
-
-TEST(JRandom, MatchesJavaLongAndDouble) {
-  {
-    japi::JRandom r(42);
-    EXPECT_EQ(r.next_long(), -5025562857975149833LL);  // Random(42).nextLong()
-  }
-  {
-    japi::JRandom r(42);
-    EXPECT_NEAR(r.next_double(), 0.7275636800328681, 1e-15);  // nextDouble()
-  }
-}
-
-TEST(JRandom, PowerOfTwoBoundsAreUniformish) {
-  japi::JRandom r(7);
-  int histogram[8] = {};
-  for (int i = 0; i < 8000; ++i) ++histogram[r.next_int(8)];
-  for (int count : histogram) EXPECT_NEAR(count, 1000, 150);
-}
-
-TEST(JRandom, BoundedStaysInRange) {
-  japi::JRandom r(123);
-  for (int i = 0; i < 1000; ++i) {
-    const auto v = r.next_int(37);
-    EXPECT_GE(v, 0);
-    EXPECT_LT(v, 37);
-  }
-}
-
-TEST(JRandom, SetSeedRestartsSequence) {
-  japi::JRandom r(5);
-  const auto first = r.next_int();
-  r.next_int();
-  r.set_seed(5);
-  EXPECT_EQ(r.next_int(), first);
 }
 
 // --- arraycopy ---------------------------------------------------------------

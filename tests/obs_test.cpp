@@ -317,17 +317,6 @@ TEST(PerfettoExport, GoldenByteIdentical) {
       << "Perfetto serialization drifted from tests/goldens/perfetto_golden.json";
 }
 
-TEST(PerfettoExport, InstantsOnlyWhenSlicesDisabled) {
-  ObservedRun run = observed_jacobi();
-  std::ostringstream os;
-  PerfettoOptions opts;
-  opts.derive_slices = false;
-  write_perfetto_trace(os, run.trace, opts);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("\"page_fault\""), std::string::npos);
-  EXPECT_EQ(out.find("\"ph\":\"X\""), std::string::npos);
-}
-
 // The records of an export other than track metadata ("ph":"M"), in order:
 // both writers put one JSON object per line in the traceEvents array.
 std::vector<std::string> non_metadata_records(const std::string& json) {
@@ -353,26 +342,22 @@ TEST(PerfettoExport, StreamedAndOneShotExportsCarryTheSameEvents) {
   run.trace.record(end + 3 * kMicrosecond, 0, cluster::TraceKind::kServeOp, 7,
                    static_cast<std::int64_t>(kMicrosecond << 1) | 1);
   const std::vector<cluster::TraceEvent>& events = run.trace.events();
-  for (bool derive : {true, false}) {
-    PerfettoOptions opts;
-    opts.derive_slices = derive;
-    std::ostringstream one_shot;
-    write_perfetto_trace(one_shot, run.trace, opts);
-    std::ostringstream streamed;
-    PerfettoStreamWriter writer(streamed, opts);
-    for (std::size_t i = 0; i < events.size(); i += 97) {
-      const std::size_t j = std::min(i + 97, events.size());
-      writer.consume({events.begin() + static_cast<std::ptrdiff_t>(i),
-                      events.begin() + static_cast<std::ptrdiff_t>(j)});
-    }
-    writer.finish(run.trace);
-    EXPECT_EQ(writer.events_written(), events.size());
-    const std::vector<std::string> want = non_metadata_records(one_shot.str());
-    // Each event's instant, plus the counter sample and, with slices on, the
-    // derived slices and flows.
-    EXPECT_GT(want.size(), events.size()) << "derive_slices " << derive;
-    EXPECT_EQ(non_metadata_records(streamed.str()), want) << "derive_slices " << derive;
+  std::ostringstream one_shot;
+  write_perfetto_trace(one_shot, run.trace);
+  std::ostringstream streamed;
+  PerfettoStreamWriter writer(streamed);
+  for (std::size_t i = 0; i < events.size(); i += 97) {
+    const std::size_t j = std::min(i + 97, events.size());
+    writer.consume({events.begin() + static_cast<std::ptrdiff_t>(i),
+                    events.begin() + static_cast<std::ptrdiff_t>(j)});
   }
+  writer.finish(run.trace);
+  EXPECT_EQ(writer.events_written(), events.size());
+  const std::vector<std::string> want = non_metadata_records(one_shot.str());
+  // Each event's instant, plus the counter sample, the derived slices and
+  // the flows.
+  EXPECT_GT(want.size(), events.size());
+  EXPECT_EQ(non_metadata_records(streamed.str()), want);
 }
 
 TEST(MetricsJson, CarriesCountersHistogramsHeatPhasesAndDrops) {

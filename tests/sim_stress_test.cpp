@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/channel.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "test_util.hpp"
@@ -39,44 +38,6 @@ TEST(SimStress, FiveHundredFibersWithMixedBlocking) {
   EXPECT_TRUE(eng.run().empty());
   EXPECT_EQ(shared, 500 * 20);
   EXPECT_EQ(barrier_crossings, 100);
-}
-
-TEST(SimStress, ProducerConsumerPipelineConservesItems) {
-  // 4 producers -> stage channel -> 4 relays -> sink channel -> 1 consumer.
-  Engine eng;
-  Channel<int> stage(&eng), sink(&eng);
-  constexpr int kPerProducer = 250;
-  int produced = 0, consumed = 0;
-  std::int64_t checksum_in = 0, checksum_out = 0;
-
-  for (int p = 0; p < 4; ++p) {
-    eng.spawn(numbered("producer", p), [&, p] {
-      Rng rng(static_cast<std::uint64_t>(p) + 99);
-      for (int i = 0; i < kPerProducer; ++i) {
-        const int item = p * 1000 + i;
-        checksum_in += item;
-        stage.push_at(item, eng.now() + rng.below(500) * kNanosecond);
-        ++produced;
-      }
-    });
-  }
-  for (int r = 0; r < 4; ++r) {
-    eng.spawn_daemon(numbered("relay", r), [&] {
-      while (auto item = stage.pop()) sink.push(*item);
-    });
-  }
-  eng.spawn("consumer", [&] {
-    for (int i = 0; i < 4 * kPerProducer; ++i) {
-      auto item = sink.pop();
-      ASSERT_TRUE(item.has_value());
-      checksum_out += *item;
-      ++consumed;
-    }
-    stage.close();
-  });
-  EXPECT_TRUE(eng.run().empty());
-  EXPECT_EQ(produced, consumed);
-  EXPECT_EQ(checksum_in, checksum_out);
 }
 
 class SimDeterminism : public ::testing::TestWithParam<std::uint64_t> {};
