@@ -13,7 +13,8 @@
 //
 // Per point the harness reports virtual seconds, the java_ic/java_pf gap,
 // host events/sec, host peak RSS (getrusage high-water — points run in
-// ascending N order so each reading is attributable), and — when a
+// ascending N order so each reading is attributable), the minor page faults
+// the point took (the kernel's share of its host time), and — when a
 // --fault-profile is given — fault counts, checkpoint traffic and the
 // failure detector's share of engine events. Everything lands in the
 // hyp-metrics-v1 JSON (--metrics-out), host fields included, so two sweeps
@@ -71,10 +72,10 @@ std::vector<int> parse_nodes(const std::string& spec) {
   return out;
 }
 
-std::uint64_t peak_rss_kb() {
+struct rusage self_usage() {
   struct rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
-  return static_cast<std::uint64_t>(ru.ru_maxrss);  // KB on Linux
+  return ru;
 }
 
 struct ScalePoint {
@@ -87,6 +88,7 @@ struct ScalePoint {
   double wall_s = 0;
   std::uint64_t events = 0;
   std::uint64_t rss_kb = 0;
+  std::uint64_t minor_faults = 0;
   std::uint64_t heartbeats = 0;
   std::uint64_t retransmits = 0;
   std::uint64_t timeouts = 0;
@@ -168,9 +170,11 @@ int main(int argc, char** argv) {
                        double reference, auto&& runner) {
     apps::VmConfig cfg = config_for(kind, nodes);
     obs.attach(cfg);
+    const struct rusage before = self_usage();
     const auto t0 = Clock::now();
     const apps::RunResult r = runner(cfg);
     const double wall = std::chrono::duration<double>(Clock::now() - t0).count();
+    const struct rusage after = self_usage();
 
     ScalePoint p;
     p.workload = workload;
@@ -181,7 +185,8 @@ int main(int argc, char** argv) {
     p.elapsed = r.elapsed;
     p.wall_s = wall;
     p.events = r.events_processed;
-    p.rss_kb = peak_rss_kb();
+    p.rss_kb = static_cast<std::uint64_t>(after.ru_maxrss);  // KB on Linux
+    p.minor_faults = static_cast<std::uint64_t>(after.ru_minflt - before.ru_minflt);
     const auto counters = r.stats.nonzero();
     auto cnt = [&](const char* name) {
       auto it = counters.find(name);
@@ -209,10 +214,13 @@ int main(int argc, char** argv) {
       mp.host_events = p.events;
       mp.host_events_per_sec = p.events_per_sec();
       mp.host_peak_rss_kb = p.rss_kb;
+      mp.host_minor_faults = p.minor_faults;
       obs.capture(std::move(mp));
     }
-    std::printf("  ran %s/%s N=%d: %.3f virtual s, %.2f wall s, rss %" PRIu64 " KB\n",
-                workload, p.protocol.c_str(), nodes, to_seconds(p.elapsed), wall, p.rss_kb);
+    std::printf("  ran %s/%s N=%d: %.3f virtual s, %.2f wall s, rss %" PRIu64
+                " KB, %" PRIu64 " minor faults\n",
+                workload, p.protocol.c_str(), nodes, to_seconds(p.elapsed), wall, p.rss_kb,
+                p.minor_faults);
     points.push_back(p);
     return p;
   };
@@ -234,8 +242,9 @@ int main(int argc, char** argv) {
 
   // --- per-point table -------------------------------------------------------
   const bool faulty = obs.fault_wanted();
-  std::vector<std::string> cols = {"workload", "N",          "protocol", "stable",
-                                   "virtual s", "events/sec", "peak RSS (MB)"};
+  std::vector<std::string> cols = {"workload",   "N",          "protocol",
+                                   "stable",     "virtual s",  "events/sec",
+                                   "peak RSS (MB)", "minor faults"};
   if (faulty) {
     cols.insert(cols.end(),
                 {"heartbeats", "retransmits", "timeouts", "promotions", "ckpt msgs"});
@@ -251,7 +260,8 @@ int main(int argc, char** argv) {
         p.stable() ? "yes" : "NO",
         fmt_double(to_seconds(p.elapsed), 6),
         fmt_u64(p.events_per_sec()),
-        fmt_double(static_cast<double>(p.rss_kb) / 1024.0, 1)};
+        fmt_double(static_cast<double>(p.rss_kb) / 1024.0, 1),
+        fmt_u64(p.minor_faults)};
     if (faulty) {
       row.push_back(fmt_u64(p.heartbeats));
       row.push_back(fmt_u64(p.retransmits));

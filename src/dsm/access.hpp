@@ -123,29 +123,30 @@ struct PfPolicyT {
 };
 
 // hybrid: the per-page detection mode lives in the same presence byte
-// (NodeDsm::kIcModeBit), so the fast path is still one indexed load — pages
-// in ic mode charge the inline check, pages in pf mode (and home pages,
-// whose mode bit is never set) access bare. The windowed access tally
-// (ThreadCtx::awin) is a host-only indexed increment feeding the switch
-// decision on the miss cold path.
+// (NodeDsm::kPfModeBit), so the fast path is still one indexed load — a
+// non-home page whose bit is clear (a fresh page is 0) is in ic mode and
+// charges the inline check; pf-mode pages and home pages access bare. The
+// raw tally of the page's heat slot (ThreadCtx::awin) is a host-only indexed
+// increment feeding the switch decision on the miss cold path.
 template <bool RaceHooks = false>
 struct HybridPolicyT {
   static constexpr ProtocolKind kKind = ProtocolKind::kHybrid;
   static constexpr const char* kName = "hybrid";
+  static constexpr std::uint8_t kBare = NodeDsm::kHomeBit | NodeDsm::kPfModeBit;
 
   template <DsmScalar T>
   static T get(ThreadCtx& t, Gva a) {
     const PageId p = static_cast<PageId>(a >> t.page_shift);
-    ++t.awin[p];
+    ++t.awin[p].raw;
     const std::uint8_t st = t.presence[p];
-    if ((st & NodeDsm::kIcModeBit) != 0) {
+    if ((st & kBare) == 0) {
       t.clock.charge(t.check_cost);
       t.stats->add(Counter::kInlineChecks);
       // Dense-generation escape: a present ic page whose raw tally has
       // reached the break-even R has already paid a fault's worth of checks
       // with no miss to re-decide at — flip it to pf now (yield-free; the
       // present bit cannot change under us).
-      if ((st & NodeDsm::kPresentBit) != 0 && t.awin[p] >= t.ic_giveup)
+      if ((st & NodeDsm::kPresentBit) != 0 && t.awin[p].raw >= t.ic_giveup)
           [[unlikely]] {
         t.dsm->give_up_ic(t, p);
       }
@@ -164,15 +165,15 @@ struct HybridPolicyT {
   template <DsmScalar T>
   static void put(ThreadCtx& t, Gva a, T v) {
     const PageId p = static_cast<PageId>(a >> t.page_shift);
-    ++t.awin[p];
+    ++t.awin[p].raw;
     std::uint8_t st = t.presence[p];
-    if ((st & NodeDsm::kIcModeBit) != 0) {
+    if ((st & kBare) == 0) {
       t.clock.charge(t.check_cost);
       t.stats->add(Counter::kInlineChecks);
-      if ((st & NodeDsm::kPresentBit) != 0 && t.awin[p] >= t.ic_giveup)
+      if ((st & NodeDsm::kPresentBit) != 0 && t.awin[p].raw >= t.ic_giveup)
           [[unlikely]] {
         t.dsm->give_up_ic(t, p);
-        // The flip retired the ic bit: the store below must go bare and be
+        // The flip set the pf bit: the store below must go bare and be
         // found by the fresh twin, not double-logged.
         st = t.presence[p];
       }
@@ -185,7 +186,7 @@ struct HybridPolicyT {
       st = t.presence[p];
     }
     std::memcpy(t.base + a, &v, sizeof(T));
-    if ((st & (NodeDsm::kHomeBit | NodeDsm::kIcModeBit)) == NodeDsm::kIcModeBit) {
+    if ((st & kBare) == 0) {
       // Non-home page in ic mode: field-granularity write log (pf-mode pages
       // are covered by their twin diff instead).
       std::uint64_t value = 0;

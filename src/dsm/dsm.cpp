@@ -59,7 +59,6 @@ DsmSystem::DsmSystem(cluster::Cluster* cluster, std::size_t region_bytes, Protoc
     mig_.assign(layout_.total_pages(), MigStat{});
     wheat_.reserve(static_cast<std::size_t>(n));
     for (NodeId i = 0; i < n; ++i) {
-      nodes_[static_cast<std::size_t>(i)]->set_ic_default();
       wheat_.push_back(std::make_unique<obs::WindowedHeat>());
       wheat_.back()->init(layout_.total_pages());
     }
@@ -83,7 +82,7 @@ std::unique_ptr<ThreadCtx> DsmSystem::make_thread(NodeId node) {
   t->page_shift = layout_.page_shift();
   t->check_cost = cluster_->params().cpu.check_cost();
   if (kind_ == ProtocolKind::kHybrid) {
-    t->awin = wheat_[static_cast<std::size_t>(node)]->raw_accesses();
+    t->awin = access_window(node);
     t->ic_giveup = hybrid_r_;
   }
   t->stats = &cluster_->node(node).stats();
@@ -308,8 +307,13 @@ void DsmSystem::fetch_page(ThreadCtx& t, PageId p) {
   }
   HYP_CHECK_MSG(reply.size() == page_bytes, "page reply has wrong size");
 
-  // Install the replica (real bytes) and charge the local copy-in.
-  std::memcpy(t.nd->page_ptr(p), reply.data(), page_bytes);
+  // Install the replica's bytes below its zone's allocation mark (the rest is
+  // zero here as at the home) and charge the copy-in of the whole page. Read
+  // after the reply, the mark covers every byte the reply can hold.
+  const Gva base = layout_.page_base(p);
+  const Gva mark = alloc_mark(layout_.home_of_page(p));
+  std::memcpy(t.nd->page_ptr(p), reply.data(),
+              mark > base ? std::min<std::size_t>(mark - base, page_bytes) : 0);
   t.clock.charge(cpu.copy_cost(page_bytes));
   const bool with_twin = !ic_mode(*t.nd, p);  // pf-mode replicas are twin-diffed
   t.nd->mark_cached(p, with_twin);
@@ -460,7 +464,7 @@ void DsmSystem::miss(ThreadCtx& t, PageId p) {
   // once the raw tally crosses R — capping the wrong-ic loss at one
   // fault-equivalent per generation. A wrongly-pf page already costs at
   // most R per miss by construction. First touch (acc ~ 0, miss = 1) keeps
-  // the set_ic_default ic start: sparse pages never pay a blind fault.
+  // the fresh page's ic start: sparse pages never pay a blind fault.
   if (kind_ == ProtocolKind::kHybrid && !t.nd->fetch_inflight(p)) {
     obs::WindowedHeat& w = *wheat_[static_cast<std::size_t>(t.node)];
     const std::uint64_t epoch = cluster_->engine().now() / kModeEpoch;

@@ -92,11 +92,11 @@ struct ThreadCtx {
   // layout().page_shift(), cached: the get/put fast paths compute the page
   // id with one shift instead of chasing dsm -> layout.
   unsigned page_shift = 0;
-  // hybrid only: the node's windowed raw access tally (obs::WindowedHeat),
-  // bumped unconditionally by the hybrid fast paths (host cost only) and
-  // folded into the decayed window on the miss cold path. nullptr under
+  // hybrid only: the node's windowed heat slots (obs::WindowedHeat), whose
+  // raw access tally the hybrid fast paths bump unconditionally (host cost
+  // only) and the miss cold path folds into the decayed window. nullptr under
   // java_ic/java_pf, whose policies never touch it.
-  std::uint64_t* awin = nullptr;
+  obs::WindowedHeat::Slot* awin = nullptr;
   // hybrid only: once a present ic-mode page has served this many accesses
   // since its last window fold, the fast path gives up on ic mid-generation
   // (DsmSystem::give_up_ic) instead of waiting for a miss that may never
@@ -180,10 +180,10 @@ class DsmSystem {
   // HaManager::confirm_death before zone failover.
   void on_node_dead(NodeId dead);
   std::uint64_t home_migrations() const { return home_migrations_; }
-  // The node's raw access-window base (hybrid only): thread migration rebinds
-  // ThreadCtx::awin to the destination node's tally.
-  std::uint64_t* access_window(NodeId node) {
-    return wheat_[static_cast<std::size_t>(node)]->raw_accesses();
+  // The node's heat slots (hybrid only): thread migration rebinds
+  // ThreadCtx::awin to the destination node's slots.
+  obs::WindowedHeat::Slot* access_window(NodeId node) {
+    return wheat_[static_cast<std::size_t>(node)]->slots();
   }
 
   // --- high availability (optional; nullptr = off, docs/RECOVERY.md) -------
@@ -251,6 +251,12 @@ class DsmSystem {
     return ha_ == nullptr ? zone : ha_->home_node(zone);
   }
   NodeId effective_home_of(Gva a) const { return effective_home_of_page(layout_.page_of(a)); }
+  // Allocation mark of `zone` (its owner's bump pointer, wherever the zone is
+  // homed): it only grows, and the bytes past it are zero in every arena, so
+  // replica installs and HA failover copy only what lies below it.
+  Gva alloc_mark(NodeId zone) const {
+    return layout_.zone_begin(zone) + nodes_[static_cast<std::size_t>(zone)]->allocated_bytes();
+  }
   // Replays the pending (unflushed) write-log entries of every live thread
   // bound to `node` whose address falls in [begin, end) into that node's
   // arena. Used by the HA promotion: realizing the dead home's zone bytes in
@@ -298,11 +304,11 @@ class DsmSystem {
   // time to Hist::kPageFetchLatency and Phase::kBlockedFetch (observation
   // only: the waits themselves are unchanged).
   void fetch_until_present(ThreadCtx& t, PageId p);
-  // Detection mode of page `p`: ic under java_ic, pf under java_pf, the
-  // presence byte's kIcModeBit under hybrid. (java_ic leaves the bit clear:
-  // set_ic_default would commit every node's lazy presence table.)
+  // Detection mode of non-home page `p`: ic under java_ic, pf under java_pf,
+  // under hybrid ic unless the presence byte has kPfModeBit (a fresh byte is
+  // 0: hybrid's ic start costs no set-up sweep).
   bool ic_mode(const NodeDsm& nd, PageId p) const {
-    return kind_ == ProtocolKind::kJavaIc || nd.ic_mode(p);
+    return kind_ == ProtocolKind::kJavaIc || (kind_ == ProtocolKind::kHybrid && nd.ic_mode(p));
   }
 
   // --- the update pipeline (docs/PROTOCOLS.md §One engine) -----------------

@@ -40,13 +40,14 @@ void NodeDsm::snapshot_twin(PageId p) {
   auto* twin = new std::byte[layout_->page_bytes()];
   std::memcpy(twin, page_ptr(p), layout_->page_bytes());
   twins_[p] = twin;
+  presence_[p] |= kTwinBit;
   ++live_twins_;
 }
 
 void NodeDsm::drop_twin(PageId p) {
-  if (twins_[p] == nullptr) return;
+  if (!has_twin(p)) return;
   delete[] twins_[p];
-  twins_[p] = nullptr;
+  presence_[p] &= static_cast<std::uint8_t>(~kTwinBit);
   --live_twins_;
 }
 
@@ -54,7 +55,7 @@ void NodeDsm::mark_cached(PageId p, bool with_twin) {
   HYP_DCHECK(p < presence_.size());
   HYP_CHECK_MSG(!is_home(p), "home pages are never 'cached'");
   HYP_CHECK_MSG((presence_[p] & kPresentBit) == 0, "page already cached");
-  presence_[p] |= kPresentBit;  // |= preserves a hybrid kIcModeBit
+  presence_[p] |= kPresentBit;  // |= preserves a hybrid kPfModeBit
   cached_list_.push_back(p);
   if (with_twin) snapshot_twin(p);
 }
@@ -62,10 +63,10 @@ void NodeDsm::mark_cached(PageId p, bool with_twin) {
 std::size_t NodeDsm::invalidate_all() {
   const std::size_t dropped = cached_list_.size();
   for (PageId p : cached_list_) {
-    // The hybrid mode bit survives invalidation (the page's learned detection
-    // mode outlives the replica); for java_ic/java_pf the mask is a no-op.
-    presence_[p] &= kIcModeBit;
     drop_twin(p);
+    // The hybrid mode bit survives invalidation (the page's learned detection
+    // mode outlives the replica); for java_ic/java_pf the byte becomes 0.
+    presence_[p] &= kPfModeBit;
   }
   cached_list_.clear();
   return dropped;
@@ -91,20 +92,12 @@ void NodeDsm::demote_home(PageId first, PageId last) {
     HYP_CHECK_MSG((presence_[p] & kHomeBit) != 0 || (presence_[p] & kPresentBit) == 0,
                   "demoting a page this node had cached");
     drop_twin(p);
-    presence_[p] = ic_default_ ? kIcModeBit : 0;
-  }
-}
-
-void NodeDsm::set_ic_default() {
-  ic_default_ = true;
-  for (PageId p = 0; p < presence_.size(); ++p) {
-    if ((presence_[p] & kHomeBit) == 0) presence_[p] |= kIcModeBit;
+    presence_[p] = 0;
   }
 }
 
 void NodeDsm::ensure_twin(PageId p) {
-  HYP_DCHECK(p < twins_.size());
-  if (twins_[p] == nullptr) snapshot_twin(p);
+  if (!has_twin(p)) snapshot_twin(p);
 }
 
 void NodeDsm::refresh_twin(PageId p) {

@@ -13,9 +13,10 @@
 // additionally keeps a *twin* (pristine copy at fetch time) so
 // updateMainMemory can diff out the modified words.
 //
-// The per-page tables are lazily committed (common/lazy_array.hpp): set-up
-// and tear-down follow the node's own zone and live twins, never the region
-// size, so a node pays only for the pages it touches.
+// A node commits only what it holds. The per-page tables are lazily committed
+// (common/lazy_array.hpp), a zero presence byte is a fresh page under every
+// protocol, and a replica's bytes stop at its zone's allocation mark
+// (DsmSystem::alloc_mark). Set-up and tear-down never scan the region.
 #pragma once
 
 #include <cstddef>
@@ -41,15 +42,16 @@ class NodeDsm {
   // division inside Layout::home_of_page on every access (docs/PERFORMANCE.md).
   static constexpr std::uint8_t kPresentBit = 1;
   static constexpr std::uint8_t kHomeBit = 2;
-  // hybrid protocol only: this node currently runs ic-style inline checks for
-  // the page (docs/PROTOCOLS.md §hybrid). The bit survives invalidation — a
-  // page's learned detection mode carries over to its next fetch — and is
-  // never set under java_ic/java_pf, keeping their presence bytes identical.
-  // Under hybrid (set_ic_default) non-home pages START with the bit set:
-  // checks are compiled in anyway, so first touch costs one check, never a
-  // blind fault — sparse pages pay no learning penalty at all, and a dense
-  // page flips to pf after one generation of window evidence.
-  static constexpr std::uint8_t kIcModeBit = 4;
+  // hybrid protocol only: the non-home page runs pf-style bare access; clear
+  // means ic-style checks (docs/PROTOCOLS.md §hybrid). A fresh or demoted
+  // byte is 0, so non-home pages START in ic mode with no set-up sweep: first
+  // touch costs one check, never a blind fault, and a dense page flips to pf
+  // after one generation of window evidence. The bit survives invalidation (a
+  // page's learned mode carries over to its next fetch); java_ic/java_pf
+  // never set it.
+  static constexpr std::uint8_t kPfModeBit = 4;
+  // The page has a twin: no scan reads the twin slot of a page without one.
+  static constexpr std::uint8_t kTwinBit = 8;
 
   NodeDsm(const Layout* layout, NodeId node);
   ~NodeDsm();
@@ -87,9 +89,9 @@ class NodeDsm {
   // pages were dropped.
   std::size_t invalidate_all();
 
-  bool has_twin(PageId p) const { return p < twins_.size() && twins_[p] != nullptr; }
+  bool has_twin(PageId p) const { return (presence_[p] & kTwinBit) != 0; }
   std::byte* twin(PageId p) {
-    HYP_DCHECK(p < twins_.size());
+    HYP_DCHECK(has_twin(p));
     return twins_[p];
   }
   // Twins currently allocated. Every twin belongs to a cached page, which is
@@ -106,22 +108,15 @@ class NodeDsm {
   const std::vector<PageId>& cached_pages() const { return cached_list_; }
 
   // --- hybrid per-page detection mode (docs/PROTOCOLS.md §hybrid) ----------
-  bool ic_mode(PageId p) const {
-    HYP_DCHECK(p < presence_.size());
-    return (presence_[p] & kIcModeBit) != 0;
-  }
+  // Meaningful for non-home pages under hybrid only (DsmSystem::ic_mode).
+  bool ic_mode(PageId p) const { return (presence_[p] & kPfModeBit) == 0; }
   void set_ic_mode(PageId p, bool ic) {
-    HYP_DCHECK(p < presence_.size());
     if (ic) {
-      presence_[p] |= kIcModeBit;
+      presence_[p] &= static_cast<std::uint8_t>(~kPfModeBit);
     } else {
-      presence_[p] &= static_cast<std::uint8_t>(~kIcModeBit);
+      presence_[p] |= kPfModeBit;
     }
   }
-  // hybrid init: every non-home page starts in ic mode, and pages demoted
-  // from home authority later (migration handoff, HA failover) rejoin in ic
-  // mode too instead of pf.
-  void set_ic_default();
 
   // True while some fiber on this node has a fetch of `p` outstanding (the
   // hybrid mode decision defers to the fiber that started the fetch).
@@ -139,8 +134,8 @@ class NodeDsm {
   // becomes present|home. Called on the backup at promotion, after the dead
   // home's zone bytes have been realized into this arena.
   void promote_to_home(PageId first, PageId last);
-  // Relinquishes home authority over [first, last): pages become absent (a
-  // restarted node rejoins as a cacher; its pre-crash copies are stale).
+  // Relinquishes home authority over [first, last): pages become absent and
+  // fresh (a restarted node rejoins as a cacher; its copies are stale).
   void demote_home(PageId first, PageId last);
 
   // --- allocation (only meaningful on the page's home node's zone) ---
@@ -157,17 +152,17 @@ class NodeDsm {
 
  private:
   // Allocate page p's twin as a copy of its arena bytes / free it (no-op
-  // without one), keeping live_twins_ in step.
+  // without kTwinBit, so drop it before masking the byte), keeping
+  // live_twins_ in step.
   void snapshot_twin(PageId p);
   void drop_twin(PageId p);
 
   const Layout* layout_;
   NodeId node_;
-  bool ic_default_ = false;  // hybrid: demoted/fresh non-home pages start ic
   std::byte* arena_ = nullptr;
   LazyArray<std::uint8_t> presence_;  // indexed by page; see bits above
   std::vector<PageId> cached_list_;   // pages with presence_[p]==kPresentBit
-  LazyArray<std::byte*> twins_;       // indexed by page; owning, null = no twin
+  LazyArray<std::byte*> twins_;       // indexed by page; owning, valid iff kTwinBit
   std::size_t live_twins_ = 0;
   Gva alloc_next_;
 

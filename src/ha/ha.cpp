@@ -66,7 +66,7 @@ void HaManager::zone_pages(NodeId zone, dsm::PageId* first, dsm::PageId* last) c
 
 std::size_t HaManager::live_prefix(NodeId zone) const {
   const std::size_t page_bytes = dsm_->layout().page_bytes();
-  const std::size_t used = dsm_->node_dsm(zone).allocated_bytes();
+  const std::size_t used = dsm_->alloc_mark(zone) - dsm_->layout().zone_begin(zone);
   return (used + page_bytes - 1) & ~(page_bytes - 1);
 }
 
@@ -460,7 +460,7 @@ void HaManager::move_zone(NodeId zone, NodeId dead, NodeId new_home) {
   // Installing the final checkpoint delta occupies the new home's service
   // queue: requests against it serve after the install. Charged over the
   // zone's allocated bytes — the page frames themselves were already mirrored.
-  const std::size_t used = dsm_->node_dsm(zone).allocated_bytes();
+  const std::size_t used = dsm_->alloc_mark(zone) - zbegin;
   if (used > 0) {
     cluster_->node(new_home).service_queue().reserve(cluster_->params().cpu.copy_cost(used));
   }

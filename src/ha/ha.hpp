@@ -192,8 +192,8 @@ class HaManager final : public cluster::HaHooks {
   void move_zone(cluster::NodeId zone, cluster::NodeId dead, cluster::NodeId new_home);
   // Zone page range of `zone` as [first, last).
   void zone_pages(cluster::NodeId zone, dsm::PageId* first, dsm::PageId* last) const;
-  // The zone's allocated bytes rounded up to whole pages. Nothing is ever
-  // written past it, so failover copies and diffs only this prefix.
+  // The zone's bytes below its allocation mark (DsmSystem::alloc_mark),
+  // rounded up to whole pages: failover copies and diffs only this prefix.
   std::size_t live_prefix(cluster::NodeId zone) const;
   // Emits (or forwards) one checkpoint message of the modeled stream:
   // `from` -> chain_member(origin, hop), paced by the ckpt_bw budget.

@@ -93,57 +93,56 @@ class PageHeatTable {
 // decayed counters by the number of epochs that passed since — integer-only,
 // so same-seed runs make byte-identical decisions.
 //
-// Hot-path discipline: the access fast paths bump raw_accesses()[page]
+// Hot-path discipline: the access fast paths bump slots()[page].raw
 // directly (one indexed increment, host cost only — same contract as
 // record_*); the raw tally is folded into the decayed window only on the
 // miss cold path, where the switching decision is made anyway.
 class WindowedHeat {
  public:
-  void init(std::size_t total_pages) {
-    raw_.reset(total_pages);
-    acc_.reset(total_pages);
-    miss_.reset(total_pages);
-    stamp_.reset(total_pages);
-  }
+  // One page's heat in one 32-byte slot: a touched page commits the OS page of
+  // its slot, not one OS page per field.
+  struct Slot {
+    std::uint64_t raw = 0;    // accesses since the last fold
+    std::uint64_t acc = 0;    // decayed access window
+    std::uint64_t miss = 0;   // decayed miss window
+    std::uint64_t stamp = 0;  // epoch of the last fold
+  };
 
-  std::size_t total_pages() const { return raw_.size(); }
+  void init(std::size_t total_pages) { slots_.reset(total_pages); }
 
-  // Raw access tally, indexed by page; cached on the access fast path.
-  std::uint64_t* raw_accesses() { return raw_.data(); }
+  // Per-page slots, indexed by page; cached on the access fast path.
+  Slot* slots() { return slots_.data(); }
 
   // Folds the raw tally into the decayed window, decaying both counters by
   // half per epoch elapsed since the page was last folded.
   void fold(std::uint64_t page, std::uint64_t epoch) {
-    if (page >= raw_.size()) return;
-    const std::uint64_t last = stamp_[page];
-    if (epoch > last) {
-      const std::uint64_t shift = epoch - last < 63 ? epoch - last : 63;
-      acc_[page] >>= shift;
-      miss_[page] >>= shift;
-      stamp_[page] = epoch;
+    if (page >= slots_.size()) return;
+    Slot& s = slots_[page];
+    if (epoch > s.stamp) {
+      const std::uint64_t shift = epoch - s.stamp < 63 ? epoch - s.stamp : 63;
+      s.acc >>= shift;
+      s.miss >>= shift;
+      s.stamp = epoch;
     }
-    acc_[page] += raw_[page];
-    raw_[page] = 0;
+    s.acc += s.raw;
+    s.raw = 0;
   }
 
   void note_miss(std::uint64_t page, std::uint64_t epoch) {
     fold(page, epoch);
-    if (page < miss_.size()) ++miss_[page];
+    if (page < slots_.size()) ++slots_[page].miss;
   }
 
   std::uint64_t accesses(std::uint64_t page) const {
-    return page < acc_.size() ? acc_[page] : 0;
+    return page < slots_.size() ? slots_[page].acc : 0;
   }
   std::uint64_t misses(std::uint64_t page) const {
-    return page < miss_.size() ? miss_[page] : 0;
+    return page < slots_.size() ? slots_[page].miss : 0;
   }
 
  private:
   // Lazily committed: a node pays only for the pages its threads touch.
-  LazyArray<std::uint64_t> raw_;    // accesses since the last fold
-  LazyArray<std::uint64_t> acc_;    // decayed access window
-  LazyArray<std::uint64_t> miss_;   // decayed miss window
-  LazyArray<std::uint64_t> stamp_;  // epoch of the last fold, per page
+  LazyArray<Slot> slots_;
 };
 
 }  // namespace hyp::obs

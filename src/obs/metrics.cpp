@@ -138,7 +138,8 @@ void write_point(std::ostream& os, const MetricsPoint& mp) {
     field("\"host\":{\"wall_s\":" + std::string(wall) +
           ",\"events\":" + std::to_string(mp.host_events) +
           ",\"events_per_sec\":" + std::to_string(mp.host_events_per_sec) +
-          ",\"peak_rss_kb\":" + std::to_string(mp.host_peak_rss_kb) + '}');
+          ",\"peak_rss_kb\":" + std::to_string(mp.host_peak_rss_kb) +
+          ",\"minor_faults\":" + std::to_string(mp.host_minor_faults) + '}');
   }
 
   if (mp.has_window) {

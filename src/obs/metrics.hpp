@@ -66,14 +66,15 @@ struct MetricsPoint {
   std::uint64_t window_excluded_ops = 0;
 
   // Host-side measurements (bench/sweep_scale): wall clock, engine event
-  // throughput and the process peak RSS after the point ran. ru_maxrss is a
-  // process-lifetime high-water mark, so a sweep that wants per-point
-  // meaning must run its points in ascending cost order.
+  // throughput, the process peak RSS after the point ran and its minor page
+  // faults. ru_maxrss is a process-lifetime high-water mark, so a sweep that
+  // wants per-point meaning must run its points in ascending cost order.
   bool has_host = false;
   double host_wall_s = 0;
   std::uint64_t host_events = 0;
   std::uint64_t host_events_per_sec = 0;
   std::uint64_t host_peak_rss_kb = 0;
+  std::uint64_t host_minor_faults = 0;
 };
 
 // Snapshot helpers for the optional sections.

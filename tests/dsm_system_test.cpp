@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace hyp::dsm {
 namespace {
@@ -213,6 +216,66 @@ TEST_P(DsmProtocolTest, LoadIntoCachePrefetches) {
   });
 }
 
+// A replica install copies only the page's bytes below its zone's allocation
+// mark, read when the reply arrives. Node 0 allocates and writes b while node
+// 1's fetch of the page is in flight, and `late` once the page is cached: a
+// mark read when the request left would drop b from the replica, and a mark
+// kept from the first install would drop `late` from the refetch.
+TEST_P(DsmProtocolTest, ReplicaInstallCopiesEveryAllocatedByte) {
+  const ProtocolKind kind = GetParam();
+  cluster::Cluster c(test_params(), 4);
+  DsmSystem dsm(&c, kRegion, kind);
+  const Layout& layout = dsm.layout();
+  const Gva a = dsm.alloc(0, 8);
+  dsm.poke_home<std::int64_t>(a, 1);
+  const PageId page = layout.page_of(a);
+  Gva b = 0;
+  Gva late = 0;
+  bool cached = false;
+  bool released = false;
+  // Polls `ready` for up to 1 ms of virtual time; a missed step fails, never hangs.
+  const auto wait_for = [](const auto& ready) {
+    for (int i = 0; i < 1000 && !ready(); ++i) sim::sleep_for(kMicrosecond);
+    return ready();
+  };
+  c.spawn_thread(0, "writer", [&] {
+    auto t = dsm.make_thread(0);
+    ASSERT_TRUE(wait_for([&] { return dsm.node_dsm(1).fetch_inflight(page); }));
+    b = dsm.alloc(0, 8);
+    do_put<std::int64_t>(kind, *t, b, 2);
+    ASSERT_TRUE(wait_for([&] { return cached; }));
+    late = dsm.alloc(0, 8);
+    ASSERT_EQ(layout.page_of(late), page);
+    do_put<std::int64_t>(kind, *t, late, 3);
+    dsm.on_release(*t);
+    released = true;
+  });
+  c.spawn_thread(1, "reader", [&] {
+    auto t = dsm.make_thread(1);
+    EXPECT_EQ((do_get<std::int64_t>(kind, *t, a)), 1);
+    // The replica is the page as the home served it, b included.
+    EXPECT_EQ(0, std::memcmp(dsm.node_dsm(1).page_ptr(page), dsm.node_dsm(0).page_ptr(page),
+                             layout.page_bytes()));
+    cached = true;
+    ASSERT_TRUE(wait_for([&] { return released; }));
+    dsm.on_acquire(*t);
+    EXPECT_EQ((do_get<std::int64_t>(kind, *t, b)), 2);
+    EXPECT_EQ((do_get<std::int64_t>(kind, *t, late)), 3);
+  });
+  c.run();
+  // Nothing lands past a zone's mark, in any arena.
+  for (NodeId n = 0; n < 4; ++n) {
+    const std::byte* arena = dsm.node_dsm(n).arena();
+    for (NodeId z = 0; z < 4; ++z) {
+      const std::byte* end = arena + layout.zone_end(z);
+      EXPECT_EQ(std::find_if(arena + dsm.alloc_mark(z), end,
+                             [](std::byte v) { return v != std::byte{0}; }),
+                end)
+          << "arena " << n << ", zone " << z;
+    }
+  }
+}
+
 // --- protocol-specific event accounting ------------------------------------
 
 TEST(DsmJavaIc, ChecksOnEveryAccessAndNeverFaults) {
@@ -382,22 +445,56 @@ TEST(DsmFootprint, HybridSystemAt256NodesCostsTouchedStateOnly) {
   const std::size_t before = rss_bytes();
   {
     DsmSystem dsm(&c, kPages * page_bytes, ProtocolKind::kHybrid);
-    EXPECT_LT(rss_growth_since(before), std::size_t{64} << 20);
+    EXPECT_LT(rss_growth_since(before), std::size_t{8} << 20);
     const Layout& layout = dsm.layout();
     for (NodeId n : {0, 1, kNodes - 1}) {
       NodeDsm& nd = dsm.node_dsm(n);
-      const std::uint64_t* window = dsm.access_window(n);
+      const obs::WindowedHeat::Slot* window = dsm.access_window(n);
       for (PageId p = 0; p < layout.total_pages(); ++p) {
         const bool home = layout.home_of_page(p) == n;
-        ASSERT_EQ(int{nd.presence_data()[p]},
-                  home ? NodeDsm::kPresentBit | NodeDsm::kHomeBit : NodeDsm::kIcModeBit);
+        // A non-home page starts absent in hybrid's ic mode: byte 0.
+        ASSERT_EQ(int{nd.presence_data()[p]}, home ? NodeDsm::kPresentBit | NodeDsm::kHomeBit : 0);
+        ASSERT_TRUE(home || nd.ic_mode(p));
         ASSERT_FALSE(nd.has_twin(p));
-        ASSERT_EQ(window[p], 0u);
+        ASSERT_EQ(window[p].raw | window[p].acc | window[p].miss | window[p].stamp, 0u);
       }
       EXPECT_EQ(nd.live_twins(), 0u);
     }
   }
-  EXPECT_LT(rss_growth_since(before), std::size_t{64} << 20);
+  EXPECT_LT(rss_growth_since(before), std::size_t{8} << 20);
+}
+
+// A replica commits the bytes its zone has allocated, not its whole page: 32
+// readers each cache 31 pages of 64 KB holding one 64-byte object. Full-page
+// installs commit 62 MB here. java_pf's full-page twins still do, so it
+// checks values only.
+TEST(DsmFootprint, ReplicasCommitOnlyTheAllocatedBytesOfTheirPages) {
+  constexpr int kNodes = 32;
+  cluster::ClusterParams params = test_params();
+  params.page_bytes = std::size_t{64} << 10;
+  for (ProtocolKind kind : {ProtocolKind::kJavaIc, ProtocolKind::kJavaPf, ProtocolKind::kHybrid}) {
+    cluster::Cluster c(params, kNodes);
+    const std::size_t before = rss_bytes();
+    DsmSystem dsm(&c, kNodes * 4 * params.page_bytes, kind);
+    std::vector<Gva> objects;
+    for (NodeId n = 0; n < kNodes; ++n) {
+      objects.push_back(dsm.alloc(n, 64));
+      dsm.poke_home<std::int64_t>(objects.back(), 100 + n);
+    }
+    for (NodeId n = 0; n < kNodes; ++n) {
+      c.spawn_thread(n, numbered("reader", n), [&, n] {
+        auto t = dsm.make_thread(n);
+        for (NodeId m = 0; m < kNodes; ++m) {
+          if (m == n) continue;
+          EXPECT_EQ((do_get<std::int64_t>(kind, *t, objects[m])), 100 + m);
+        }
+      });
+    }
+    c.run();
+    if (kind != ProtocolKind::kJavaPf) {
+      EXPECT_LT(rss_growth_since(before), std::size_t{24} << 20) << protocol_name(kind);
+    }
+  }
 }
 
 // Twins are freed with their cached pages when the system goes away: the

@@ -190,19 +190,19 @@ TEST(PageHeat, OutOfRangeGettersReadZero) {
 TEST(WindowedHeat, FoldDecaysByHalfPerElapsedEpoch) {
   WindowedHeat w;
   w.init(8);
-  w.raw_accesses()[3] = 16;
+  w.slots()[3].raw = 16;
   w.note_miss(3, 10);  // folds raw into the window, then counts the miss
   EXPECT_EQ(w.accesses(3), 16u);
   EXPECT_EQ(w.misses(3), 1u);
 
   // Two epochs later: both window counters halve twice before accumulating.
-  w.raw_accesses()[3] = 4;
+  w.slots()[3].raw = 4;
   w.note_miss(3, 12);
   EXPECT_EQ(w.accesses(3), 16u / 4 + 4u);
   EXPECT_EQ(w.misses(3), 1u);  // 1 >> 2 == 0, then the new miss
 
   // Same epoch: no decay, raw still folds in.
-  w.raw_accesses()[3] = 1;
+  w.slots()[3].raw = 1;
   w.fold(3, 12);
   EXPECT_EQ(w.accesses(3), 9u);
 }
@@ -210,7 +210,7 @@ TEST(WindowedHeat, FoldDecaysByHalfPerElapsedEpoch) {
 TEST(WindowedHeat, HugeEpochGapsClampAndOutOfRangeIsIgnored) {
   WindowedHeat w;
   w.init(2);
-  w.raw_accesses()[0] = 1;
+  w.slots()[0].raw = 1;
   w.note_miss(0, 1);
   w.note_miss(0, 500);  // gap >> 63 epochs: shift clamps, window zeroes
   EXPECT_EQ(w.accesses(0), 0u);
