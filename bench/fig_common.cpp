@@ -22,17 +22,12 @@ constexpr std::size_t kHeatTopN = 16;
 
 void ObsRecorder::add_flags(Cli& cli) {
   cli.flag_string("trace-out", "",
-                  "write a Perfetto trace_events JSON of the last run to FILE")
+                  "stream a Perfetto trace_events JSON of every run to FILE")
       .flag_string("metrics-out", "",
                    "write hyp-metrics-v1 JSON (counters, histograms, page heat, phases) to FILE")
-      .flag_int("trace-capacity", 1 << 16,
-                "max trace events retained (recording stops and drops are counted beyond)")
       .flag_string("fault-profile", "",
                    "deterministic network fault injection, e.g. "
                    "drop2%,dup1%,reorder5us,seed=7 (docs/FAULTS.md; default off)")
-      .flag_bool("trace-stream", false,
-                 "stream the trace to --trace-out incrementally (no events "
-                 "are ever dropped; covers every attached run)")
       .flag_string("race-detect", "",
                    "vector-clock data-race detection: on|off[,racegran=field|page] "
                    "(docs/RACES.md; default off)")
@@ -64,27 +59,19 @@ void ObsRecorder::configure(const Cli& cli, std::string tool) {
     race_det_ = std::make_unique<obs::RaceDetector>(race_cfg_);
     std::printf("# race detection: %s\n", race_cfg_.to_string().c_str());
   }
-  trace_stream_ = cli.get_bool("trace-stream");
-  if (trace_stream_ && !trace_wanted()) {
-    std::fprintf(stderr, "obs: --trace-stream requires --trace-out\n");
-    std::exit(2);
-  }
   if (trace_wanted()) {
-    trace_ = std::make_unique<cluster::TraceLog>(
-        static_cast<std::size_t>(cli.get_int("trace-capacity")));
-    if (trace_stream_) {
-      // Open the file up front: batches are appended as they are flushed, so
-      // a run larger than --trace-capacity streams instead of dropping.
-      stream_out_ = std::make_unique<std::ofstream>(trace_path_);
-      if (!*stream_out_) {
-        std::fprintf(stderr, "obs: cannot open --trace-out %s\n", trace_path_.c_str());
-        std::exit(2);
-      }
-      stream_writer_ = std::make_unique<obs::PerfettoStreamWriter>(*stream_out_);
-      trace_->set_sink([this](const std::vector<cluster::TraceEvent>& batch) {
-        stream_writer_->consume(batch);
-      });
+    // Open the file up front: batches are appended as the log's buffer
+    // fills, so a run of any length streams instead of dropping.
+    stream_out_ = std::make_unique<std::ofstream>(trace_path_);
+    if (!*stream_out_) {
+      std::fprintf(stderr, "obs: cannot open --trace-out %s\n", trace_path_.c_str());
+      std::exit(2);
     }
+    stream_writer_ = std::make_unique<obs::PerfettoStreamWriter>(*stream_out_);
+    trace_ = std::make_unique<cluster::TraceLog>();
+    trace_->set_sink([this](const std::vector<cluster::TraceEvent>& batch) {
+      stream_writer_->consume(batch);
+    });
   }
 }
 
@@ -101,11 +88,7 @@ void ObsRecorder::attach(hyperion::VmConfig& cfg) {
   if (race_det_ != nullptr) cfg.race = race_det_.get();
   if (!active()) return;
   if (trace_ != nullptr) {
-    if (trace_->streaming()) {
-      trace_->flush_sink();  // streamed export covers every attached run
-    } else {
-      trace_->clear();  // the one-shot export is the last attached run
-    }
+    trace_->flush_sink();  // the streamed export covers every attached run
     cfg.trace = trace_.get();
   }
   cfg.heat = &heat_;      // re-initialized by the VM constructor
@@ -136,8 +119,7 @@ void ObsRecorder::capture(obs::MetricsPoint mp) {
   if (phases_.initialized()) obs::fill_phases(mp, phases_);
   if (trace_ != nullptr) {
     mp.has_trace = true;
-    mp.trace_events = trace_->events().size() +
-                      (stream_writer_ != nullptr ? stream_writer_->events_written() : 0);
+    mp.trace_events = trace_->events().size() + stream_writer_->events_written();
     mp.trace_dropped = trace_->dropped();
     for (int k = 0; k < cluster::kTraceKindCount; ++k) {
       const auto kind = static_cast<cluster::TraceKind>(k);
@@ -196,25 +178,13 @@ void ObsRecorder::finish() {
       std::printf("metrics written: %s (%zu points)\n", metrics_path_.c_str(), points_.size());
     }
   }
-  if (trace_wanted() && trace_stream_) {
+  if (trace_wanted()) {
     trace_->flush_sink();
     stream_writer_->finish(*trace_);
     stream_out_->flush();
     std::printf("trace streamed: %s (%llu events, %llu dropped)\n", trace_path_.c_str(),
                 static_cast<unsigned long long>(stream_writer_->events_written()),
                 static_cast<unsigned long long>(trace_->dropped()));
-  } else if (trace_wanted()) {
-    std::ofstream out(trace_path_);
-    if (!out) {
-      std::fprintf(stderr, "obs: cannot open --trace-out %s\n", trace_path_.c_str());
-    } else if (trace_ != nullptr) {
-      obs::write_perfetto_trace(out, *trace_);
-      // A saturated trace must never pass for a quiet run: always say what
-      // was dropped (the JSON carries the same numbers in otherData).
-      std::printf("trace written: %s (%zu events, %llu dropped)\n", trace_path_.c_str(),
-                  trace_->events().size(),
-                  static_cast<unsigned long long>(trace_->dropped()));
-    }
   }
   if (!race_path_.empty()) {
     std::ofstream out(race_path_);

@@ -59,19 +59,16 @@ SweepOptions sweep_from_cli(const Cli& cli);
 
 // Uniform observability wiring for the bench binaries:
 //
-//   --trace-out FILE    Perfetto/Chrome trace_events JSON of the *last*
-//                       attached run (openable in ui.perfetto.dev);
+//   --trace-out FILE    Perfetto/Chrome trace_events JSON of every attached
+//                       run (openable in ui.perfetto.dev), streamed through
+//                       the log's double-buffered sink, so nothing is ever
+//                       dropped;
 //   --metrics-out FILE  hyp-metrics-v1 JSON: one point per run with every
 //                       nonzero counter, the log2 latency/size histograms,
 //                       the hottest pages and the per-node phase split.
 //   --fault-profile S   deterministic network fault injection for every run
 //                       (docs/FAULTS.md grammar, e.g.
 //                       "drop2%,dup1%,reorder5us,seed=7"; default off).
-//   --trace-stream      stream the trace to --trace-out incrementally
-//                       (double-buffered sink; nothing is ever dropped and
-//                       the file covers *every* attached run, not just the
-//                       last one). Default off: the one-shot export below is
-//                       byte-identical to previous releases.
 //   --race-detect S     vector-clock data-race detection (docs/RACES.md);
 //                       grammar on|off[,racegran=field|page], default off.
 //   --race-out FILE     write the human-readable race report (one section
@@ -84,7 +81,8 @@ SweepOptions sweep_from_cli(const Cli& cli);
 // bit-identical with or without them (tests/determinism_golden_test.cpp).
 class ObsRecorder {
  public:
-  // Registers --trace-out / --metrics-out / --trace-capacity.
+  // Registers --trace-out / --metrics-out / --fault-profile / --race-detect /
+  // --race-out.
   static void add_flags(Cli& cli);
 
   // Reads the flags; `tool` names the producing binary in the metrics JSON.
@@ -143,10 +141,9 @@ class ObsRecorder {
   std::string race_path_;
   cluster::FaultProfile fault_;  // default: off
   obs::RaceConfig race_cfg_;     // default: off
-  bool trace_stream_ = false;
   std::unique_ptr<cluster::TraceLog> trace_;
-  // Streaming export (--trace-stream): the file is open for the whole sweep
-  // and batches are appended as the log's spare buffer fills.
+  // Streaming export: the file is open for the whole sweep and batches are
+  // appended as the log's spare buffer fills.
   std::unique_ptr<std::ofstream> stream_out_;
   std::unique_ptr<obs::PerfettoStreamWriter> stream_writer_;
   obs::PageHeatTable heat_;

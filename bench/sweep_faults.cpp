@@ -30,8 +30,10 @@
 //   sweep_faults --metrics-out a.json && sweep_faults --metrics-out b.json
 //   scripts/compare_metrics.py a.json b.json          # bit-stable faults
 //
-// Exit code: 0 when every faulty answer equals its fault-free baseline,
-// 1 otherwise (the stability table shows which point diverged).
+// Exit code: 0 when every faulty answer equals its fault-free baseline and
+// every recover/K point promoted exactly once, 1 otherwise (the tables show
+// which point diverged; a run too short to reach the crash window promotes
+// nothing). ctest runs the default sweep as sweep_faults_smoke.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -176,7 +178,7 @@ int main(int argc, char** argv) {
 
   // One run; the fault profile is the experiment variable. The recorder's
   // own --fault-profile (if any) seeds the profile each point starts from,
-  // so chaos ingredients (dup/reorder/dedupwin) can be layered underneath.
+  // so chaos ingredients (dup/reorder) can be layered underneath.
   auto run_point = [&](dsm::ProtocolKind kind, const cluster::FaultProfile& fault,
                        const std::string& label) {
     apps::VmConfig cfg = apps::make_config(cluster, kind, nodes);
@@ -199,6 +201,7 @@ int main(int argc, char** argv) {
   std::vector<RecoveryPoint> recovery_points;
   std::vector<PartitionPoint> partition_points;
   bool stable = true;
+  bool recovered = true;  // every recover/K point promoted exactly once
   for (auto kind : {dsm::ProtocolKind::kJavaIc, dsm::ProtocolKind::kJavaPf,
                     dsm::ProtocolKind::kHybrid}) {
     const std::string proto = dsm::protocol_name(kind);
@@ -268,6 +271,7 @@ int main(int argc, char** argv) {
       p.ckpt_msgs = cnt("ha_checkpoint_msgs");
       p.ckpt_bytes = cnt("ha_checkpoint_bytes");
       stable = stable && (p.value == p.baseline);
+      recovered = recovered && p.promotions == 1;
       recovery_points.push_back(std::move(p));
     }
     // --- sweep 4: split-brain topology under a fixed partition window ------
@@ -349,7 +353,10 @@ int main(int argc, char** argv) {
   std::printf("\nanswer stability: %s\n",
               stable ? "every faulty point reproduced its fault-free value"
                      : "DIVERGED — see table");
+  std::printf("recovery: %s\n", recovered ? "every recover/K point promoted exactly once"
+                                          : "FAILED — a recover/K point did not promote "
+                                            "exactly once (see table)");
 
   obs.finish();
-  return stable ? 0 : 1;
+  return stable && recovered ? 0 : 1;
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the observability layer (docs/OBSERVABILITY.md):
-# runs two figure benches at tiny scale with --trace-stream/--trace-out/
-# --metrics-out and validates the artifacts with python3:
+# runs two figure benches at tiny scale with --trace-out/--metrics-out and
+# validates the artifacts with python3:
 #   - both files parse as JSON;
 #   - the streamed Perfetto trace (covers every run of the sweep, including
 #     the java_pf points) contains at least one page_fault instant and one
@@ -17,12 +17,12 @@ smoke_init check_obs "${1:-build}" bench/fig1_pi bench/fig2_jacobi
 
 echo "== fig1_pi (tiny sweep) with trace + metrics =="
 run "$WORK/fig1.txt" "$BUILD/bench/fig1_pi" --quick --sci=false --max-nodes=4 --intervals 20000 \
-  --trace-stream --trace-out="$WORK/fig1.trace.json" \
+  --trace-out="$WORK/fig1.trace.json" \
   --metrics-out="$WORK/fig1.metrics.json"
 
 echo "== fig2_jacobi (tiny sweep) with trace + metrics =="
 run "$WORK/fig2.txt" "$BUILD/bench/fig2_jacobi" --quick --sci=false --max-nodes=4 --n 32 --steps 4 \
-  --trace-stream --trace-out="$WORK/fig2.trace.json" \
+  --trace-out="$WORK/fig2.trace.json" \
   --metrics-out="$WORK/fig2.metrics.json"
 
 python3 - "$WORK" <<'EOF' || fail "trace or metrics artifacts invalid (see above)"

@@ -21,12 +21,11 @@ smoke_init serve_smoke "${1:-build}" bench/serve
 SERVE="$BUILD/bench/serve"
 
 # All six cells in one sweep: {java_ic, java_pf} x theta 0.99 x
-# {none, crash(K=2), partition}. --trace-stream so the trace covers every
-# cell, not just the last one.
+# {none, crash(K=2), partition}; the streamed trace covers every cell.
 ARGS=(--nodes 4 --keys 1024 --thetas 0.99 --ops 250 --rate 4000 --seed 11)
 run "$WORK/a.txt" "$SERVE" "${ARGS[@]}" \
     --metrics-out "$WORK/a.metrics.json" \
-    --trace-out "$WORK/a.trace.json" --trace-stream
+    --trace-out "$WORK/a.trace.json"
 
 # 1. every cell matched its serial reference.
 if ! grep -q '^verification: PASS' "$WORK/a.txt"; then
@@ -48,7 +47,7 @@ done
 # lines), metrics and streamed trace.
 run "$WORK/b.txt" "$SERVE" "${ARGS[@]}" \
     --metrics-out "$WORK/b.metrics.json" \
-    --trace-out "$WORK/b.trace.json" --trace-stream
+    --trace-out "$WORK/b.trace.json"
 same "same-seed rerun stdout not byte-identical" "$WORK/a.txt" "$WORK/b.txt"
 same "same-seed rerun produced different metrics" "$WORK/a.metrics.json" "$WORK/b.metrics.json"
 same "same-seed rerun produced a different trace" "$WORK/a.trace.json" "$WORK/b.trace.json"

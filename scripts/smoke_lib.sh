@@ -110,7 +110,7 @@ fault_cell() {
     grep -q ',hybrid,' "$base.rows" || fail "$fig fault-free run has no hybrid rows"
     mv "$base.rows" "$base.ans"
   fi
-  local args=("$@" --fault-profile="$profile" --trace-stream)
+  local args=("$@" --fault-profile="$profile")
   run "$cell.txt" "$bin" "${args[@]}" --trace-out "$cell.trace.json"
   trace_has "$what" "$cell.trace.json" $events
   answers "$cell.txt" > "$cell.ans"

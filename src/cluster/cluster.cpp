@@ -158,11 +158,6 @@ void Cluster::send(NodeId from, NodeId to, ServiceId service, Buffer payload) {
   deliver(0, from, to, service, std::move(payload), /*reply_token=*/0);
 }
 
-void Cluster::send_after(TimeDelta depart_delay, NodeId from, NodeId to, ServiceId service,
-                         Buffer payload) {
-  deliver(depart_delay, from, to, service, std::move(payload), /*reply_token=*/0);
-}
-
 Buffer Cluster::call(NodeId from, NodeId to, ServiceId service, Buffer payload) {
   RpcResult result = call_result(from, to, service, std::move(payload));
   if (!result.ok()) HYP_PANIC(result.error.message);
@@ -208,23 +203,7 @@ RpcResult Cluster::call_result(NodeId from, NodeId to, ServiceId service, Buffer
   pc.started = engine_.now();
   const std::uint64_t token = next_call_token_++;
   pending_calls_.emplace_back(token, &pc);
-  pc.req_seq = tx_enqueue(0, from, to, service, token, /*is_reply=*/false, std::move(payload));
-
-  if (params_.fault.call_timeout > 0) {
-    engine_.post_on(node_shard(from), pc.started + params_.fault.call_timeout, [this, token]() {
-      auto it = find_pending(token);
-      if (it == pending_calls_.end() || it->second->done) return;
-      PendingCall& timed_out = *it->second;
-      // Cancel the request packet so its retransmit timers become no-ops.
-      PairState& ps = pair(timed_out.from, timed_out.to);
-      std::uint32_t retransmits = 0;
-      if (TxPacket* p = tx_find(ps, timed_out.req_seq)) {
-        retransmits = p->retransmits;
-        tx_take(ps, p);
-      }
-      fail_call(timed_out, token, RpcStatus::kTimeout, retransmits);
-    });
-  }
+  tx_enqueue(0, from, to, service, token, /*is_reply=*/false, std::move(payload));
 
   while (!pc.done) eng->park();
   pending_calls_.erase(find_pending(token));
@@ -332,9 +311,8 @@ void Cluster::deliver_reply(TimeDelta depart_delay, NodeId from, NodeId to, std:
 // ---------------------------------------------------------------------------
 // Reliable transport (docs/FAULTS.md). Only reached when lossy_.
 
-std::uint64_t Cluster::tx_enqueue(TimeDelta depart_delay, NodeId from, NodeId to,
-                                  ServiceId service, std::uint64_t token, bool is_reply,
-                                  Buffer payload) {
+void Cluster::tx_enqueue(TimeDelta depart_delay, NodeId from, NodeId to, ServiceId service,
+                         std::uint64_t token, bool is_reply, Buffer payload) {
   HYP_CHECK_MSG(from != to || ha_ != nullptr || loopback_ok_,
                 "loopback RPC: callers handle the local case directly");
   PairState& ps = pair(from, to);
@@ -355,7 +333,6 @@ std::uint64_t Cluster::tx_enqueue(TimeDelta depart_delay, NodeId from, NodeId to
   }
   ps.outstanding.push_back(std::move(p));
   tx_transmit(from, to, seq, depart_delay);
-  return seq;
 }
 
 Cluster::TxPacket* Cluster::tx_find(PairState& ps, std::uint64_t seq) {
@@ -483,11 +460,6 @@ void Cluster::tx_on_arrival(NodeId from, NodeId to, ServiceId service, std::uint
     while (ps.seen_above.erase(ps.seen_watermark)) ++ps.seen_watermark;
   } else {
     ps.seen_above.insert(seq);
-    // Bounded dedup window (`dedupwin=N`): forget the oldest early seq once
-    // over budget. A forgotten seq can be re-delivered as a fresh message —
-    // the op-id / idempotence layers above absorb it (docs/FAULTS.md).
-    const std::uint32_t win = params_.fault.dedup_window;
-    if (win != 0 && ps.seen_above.size() > win) ps.seen_above.erase_min();
   }
   tx_send_ack(to, from, seq);
 
@@ -575,13 +547,13 @@ void Cluster::tx_on_timer(NodeId from, NodeId to, std::uint64_t seq) {
   // typed kNoQuorum status so callers park until the heal instant instead of
   // treating the peer as gone.
   const bool cut = ha_ != nullptr && params_.fault.severed(from, to, engine_.now());
-  if (cut || p.retransmits >= params_.fault.max_retries ||
+  if (cut || p.retransmits >= kMaxRetransmits ||
       (ha_ != nullptr && ha_->confirmed_dead(to))) {
     tx_give_up(tx_take(ps, &p), /*no_quorum=*/cut);
     return;
   }
   ++p.retransmits;
-  p.rto *= params_.fault.rto_backoff;
+  p.rto *= kRtoBackoff;
   node(from).stats().add(Counter::kRetransmits);
   trace_event(from, TraceKind::kRetransmit, to, static_cast<std::int64_t>(seq));
   tx_transmit(from, to, seq, /*depart_delay=*/0);
@@ -628,7 +600,7 @@ void Cluster::tx_give_up(TxPacket packet, bool no_quorum) {
     pc.error.message +=
         " (reply from node " + std::to_string(packet.from) + " was undeliverable)";
   } else {
-    // Caller already gone (deadline fired first); account the give-up here.
+    // Caller already gone (its request failed first); account the give-up here.
     node(packet.from).stats().add(Counter::kRpcTimeouts);
     trace_event(packet.from, TraceKind::kRpcTimeout, packet.to, packet.service);
   }

@@ -59,8 +59,9 @@ using Handler = std::function<void(Incoming&)>;
 // fiber or tripping the engine's generic deadlock abort.
 enum class RpcStatus : std::uint8_t {
   kOk = 0,
-  kBudgetExhausted,  // request packet unacked after max_retries retransmits
-  kTimeout,          // FaultProfile::call_timeout elapsed without a reply
+  kBudgetExhausted,  // request packet unacked after kMaxRetransmits retransmits
+  kTimeout,          // the reply was undeliverable: its packet exhausted the
+                     // retry budget or was failed over from a dead replier
   kNoQuorum,         // the peer sits across an open partition window; the
                      // caller should park and retry at the heal instant
                      // (docs/PARTITIONS.md)
@@ -205,16 +206,11 @@ class Cluster {
   // One-way asynchronous RPC (PM2 "RPC with no waiting").
   void send(NodeId from, NodeId to, ServiceId service, Buffer payload);
 
-  // As send(), but the message departs `depart_delay` after now — used by
-  // handlers whose reply depends on service work they just reserved.
-  void send_after(TimeDelta depart_delay, NodeId from, NodeId to, ServiceId service,
-                  Buffer payload);
-
   // Blocking request/reply (PM2 LRPC). Must be called from a fiber; the
   // fiber sleeps in virtual time until the reply arrives. Under an active
-  // lossy fault profile a failed call (retry budget exhausted / deadline)
-  // aborts with a diagnostic naming the peer node and service; callers that
-  // can degrade gracefully use call_result() instead.
+  // lossy fault profile a failed call (retry budget exhausted / reply
+  // undeliverable) aborts with a diagnostic naming the peer node and
+  // service; callers that can degrade gracefully use call_result() instead.
   Buffer call(NodeId from, NodeId to, ServiceId service, Buffer payload);
 
   // As call(), but failures come back as a typed RpcError instead of
@@ -326,7 +322,7 @@ class Cluster {
   // Beneath send()/call(), every logical message becomes a transport packet
   // with a per-(src,dst) sequence number. The sender keeps the payload until
   // the receiver's ack arrives, retransmitting on a timer with exponential
-  // backoff up to FaultProfile::max_retries; the receiver suppresses
+  // backoff up to kMaxRetransmits times; the receiver suppresses
   // duplicates with a per-pair watermark + bitmap window and re-acks them
   // (the original ack may itself have been lost). Quiet networks never
   // reach this code: deliver()/deliver_reply() keep the historical
@@ -336,12 +332,11 @@ class Cluster {
     Buffer payload;
     bool done = false;
     RpcError error;  // status != kOk on failure
-    // Identity + request-packet coordinates, for deadlines and diagnostics.
+    // Identity, for diagnostics.
     NodeId from = -1;
     NodeId to = -1;
     ServiceId service = -1;
     Time started = 0;
-    std::uint64_t req_seq = 0;  // request packet seq in pair (from,to)
   };
 
   struct TxPacket {
@@ -380,10 +375,9 @@ class Cluster {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
            static_cast<std::uint32_t>(to);
   }
-  // Enqueues a packet on the reliable transport and transmits it. Returns the
-  // per-pair sequence number assigned (callers needing cancellation keep it).
-  std::uint64_t tx_enqueue(TimeDelta depart_delay, NodeId from, NodeId to, ServiceId service,
-                           std::uint64_t token, bool is_reply, Buffer payload);
+  // Enqueues a packet on the reliable transport and transmits it.
+  void tx_enqueue(TimeDelta depart_delay, NodeId from, NodeId to, ServiceId service,
+                  std::uint64_t token, bool is_reply, Buffer payload);
   // One physical transmission attempt (first send and retransmits).
   void tx_transmit(NodeId from, NodeId to, std::uint64_t seq, TimeDelta depart_delay);
   void tx_schedule_arrival(const TxPacket& p, Time arrival, bool injected_dup);

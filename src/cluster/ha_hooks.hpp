@@ -39,8 +39,8 @@ struct HaHooks {
   // Accounts home-state replication traffic (incremental checkpoints from
   // home `home` to its chain backups). In the classic piggyback mode the
   // bytes land in kHaCheckpointBytes directly; with the modeled checkpoint
-  // stream enabled (replicas > 1 or ckpt_bw set) this emits real cluster
-  // messages down the chain instead (docs/RECOVERY.md).
+  // stream enabled (replicas > 1) this emits real cluster messages down the
+  // chain instead (docs/RECOVERY.md).
   virtual void note_checkpoint(NodeId home, std::uint64_t bytes) = 0;
 
   // Replication depth K (FaultProfile::replicas): each home's state is held

@@ -20,12 +20,11 @@ namespace hyp::cluster {
 //   partition := 'partition@' FLOAT ('us'|'ms') '+' FLOAT ('us'|'ms')
 //                ':' group '|' group          group := INT ('.' INT)*
 //   linkdrop  := 'linkdrop=' INT '>' INT ':' FLOAT '%'
-//   tuning    := 'seed=' INT | 'retries=' INT | 'backoff=' INT
-//              | 'rto=' FLOAT ('us'|'ms') | 'timeout=' FLOAT ('us'|'ms')
-//              | 'dedupwin=' INT | 'hb=' FLOAT ('us'|'ms')
-//              | 'suspect=' FLOAT ('us'|'ms') | 'confirm=' FLOAT ('us'|'ms')
-//              | 'replicas=' INT | 'ckpt_bw=' FLOAT        (MB/s)
-//              | 'hbcoalesce=' INT                  (0 = never, 1 = always)
+//   tuning    := 'seed=' INT | 'rto=' FLOAT ('us'|'ms') | 'replicas=' INT
+//
+// The retry budget and the failure-detector timing are constants
+// (kMaxRetransmits, kRtoBackoff, kHeartbeatInterval, kSuspectAfter,
+// kConfirmAfter in params.hpp), not tokens.
 //
 // Rejections are CLI errors: a diagnostic on stderr citing the grammar and
 // exit(2), never a mid-run abort — the profile is fully validated (including
@@ -40,9 +39,7 @@ namespace {
                "malformed --fault-profile '%s' at token '%s': %s\n"
                "  grammar: drop2%%,dup1%%,corrupt0.5%%,reorder5us,stall1@300us+200us,"
                "blackout0@1ms+500us,crash2@1ms+800us,partition@2ms+1ms:0.1|2.3,"
-               "linkdrop=0>2:25%%,seed=N,retries=N,backoff=N,"
-               "rto=100us,timeout=5ms,dedupwin=N,hb=50us,suspect=200us,confirm=600us,"
-               "replicas=K,ckpt_bw=8,hbcoalesce=N\n",
+               "linkdrop=0>2:25%%,seed=N,rto=100us,replicas=K\n",
                spec.c_str(), token.c_str(), why.c_str());
   std::exit(2);
 }
@@ -105,53 +102,13 @@ FaultProfile FaultProfile::parse(const std::string& spec) {
     if (starts_with(token, "seed=", &n)) {
       p.seed = std::strtoull(token.c_str() + n, &end, 10);
       if (*end != '\0') bad_profile(spec, token, "seed wants an integer");
-    } else if (starts_with(token, "retries=", &n)) {
-      p.max_retries = static_cast<std::uint32_t>(std::strtoul(token.c_str() + n, &end, 10));
-      if (*end != '\0') bad_profile(spec, token, "retries wants an integer");
-    } else if (starts_with(token, "backoff=", &n)) {
-      p.rto_backoff = static_cast<std::uint32_t>(std::strtoul(token.c_str() + n, &end, 10));
-      if (*end != '\0' || p.rto_backoff == 0) bad_profile(spec, token, "backoff wants >= 1");
     } else if (starts_with(token, "rto=", &n)) {
       const char* rest = nullptr;
       p.rto_initial = parse_duration(spec, token, token.c_str() + n, &rest);
       if (*rest != '\0') bad_profile(spec, token, "trailing junk");
-    } else if (starts_with(token, "timeout=", &n)) {
-      const char* rest = nullptr;
-      p.call_timeout = parse_duration(spec, token, token.c_str() + n, &rest);
-      if (*rest != '\0') bad_profile(spec, token, "trailing junk");
-    } else if (starts_with(token, "dedupwin=", &n)) {
-      p.dedup_window = static_cast<std::uint32_t>(std::strtoul(token.c_str() + n, &end, 10));
-      if (*end != '\0' || p.dedup_window == 0) bad_profile(spec, token, "dedupwin wants >= 1");
-    } else if (starts_with(token, "hb=", &n)) {
-      const char* rest = nullptr;
-      p.hb_interval = parse_duration(spec, token, token.c_str() + n, &rest);
-      if (*rest != '\0' || p.hb_interval == 0) bad_profile(spec, token, "hb wants a duration > 0");
-    } else if (starts_with(token, "suspect=", &n)) {
-      const char* rest = nullptr;
-      p.suspect_after = parse_duration(spec, token, token.c_str() + n, &rest);
-      if (*rest != '\0' || p.suspect_after == 0) {
-        bad_profile(spec, token, "suspect wants a duration > 0");
-      }
-    } else if (starts_with(token, "confirm=", &n)) {
-      const char* rest = nullptr;
-      p.confirm_after = parse_duration(spec, token, token.c_str() + n, &rest);
-      if (*rest != '\0' || p.confirm_after == 0) {
-        bad_profile(spec, token, "confirm wants a duration > 0");
-      }
     } else if (starts_with(token, "replicas=", &n)) {
       p.replicas = static_cast<std::uint32_t>(std::strtoul(token.c_str() + n, &end, 10));
       if (*end != '\0' || p.replicas == 0) bad_profile(spec, token, "replicas wants >= 1");
-    } else if (starts_with(token, "hbcoalesce=", &n)) {
-      p.hb_coalesce = static_cast<std::uint32_t>(std::strtoul(token.c_str() + n, &end, 10));
-      if (*end != '\0' || end == token.c_str() + n) {
-        bad_profile(spec, token, "hbcoalesce wants an integer (0 = never, 1 = always)");
-      }
-    } else if (starts_with(token, "ckpt_bw=", &n)) {
-      const double mbps = std::strtod(token.c_str() + n, &end);
-      if (end == token.c_str() + n || *end != '\0' || mbps <= 0) {
-        bad_profile(spec, token, "ckpt_bw wants a bandwidth in MB/s > 0");
-      }
-      p.ckpt_bw = static_cast<std::uint64_t>(mbps * 1e6 + 0.5);
     } else if (starts_with(token, "crash", &n)) {
       FaultWindow w;
       w.node = static_cast<NodeId>(std::strtol(token.c_str() + n, &end, 10));
@@ -264,16 +221,6 @@ FaultProfile FaultProfile::parse(const std::string& spec) {
   // mid-run abort). The crash schedule is what the HA subsystem will execute
   // verbatim, so everything it used to HYP_CHECK in HaManager::start() is
   // rejected here instead.
-  if (!p.crashes.empty() || !p.partitions.empty()) {
-    // Partitions, like crashes, run through the failure detector (a cut
-    // watcher is what confirms a cross-partition "death"), so both demand a
-    // coherent detector tuning.
-    if (!(p.hb_interval > 0 && p.suspect_after >= p.hb_interval &&
-          p.confirm_after > p.suspect_after)) {
-      bad_profile(spec, p.crashes.empty() ? "partition" : "crash",
-                  "detector tuning wants hb <= suspect < confirm");
-    }
-  }
   if (!p.crashes.empty()) {
     for (std::size_t i = 0; i < p.crashes.size(); ++i) {
       for (std::size_t j = i + 1; j < p.crashes.size(); ++j) {
@@ -351,29 +298,7 @@ std::string FaultProfile::to_string() const {
   // "off" round-trips to a default profile.
   const FaultProfile defaults;
   if (rto_initial != defaults.rto_initial || lossy()) add("rto=" + dur(rto_initial));
-  if (max_retries != defaults.max_retries || lossy()) {
-    add("retries=" + std::to_string(max_retries));
-  }
-  if (rto_backoff != defaults.rto_backoff) add("backoff=" + std::to_string(rto_backoff));
-  if (call_timeout != 0) add("timeout=" + dur(call_timeout));
-  if (dedup_window != 0) add("dedupwin=" + std::to_string(dedup_window));
-  const bool detector = !crashes.empty() || !partitions.empty();
-  if (hb_interval != defaults.hb_interval || detector) add("hb=" + dur(hb_interval));
-  if (suspect_after != defaults.suspect_after || detector) {
-    add("suspect=" + dur(suspect_after));
-  }
-  if (confirm_after != defaults.confirm_after || detector) {
-    add("confirm=" + dur(confirm_after));
-  }
   if (replicas != 1) add("replicas=" + std::to_string(replicas));
-  if (hb_coalesce != defaults.hb_coalesce) {
-    add("hbcoalesce=" + std::to_string(hb_coalesce));
-  }
-  if (ckpt_bw != 0) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "ckpt_bw=%g", static_cast<double>(ckpt_bw) / 1e6);
-    add(buf);
-  }
   return out.empty() ? "off" : out;
 }
 

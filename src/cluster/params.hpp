@@ -89,6 +89,26 @@ struct LinkDrop {
   std::uint32_t ppm = 0;
 };
 
+// Reliable-transport tuning (engaged only when FaultProfile::lossy()): a
+// packet is retransmitted at most kMaxRetransmits times, its timeout
+// multiplied by kRtoBackoff after each attempt, before the call fails with
+// RpcStatus::kBudgetExhausted. The initial timeout is FaultProfile::rto_initial.
+inline constexpr std::uint32_t kMaxRetransmits = 10;
+inline constexpr std::uint32_t kRtoBackoff = 2;
+
+// Failure-detector timing (engaged only when crashes or partitions are
+// scheduled). Heartbeats ride an out-of-band management path (not the
+// faultable data transport); their latency is folded into kSuspectAfter.
+// Every node heartbeats each kHeartbeatInterval; every chain watcher suspects
+// a silent predecessor after kSuspectAfter and confirms it dead — triggering
+// re-election of its home zones — after kConfirmAfter.
+inline constexpr Time kHeartbeatInterval = 50 * kMicrosecond;
+inline constexpr Time kSuspectAfter = 200 * kMicrosecond;
+inline constexpr Time kConfirmAfter = 600 * kMicrosecond;
+static_assert(kHeartbeatInterval > 0 && kSuspectAfter >= kHeartbeatInterval &&
+                  kConfirmAfter > kSuspectAfter,
+              "detector timing wants hb <= suspect < confirm");
+
 // Deterministic fault-injection profile for the cluster's network layer.
 //
 // Every probabilistic decision is hash-derived (SplitMix64 finalizer) from
@@ -100,7 +120,7 @@ struct LinkDrop {
 //
 // Parsed from the `--fault-profile` grammar (docs/FAULTS.md), e.g.
 //   drop2%,dup1%,reorder5us,seed=7
-//   corrupt0.5%,retries=6,rto=100us
+//   corrupt0.5%,rto=100us
 //   blackout2@300us+150us,stall0@1ms+200us
 //   partition@2ms+1ms:0.1|2.3,linkdrop=0>2:25%
 struct FaultProfile {
@@ -124,55 +144,17 @@ struct FaultProfile {
   std::vector<PartitionWindow> partitions;
   std::vector<LinkDrop> linkdrops;
 
-  // Reliable-transport tuning (engaged only when lossy()).
-  Time rto_initial = 200 * kMicrosecond;  // first retransmit timeout
-  std::uint32_t rto_backoff = 2;          // exponential backoff factor
-  std::uint32_t max_retries = 10;         // retransmits before giving up
-  // Optional end-to-end deadline on blocking call(); 0 = rely on the
-  // per-packet retry budget alone (a contended monitor may legitimately be
-  // granted arbitrarily late, so this is off by default).
-  Time call_timeout = 0;
-
-  // Receiver-side duplicate-suppression window: how many out-of-order
-  // sequence numbers above the contiguous watermark each (src,dst) pair
-  // remembers. 0 = unbounded (exact dedup, the default). A too-small window
-  // can forget a seen seq and re-deliver a duplicate — the runtime stays
-  // correct (monitor op ids / idempotent DSM applies absorb it), which
-  // tests/fault_test.cpp pins. Token `dedupwin=N`.
-  std::uint32_t dedup_window = 0;
-
-  // Failure-detector tuning (engaged only when crashes are scheduled).
-  // Heartbeats ride an out-of-band management path (not the faultable data
-  // transport); their latency is folded into suspect_after. Each node
-  // heartbeats its ring successor every hb_interval; every chain watcher
-  // suspects a silent predecessor after suspect_after and confirms it dead —
-  // triggering re-election of its home zones — after confirm_after.
-  Time hb_interval = 50 * kMicrosecond;
-  Time suspect_after = 200 * kMicrosecond;
-  Time confirm_after = 600 * kMicrosecond;
-
-  // Detector coalescing threshold (docs/RECOVERY.md): clusters with at least
-  // this many nodes run ONE sweep event per hb_interval that ticks every node
-  // in ascending id order, instead of one self-chaining tick event per node —
-  // O(1) events per interval instead of O(n), same side effects in the same
-  // order. Below the threshold the classic per-node chains are kept (they are
-  // what the recovery goldens' event counts pin). 0 = never coalesce,
-  // 1 = always. Token `hbcoalesce=N`.
-  std::uint32_t hb_coalesce = 64;
+  // First retransmit timeout of the reliable transport (engaged only when
+  // lossy()). Token `rto=<dur>`.
+  Time rto_initial = 200 * kMicrosecond;
 
   // Replication depth for HA home-state backups (docs/RECOVERY.md): each
   // home's zone is checkpointed to its `replicas` ring successors in chain
   // order, so any K simultaneous failures that leave one of the K+1 copies
   // alive are survivable. 1 (the default) is the classic single-failure
-  // ring-successor model. Token `replicas=K` (K >= 1).
+  // ring-successor model; K > 1 turns the checkpoints into real cluster
+  // messages. Token `replicas=K` (K >= 1).
   std::uint32_t replicas = 1;
-
-  // Checkpoint-stream bandwidth budget in bytes/second; 0 (default) keeps
-  // the incremental checkpoints as piggyback accounting on the consistency
-  // traffic. Non-zero (or replicas > 1) turns the checkpoint stream into
-  // real cluster messages — traced, faultable, and paced so consecutive
-  // checkpoints from one home never exceed this rate. Token `ckpt_bw=<MB/s>`.
-  std::uint64_t ckpt_bw = 0;
 
   // Lossy features require the ack/retransmit transport; pure reorder (the
   // old jitter knob) is delay-only and keeps the one-event-per-message path.
@@ -258,7 +240,7 @@ struct FaultProfile {
     return until;
   }
   // Start of the earliest partition window severing from<->to that covers
-  // `at`; 0 when the pair is not severed at `at`. Paired with confirm_after
+  // `at`; 0 when the pair is not severed at `at`. Paired with kConfirmAfter
   // to bound how long a caller parks before the surviving side has promoted.
   Time severed_since(NodeId from, NodeId to, Time at) const {
     Time since = 0;
@@ -298,8 +280,7 @@ struct FaultProfile {
   static constexpr std::uint64_t kSaltLinkDrop = 0x06;
 
   // Parses the --fault-profile grammar. Malformed or semantically invalid
-  // specs (zero-start crash windows, detector tunings that violate
-  // hb <= suspect < confirm, overlapping same-node crash windows,
+  // specs (zero-start crash windows, overlapping same-node crash windows,
   // replicas=0, partition groups that overlap or are empty, ...) are rejected
   // at parse time: a clear CLI diagnostic on stderr citing the grammar, then
   // exit(2) — never a mid-run abort. An empty spec yields the default (off).

@@ -114,7 +114,6 @@ class TraceLog {
     sink_ = std::move(sink);
     spare_.reserve(capacity_);
   }
-  bool streaming() const { return static_cast<bool>(sink_); }
 
   // Drains the partially-filled front buffer to the sink (end of run).
   void flush_sink() {

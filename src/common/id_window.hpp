@@ -1,10 +1,10 @@
 // IdWindow: a set of u64 ids kept as a bitmap over its live span.
 //
-// The lossy transport and the op-id layers above it remember ids that are
-// dense within a moving window: packet seqs above a receive watermark, the
-// monitor op ids a home has applied, the DSM update ids a home has applied.
-// For such ids one bit of the span between the smallest and largest member
-// costs far less than a node per id, and needs no allocation per id.
+// The lossy transport and the monitor op-id layer above it remember ids that
+// are dense within a moving window: packet seqs above a receive watermark and
+// the monitor op ids a home has applied. For such ids one bit of the span
+// between the smallest and largest member costs far less than a node per id,
+// and needs no allocation per id.
 //
 // The bitmap is a ring of 64-bit words whose first live word holds the
 // smallest member; base_ is the id of that word's bit 0. Erasing the
@@ -12,16 +12,14 @@
 // forward stays as long as its live span. Spans of up to kInlineWords words
 // live inside the object; longer ones move to a heap ring of power-of-two
 // size, released when the window becomes empty, so an empty window owns no
-// heap memory. insert, erase, contains and min are O(1) for ids near the
-// live span, amortized over ring growth.
+// heap memory. insert, erase and contains are O(1) for ids near the live
+// span, amortized over ring growth.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-
-#include "common/assert.hpp"
 
 namespace hyp {
 
@@ -61,19 +59,6 @@ class IdWindow {
     --count_;
     if (w == 0) drop_leading_zero_words();
     return true;
-  }
-
-  // Smallest member. Precondition: !empty().
-  std::uint64_t min() const {
-    HYP_DCHECK(count_ != 0);
-    return base_ + static_cast<std::uint64_t>(std::countr_zero(word(0)));
-  }
-
-  void erase_min() {
-    HYP_DCHECK(count_ != 0);
-    word(0) &= word(0) - 1;  // clears the lowest set bit
-    --count_;
-    drop_leading_zero_words();
   }
 
   // Set union: every member of `other` becomes a member of this window.

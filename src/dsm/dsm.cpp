@@ -27,8 +27,7 @@ ProtocolKind protocol_by_name(const std::string& name) {
 DsmSystem::DsmSystem(cluster::Cluster* cluster, std::size_t region_bytes, ProtocolKind kind)
     : cluster_(cluster),
       layout_(region_bytes, cluster->params().page_bytes, cluster->node_count()),
-      kind_(kind),
-      applied_updates_(static_cast<std::size_t>(cluster->node_count())) {
+      kind_(kind) {
   const int n = cluster->node_count();
   nodes_.reserve(static_cast<std::size_t>(n));
   for (NodeId i = 0; i < n; ++i) {
@@ -185,8 +184,8 @@ Buffer DsmSystem::call_home(ThreadCtx& t, NodeId& target, PageId route_page,
         const Time heal = f.severed_until(t.node, target, at);
         if (heal > at) {
           Time wake = heal;
-          const Time confirm_by =
-              f.severed_since(t.node, target, at) + f.confirm_after + 2 * f.hb_interval;
+          const Time confirm_by = f.severed_since(t.node, target, at) +
+                                  cluster::kConfirmAfter + 2 * cluster::kHeartbeatInterval;
           if (confirm_by > at && confirm_by < wake) wake = confirm_by;
           eng.sleep_until(wake);
         }
@@ -568,10 +567,9 @@ void DsmSystem::on_release(ThreadCtx& t) { update_main_memory(t); }
 // with its cohort key (CohortKey in dsm.hpp). Ship sends one acked message
 // per cohort, or applies the cohort in place when this node is its home.
 //
-// Wire format of both update services: [u64 update id, bounded dedup window
-// only], u32 item count, then per item u64 gva, its length (u8 for a field
-// of kUpdateFields, u32 for a run of kUpdateRuns) and that many payload
-// bytes. Runs are maximal spans of modified 8-byte words. With fencing on,
+// Wire format of both update services: u32 item count, then per item u64
+// gva, its length (u8 for a field of kUpdateFields, u32 for a run of
+// kUpdateRuns) and that many payload bytes. Runs are maximal spans of modified 8-byte words. With fencing on,
 // the epoch leads, put in per attempt (call_home). Success acks are empty,
 // or the home's epoch view under fencing; a 1-byte reply is a NACK.
 
@@ -731,8 +729,7 @@ void DsmSystem::ship(ThreadCtx& t, CohortKey rule, bool runs, std::uint64_t keye
     } else {
       // The message is rebuilt per attempt (build below), so its size is
       // summed from the wire format here, once per cohort sent.
-      const std::uint64_t update_id = update_ids_active() ? next_update_id_++ : 0;
-      std::size_t msg_bytes = (update_id != 0 ? sizeof(update_id) : 0) + sizeof(std::uint32_t);
+      std::size_t msg_bytes = sizeof(std::uint32_t);
       for (const PendingUpdate& u : lane) {
         if (!in_cohort(u)) continue;
         msg_bytes += sizeof(std::uint64_t) + (runs ? sizeof(std::uint32_t) : 1) + u.len;
@@ -746,9 +743,6 @@ void DsmSystem::ship(ThreadCtx& t, CohortKey rule, bool runs, std::uint64_t keye
       const auto build = [&](std::uint64_t epoch) {
         Buffer msg;
         if (fencing_) msg.put<std::uint64_t>(epoch);
-        // Bounded dedup window: tag the message so a late re-delivery of an
-        // evicted packet cannot stale-revert newer home bytes (see dsm.hpp).
-        if (update_id != 0) msg.put<std::uint64_t>(update_id);
         msg.put<std::uint32_t>(static_cast<std::uint32_t>(count));
         for (const PendingUpdate& u : lane) {
           if (!in_cohort(u)) continue;
@@ -784,19 +778,6 @@ void DsmSystem::handle_update(cluster::Incoming& in, NodeId self, bool runs) {
   const cluster::ServiceId service = runs ? svc::kUpdateRuns : svc::kUpdateFields;
   NodeDsm& nd = node_dsm(self);
   if (fenced(in, self, service, /*ok_body_bytes=*/0)) return;
-  // Bounded dedup window: a re-delivered (window-evicted) update that was
-  // already applied must NOT re-apply — its bytes may be stale by now. Just
-  // re-ack (the original ack may be what got lost; a completed caller slot
-  // absorbs the second reply).
-  std::uint64_t update_id = 0;
-  if (update_ids_active()) {
-    update_id = in.reader.get<std::uint64_t>();
-    if (applied_updates_[static_cast<std::size_t>(self)].contains(update_id)) {
-      cluster_->node(self).stats().add_named("dsm_update_replays_absorbed");
-      cluster_->reply(in, stamped_reply(self));
-      return;
-    }
-  }
   // Streaming apply: no per-message item vector (zero-allocation path).
   bool stale = false;
   std::size_t bytes = 0;
@@ -838,9 +819,6 @@ void DsmSystem::handle_update(cluster::Incoming& in, NodeId self, bool runs) {
     nack_stale_home(in, self, service, /*ok_body_bytes=*/0);
     return;
   }
-  // Record only on actual apply: a NACKed straggler was NOT applied here, and
-  // must stay replayable in case a later promotion makes this node home.
-  if (update_id != 0) applied_updates_[static_cast<std::size_t>(self)].insert(update_id);
   // Home state changed: incremental checkpoint traffic to the backup,
   // piggybacked on this very update (docs/RECOVERY.md).
   if (ha_ != nullptr && bytes != 0) ha_->note_checkpoint(self, bytes);

@@ -50,7 +50,6 @@
 #include "cluster/cluster.hpp"
 #include "cluster/ha_hooks.hpp"
 #include "common/function.hpp"
-#include "common/id_window.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
 #include "dsm/address.hpp"
@@ -379,27 +378,9 @@ class DsmSystem {
   // transport's diagnostic naming the peer node and service (docs/FAULTS.md).
   static constexpr int kRpcAttempts = 3;
 
-  // --- bounded-dedup-window replay absorption (docs/FAULTS.md) -------------
-  //
-  // Update messages are absolute-byte writes: re-applying the SAME message
-  // twice is a no-op, but a packet EVICTED from the transport's bounded
-  // dedup window (`dedupwin=N`) can be re-delivered arbitrarily LATE — after
-  // a newer update to the same addresses — and a stale re-apply would
-  // silently revert them (caught by fault_test's dedup-eviction regression).
-  // So while the window is bounded, every update message carries a
-  // cluster-unique update id and each home skips ids it already applied
-  // (the DSM twin of the monitors' op-id scheme). With the default unbounded
-  // window the transport itself is exactly-once and the historical wire
-  // format is kept byte-for-byte.
-  bool update_ids_active() const {
-    return cluster_->transport_active() && cluster_->params().fault.dedup_window != 0;
-  }
-
   cluster::Cluster* cluster_;
   Layout layout_;
   ProtocolKind kind_;
-  std::uint64_t next_update_id_ = 1;
-  std::vector<IdWindow> applied_updates_;  // per home node
   std::vector<std::unique_ptr<NodeDsm>> nodes_;
   std::uint64_t next_thread_uid_ = 1;
   // Live-thread registry (registered by make_thread, removed by ~ThreadCtx);

@@ -39,15 +39,13 @@ HaManager::HaManager(cluster::Cluster* cluster, dsm::DsmSystem* dsm,
   }
   health_.resize(n);
   zone_snaps_.resize(n);
-  ckpt_busy_until_.resize(n, 0);
   const auto& f = cluster_->params().fault;
   const auto max_depth =
       static_cast<std::uint32_t>(cluster_->node_count() > 0 ? cluster_->node_count() - 1 : 0);
   chain_depth_ = std::min(f.replicas, max_depth);
-  // The stream gets its own identity as soon as it is given chain depth or a
-  // bandwidth budget; plain replicas=1 keeps the classic piggyback
-  // accounting (and the recovery golden) byte-identical.
-  stream_enabled_ = f.replicas > 1 || f.ckpt_bw != 0;
+  // The stream gets its own identity as soon as it is given chain depth;
+  // plain replicas=1 keeps the classic piggyback accounting.
+  stream_enabled_ = f.replicas > 1;
   // Partition machinery (per-watcher heartbeat views, quorum promotion,
   // per-node epochs) engages only when the profile schedules partitions;
   // crash-only runs keep the exact detector the recovery goldens pin.
@@ -110,16 +108,7 @@ void HaManager::start() {
   for (auto& row : heard_) {
     for (Time& t : row) t = now;
   }
-  // Big clusters coalesce the detector into one sweep event per interval
-  // (same side effects in the same order — see sweep()); small clusters keep
-  // the per-node tick chains the recovery goldens' event counts pin.
-  if (f.hb_coalesce != 0 && static_cast<std::uint32_t>(count) >= f.hb_coalesce) {
-    eng.post(now + f.hb_interval, [this]() { sweep(); });
-  } else {
-    for (NodeId n = 0; n < count; ++n) {
-      eng.post(now + f.hb_interval, [this, n]() { tick(n); });
-    }
-  }
+  eng.post(now + cluster::kHeartbeatInterval, [this]() { sweep(); });
   for (const FaultWindow& c : f.crashes) {
     if (c.node >= count) continue;
     eng.post(c.start, [this, c]() { on_crash(c); });
@@ -179,7 +168,7 @@ void HaManager::tick_node(NodeId n, Time now, const cluster::FaultProfile& f) {
                            ? heard_[static_cast<std::size_t>(n)][static_cast<std::size_t>(pred)]
                            : h.last_heard;
     const Time silence = now - heard;
-    if (partitions_cfg_ && h.suspected && silence < f.suspect_after) {
+    if (partitions_cfg_ && h.suspected && silence < cluster::kSuspectAfter) {
       // This watcher hears the suspect fine: the suspicion came from a cut
       // watcher on the other side, not from a death. Keeping it cleared here
       // is what blocks cross-cut confirmations when the suspect's chain is
@@ -187,24 +176,15 @@ void HaManager::tick_node(NodeId n, Time now, const cluster::FaultProfile& f) {
       // node is silent toward every watcher, so this never fires for one.
       h.suspected = false;
     }
-    if (silence >= f.suspect_after && !h.suspected) {
+    if (silence >= cluster::kSuspectAfter && !h.suspected) {
       h.suspected = true;
       cluster_->trace_event(n, TraceKind::kHaSuspected, pred,
                             static_cast<std::int64_t>(silence / kMicrosecond));
     }
-    if (h.suspected && silence >= f.confirm_after) {
+    if (h.suspected && silence >= cluster::kConfirmAfter) {
       confirm_death(pred, n, silence);
     }
   }
-}
-
-void HaManager::tick(NodeId n) {
-  if (stopped_) return;
-  auto& eng = cluster_->engine();
-  const Time now = eng.now();
-  const auto& f = cluster_->params().fault;
-  tick_node(n, now, f);
-  eng.post(now + f.hb_interval, [this, n]() { tick(n); });
 }
 
 void HaManager::sweep() {
@@ -213,10 +193,8 @@ void HaManager::sweep() {
   const Time now = eng.now();
   const auto& f = cluster_->params().fault;
   const int count = cluster_->node_count();
-  // Ascending node order = the seq order the per-node tick chains fire in at
-  // every interval (posted ascending at start, re-posted in firing order).
   for (NodeId n = 0; n < count; ++n) tick_node(n, now, f);
-  eng.post(now + f.hb_interval, [this]() { sweep(); });
+  eng.post(now + cluster::kHeartbeatInterval, [this]() { sweep(); });
 }
 
 void HaManager::on_crash(const FaultWindow& c) {
@@ -302,7 +280,7 @@ bool HaManager::promotion_quorum(NodeId dead, NodeId watcher, Time now) const {
     }
     if (m != watcher && (f.severed(watcher, m, now) || f.severed(m, watcher, now))) continue;
     if (now - heard_[static_cast<std::size_t>(m)][static_cast<std::size_t>(dead)] <
-        f.suspect_after) {
+        cluster::kSuspectAfter) {
       continue;  // this chain member still hears the suspect
     }
     ++votes;
@@ -615,12 +593,12 @@ Time HaManager::retry_hold(NodeId target, Time now) const {
   // The target is inside a crash window but the detector has not confirmed it
   // yet: re-routing would be premature (there is no new home), and retrying
   // immediately burns whole-call budgets against a black hole. Hold until the
-  // detector can have confirmed (crash start + confirm_after, plus a tick of
+  // detector can have confirmed (crash start + kConfirmAfter, plus a tick of
   // watcher slack) or the restart, whichever comes first.
   Time confirmed_by = release;
   for (const FaultWindow& c : f.crashes) {
     if (c.node == target && c.covers(now)) {
-      confirmed_by = c.start + f.confirm_after + 2 * f.hb_interval;
+      confirmed_by = c.start + cluster::kConfirmAfter + 2 * cluster::kHeartbeatInterval;
       break;
     }
   }
@@ -628,7 +606,7 @@ Time HaManager::retry_hold(NodeId target, Time now) const {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint traffic (docs/RECOVERY.md §checkpoint bandwidth)
+// Checkpoint traffic (docs/RECOVERY.md §2)
 
 void HaManager::note_checkpoint(NodeId home, std::uint64_t bytes) {
   if (!stream_enabled_) {
@@ -669,25 +647,7 @@ void HaManager::send_checkpoint(NodeId from, NodeId origin, std::uint32_t hop,
   s.add(Counter::kHaCheckpointBytes, size);
   s.add(Counter::kHaCheckpointMsgs);
   cluster_->trace_event(from, TraceKind::kCheckpoint, dest, static_cast<std::int64_t>(size));
-
-  // ckpt_bw pacing: consecutive checkpoints from one node serialize through
-  // its replication-stream budget; the message departs when the budget
-  // frees. Deterministic: pure arithmetic on virtual time.
-  Time depart_delay = 0;
-  const std::uint64_t bw = cluster_->params().fault.ckpt_bw;
-  if (bw != 0) {
-    const Time now = cluster_->engine().now();
-    Time& busy = ckpt_busy_until_[static_cast<std::size_t>(from)];
-    const Time start = busy > now ? busy : now;
-    depart_delay = start - now;
-    const Time tx = static_cast<Time>(size * 1'000'000'000'000ULL / bw);  // ps on the budget
-    busy = start + tx;
-  }
-  if (depart_delay == 0) {
-    cluster_->send(from, dest, svc::kHaCheckpoint, std::move(msg));
-  } else {
-    cluster_->send_after(depart_delay, from, dest, svc::kHaCheckpoint, std::move(msg));
-  }
+  cluster_->send(from, dest, svc::kHaCheckpoint, std::move(msg));
 }
 
 void HaManager::handle_checkpoint(cluster::Incoming& in, NodeId self) {

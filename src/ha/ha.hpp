@@ -6,21 +6,20 @@
 // implemented here (docs/RECOVERY.md):
 //
 //   1. Failure detection — every node heartbeats on an out-of-band management
-//      path each `hb_interval`; each node runs watcher duty over its K ring
-//      predecessors (K = FaultProfile::replicas), suspecting a silent one
-//      after `suspect_after` and confirming it dead after `confirm_after`.
-//      All timeouts are virtual-time constants, so detection latency is
-//      deterministic.
+//      path each `kHeartbeatInterval`; each node runs watcher duty over its K
+//      ring predecessors (K = FaultProfile::replicas), suspecting a silent
+//      one after `kSuspectAfter` and confirming it dead after
+//      `kConfirmAfter` (cluster/params.hpp). All timeouts are virtual-time
+//      constants, so detection latency is deterministic.
 //   2. Replicated home state — every zone currently homed at node N has K
 //      chain backups: N's ring successors C(N, i) = (N+1+i) mod n, in chain
 //      order. Incremental checkpoints either piggyback on the update/ack
 //      traffic the consistency protocol already generates (the classic
 //      accounting via note_checkpoint -> kHaCheckpointBytes) or — when the
-//      stream is given its own identity (replicas > 1 or ckpt_bw set) —
-//      flow down the chain as *real cluster messages* on service
-//      svc::kHaCheckpoint: traced, faultable, byte-charged by the network
-//      model and paced by the ckpt_bw bandwidth budget. The simulator
-//      realizes the mirrored state at promotion time, which is
+//      stream is given its own identity (replicas > 1) — flow down the
+//      chain as *real cluster messages* on service svc::kHaCheckpoint:
+//      traced, faultable and byte-charged by the network model. The
+//      simulator realizes the mirrored state at promotion time, which is
 //      observationally equivalent to a synchronous mirror (zero loss).
 //   3. Home re-election — on confirmed death of a home, every zone it owned
 //      is promoted to the *first live member of the home's chain*:
@@ -79,14 +78,14 @@ class HaManager final : public cluster::HaHooks {
   HaManager& operator=(const HaManager&) = delete;
 
   // Fails fast on statically unrecoverable crash schedules (a zone whose
-  // home and all chain backups are down at once), posts the heartbeat tick
-  // chains, every applicable crash/restart event and every applicable
+  // home and all chain backups are down at once), posts the detector sweep,
+  // every applicable crash/restart event and every applicable
   // partition open/heal event, and registers the checkpoint-stream service
   // when the stream is enabled. Call once, before Cluster::run(). (Profile
-  // *validity* — window shapes, detector tuning, partition groups — is
-  // enforced at parse time in cluster/params.cpp.)
+  // *validity* — window shapes, partition groups — is enforced at parse
+  // time in cluster/params.cpp.)
   void start();
-  // Ends the self-chaining detector ticks so the engine can quiesce. Called
+  // Ends the self-chaining detector sweep so the engine can quiesce. Called
   // when the Java main thread finishes (HyperionVM::run_main).
   void stop();
 
@@ -101,7 +100,7 @@ class HaManager final : public cluster::HaHooks {
   // The first chain member — the classic single-failure backup placement.
   cluster::NodeId backup_of(cluster::NodeId n) const { return chain_member(n, 0); }
   // True when checkpoints travel as real cluster messages instead of
-  // piggyback accounting (replicas > 1 or a ckpt_bw budget was given).
+  // piggyback accounting (replicas > 1).
   bool stream_enabled() const { return stream_enabled_; }
 
   // --- cluster::HaHooks ----------------------------------------------------
@@ -149,17 +148,12 @@ class HaManager final : public cluster::HaHooks {
     std::vector<std::byte> bytes;
   };
 
-  // One self-chaining detector tick per node: emit the heartbeat (if alive),
-  // run watcher duty over the K watched ring predecessors.
-  void tick(cluster::NodeId n);
-  // Coalesced detector (node_count >= FaultProfile::hb_coalesce): ONE
-  // self-chaining sweep event per hb_interval ticks every node in ascending
-  // id order — the exact order the per-node chains fire in (they are posted,
-  // and so seq-ordered, ascending at every interval) — so the side effects
-  // are identical while the event heap carries O(1) detector events per
-  // interval instead of O(n).
+  // The detector: ONE self-chaining sweep event per kHeartbeatInterval ticks
+  // every node in ascending id order, so the event heap carries O(1)
+  // detector events per interval at every cluster size.
   void sweep();
-  // The shared per-node tick body (heartbeat + watcher duty, no re-post).
+  // One node's tick: emit the heartbeat (if alive), run watcher duty over the
+  // K watched ring predecessors.
   void tick_node(cluster::NodeId n, Time now, const cluster::FaultProfile& f);
   void on_crash(const cluster::FaultWindow& c);
   void on_restart(const cluster::FaultWindow& c);
@@ -196,7 +190,7 @@ class HaManager final : public cluster::HaHooks {
   // rounded up to whole pages: failover copies and diffs only this prefix.
   std::size_t live_prefix(cluster::NodeId zone) const;
   // Emits (or forwards) one checkpoint message of the modeled stream:
-  // `from` -> chain_member(origin, hop), paced by the ckpt_bw budget.
+  // `from` -> chain_member(origin, hop).
   void send_checkpoint(cluster::NodeId from, cluster::NodeId origin, std::uint32_t hop,
                        std::uint32_t delta_bytes);
   void handle_checkpoint(cluster::Incoming& in, cluster::NodeId self);
@@ -232,9 +226,6 @@ class HaManager final : public cluster::HaHooks {
   std::uint64_t promotions_ = 0;  // confirmed failures handled so far
   bool stopped_ = false;
   cluster::NodeId promoted_for_ = -1;  // most recent confirmed dead node
-  // Per-node virtual time until which the checkpoint stream's bandwidth
-  // budget is spoken for (ckpt_bw pacing; unused when ckpt_bw == 0).
-  std::vector<Time> ckpt_busy_until_;
 };
 
 }  // namespace hyp::ha

@@ -33,11 +33,11 @@ namespace hyp::obs {
 
 void write_perfetto_trace(std::ostream& os, const cluster::TraceLog& log);
 
-// Incremental writer for TraceLog's double-buffered sink mode (--trace-out
-// with --trace-stream): the JSON header goes out up front, each drained
-// buffer appends its events immediately (so memory stays bounded by the two
-// log buffers however long the run), and finish() closes the file with the
-// run totals. Both writers encode each event through one shared encoder, so
+// Incremental writer for TraceLog's double-buffered sink mode (what the
+// bench binaries' --trace-out writes): the JSON header goes out up front,
+// each drained buffer appends its events immediately (so memory stays
+// bounded by the two log buffers however long the run), and finish() closes
+// the file with the run totals. Both writers encode each event through one shared encoder, so
 // their non-metadata records match; here track metadata is emitted lazily,
 // the first time a node or java thread appears, and `otherData` trails the
 // event array (its counts are only known at the end). The one-shot output

@@ -103,7 +103,7 @@ class Engine {
   //
   // post/sleep/yield are defined inline below: they run once or more per
   // simulated event (millions per benchmark) and most callers live in other
-  // translation units (sync.cpp, cluster.cpp), so out-of-line definitions
+  // translation units (cluster.cpp, ha.cpp), so out-of-line definitions
   // would put a call on the hottest path in the program.
   void post(Time at, UniqueFunction<void()> fn) {
     HYP_CHECK_MSG(at >= now_, "posting an event into the past (at=" + std::to_string(at) +

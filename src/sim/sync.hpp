@@ -1,86 +1,13 @@
-// Fiber synchronization primitives in virtual time.
+// Node-local service resources in virtual time.
 //
-// These model the node-local synchronization PM2's Marcel thread library
-// provided. They are *not* OS primitives: blocking suspends the fiber and
-// advances the simulation. All queues are FIFO, which together with the
-// engine's deterministic event ordering makes lock handoff reproducible.
+// Fibers block on a FifoServer by sleeping until their service completes;
+// Java monitors block on Engine::park/unpark in hyperion::MonitorSubsystem.
 #pragma once
 
-#include <deque>
-
-#include "common/assert.hpp"
 #include "common/units.hpp"
 #include "sim/engine.hpp"
 
 namespace hyp::sim {
-
-class SimMutex {
- public:
-  explicit SimMutex(Engine* engine) : engine_(engine) {}
-  SimMutex(const SimMutex&) = delete;
-  SimMutex& operator=(const SimMutex&) = delete;
-
-  void lock();
-  void unlock();
-  bool try_lock();
-  bool held_by_current() const { return owner_ == engine_->current_fiber(); }
-
- private:
-  Engine* engine_;
-  Fiber* owner_ = nullptr;
-  std::deque<Fiber*> waiters_;
-};
-
-// RAII guard matching std::lock_guard's shape.
-class SimLockGuard {
- public:
-  explicit SimLockGuard(SimMutex& m) : m_(m) { m_.lock(); }
-  ~SimLockGuard() { m_.unlock(); }
-  SimLockGuard(const SimLockGuard&) = delete;
-  SimLockGuard& operator=(const SimLockGuard&) = delete;
-
- private:
-  SimMutex& m_;
-};
-
-class SimCondVar {
- public:
-  explicit SimCondVar(Engine* engine) : engine_(engine) {}
-  SimCondVar(const SimCondVar&) = delete;
-  SimCondVar& operator=(const SimCondVar&) = delete;
-
-  // Atomically releases `m` and blocks; reacquires `m` before returning.
-  void wait(SimMutex& m);
-  void notify_one();
-  void notify_all();
-
- private:
-  struct Waiter {
-    Fiber* fiber;
-    bool signaled = false;
-  };
-  Engine* engine_;
-  std::deque<Waiter*> waiters_;  // nodes live on the waiting fibers' stacks
-};
-
-class SimBarrier {
- public:
-  SimBarrier(Engine* engine, int parties) : engine_(engine), parties_(parties) {
-    HYP_CHECK(parties > 0);
-  }
-  SimBarrier(const SimBarrier&) = delete;
-  SimBarrier& operator=(const SimBarrier&) = delete;
-
-  // Blocks until `parties` fibers have arrived; reusable across generations.
-  void arrive_and_wait();
-
- private:
-  Engine* engine_;
-  int parties_;
-  int arrived_ = 0;
-  std::uint64_t generation_ = 0;
-  std::deque<Fiber*> waiters_;
-};
 
 // A FIFO service resource with a given service discipline: callers occupy the
 // server for a duration and block until their service completes. Models a

@@ -268,8 +268,8 @@ TEST(RaceLitmus, CleanProgramsStillCountPiggybackCost) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming trace sink (the --trace-stream machinery, satellite of the same
-// PR: a capacity-bounded log drops; the same log with a sink streams).
+// Streaming trace sink (what --trace-out writes through): a capacity-bounded
+// log drops; the same log with a sink streams.
 
 TEST(TraceStreaming, SinkDrainsInsteadOfDropping) {
   cluster::TraceLog dropping(16);

@@ -16,28 +16,46 @@ namespace hyp::sim {
 namespace {
 
 TEST(SimStress, FiveHundredFibersWithMixedBlocking) {
+  // Sleeps, FIFO service, a park/unpark rendezvous of the first 100 fibers
+  // and joins of the other 400 on earlier fibers, interleaved.
   Engine eng;
-  SimMutex mutex(&eng);
-  SimBarrier barrier(&eng, 100);
+  FifoServer server(&eng);
+  std::vector<Fiber*> fibers;
+  std::vector<Fiber*> parked;
+  bool released = false;
   std::int64_t shared = 0;
-  int barrier_crossings = 0;
+  int rendezvous_crossings = 0;
+  int joins_returned = 0;
   for (int i = 0; i < 500; ++i) {
-    eng.spawn(numbered("f", i), [&eng, &mutex, &barrier, &shared, &barrier_crossings, i] {
+    fibers.push_back(eng.spawn(numbered("f", i), [&, i] {
       Rng rng(static_cast<std::uint64_t>(i));
       for (int step = 0; step < 20; ++step) {
         eng.sleep_for(rng.below(1000) * kNanosecond);
-        SimLockGuard guard(mutex);
+        server.serve(rng.below(100) * kNanosecond);
         ++shared;
       }
       if (i < 100) {
-        barrier.arrive_and_wait();
-        ++barrier_crossings;
+        // The 100th arrival wakes the 99 parked before it.
+        if (parked.size() == 99) {
+          released = true;
+          for (Fiber* f : parked) eng.unpark(f);
+        } else {
+          parked.push_back(eng.current_fiber());
+          while (!released) eng.park();
+        }
+        ++rendezvous_crossings;
+      } else {
+        eng.join(fibers[static_cast<std::size_t>(i - 100)]);
+        EXPECT_TRUE(fibers[static_cast<std::size_t>(i - 100)]->done());
+        ++joins_returned;
       }
-    });
+    }));
   }
   EXPECT_TRUE(eng.run().empty());
   EXPECT_EQ(shared, 500 * 20);
-  EXPECT_EQ(barrier_crossings, 100);
+  EXPECT_EQ(server.jobs_served(), 500u * 20u);
+  EXPECT_EQ(rendezvous_crossings, 100);
+  EXPECT_EQ(joins_returned, 400);
 }
 
 class SimDeterminism : public ::testing::TestWithParam<std::uint64_t> {};
@@ -45,41 +63,38 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimDeterminism, ::testing::Values(1u, 17u, 4242u
                          [](const auto& param_info) { return numbered("seed", param_info.param); });
 
 TEST_P(SimDeterminism, WholeMachineStateIsReproducible) {
+  // Seeded random mixes of sleep, FIFO service, park until a posted event
+  // unparks the fiber, and joins on earlier fibers; two runs must agree on
+  // the clock, the event and switch counts and every recorded step.
   auto run_once = [&] {
     Engine eng;
-    SimMutex mutex(&eng);
-    SimCondVar cv(&eng);
     FifoServer server(&eng);
-    std::vector<std::int64_t> trace;
-    bool ready = false;
+    std::vector<Fiber*> fibers;
+    std::vector<std::tuple<int, int, Time>> trace;
     for (int i = 0; i < 40; ++i) {
-      eng.spawn(numbered("w", i), [&, i] {
+      fibers.push_back(eng.spawn(numbered("w", i), [&, i] {
         Rng rng(GetParam() + static_cast<std::uint64_t>(i));
         for (int step = 0; step < 10; ++step) {
           switch (rng.below(4)) {
             case 0: eng.sleep_for(rng.below(10000) * kNanosecond); break;
-            case 1: {
-              SimLockGuard guard(mutex);
-              trace.push_back(i * 100 + step);
+            case 1: server.serve(rng.below(5000) * kNanosecond); break;
+            case 2: {
+              Fiber* self = eng.current_fiber();
+              eng.post(eng.now() + rng.below(5000) * kNanosecond,
+                       [&eng, self] { eng.unpark(self); });
+              eng.park();
               break;
             }
-            case 2: server.serve(rng.below(5000) * kNanosecond); break;
-            case 3: {
-              SimLockGuard guard(mutex);
-              if (ready) cv.notify_all();
+            case 3:
+              if (i > 0) eng.join(fibers[rng.below(static_cast<std::uint64_t>(i))]);
               break;
-            }
           }
+          trace.emplace_back(i, step, eng.now());
         }
-        if (i == 0) {
-          SimLockGuard guard(mutex);
-          ready = true;
-          cv.notify_all();
-        }
-      });
+      }));
     }
-    eng.run();
-    return std::make_tuple(eng.now(), eng.events_processed(), trace);
+    EXPECT_TRUE(eng.run().empty());
+    return std::make_tuple(eng.now(), eng.events_processed(), eng.context_switches(), trace);
   };
   EXPECT_EQ(run_once(), run_once());
 }
