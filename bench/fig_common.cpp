@@ -1,5 +1,6 @@
 #include "fig_common.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -204,6 +205,11 @@ void add_sweep_flags(Cli& cli) {
       .flag_int("max-nodes", 0, "cap the node counts (0 = paper sweep)")
       .flag_bool("quick", false, "coarse sweep (nodes 1,4,12 / 1,3,6) for smoke runs")
       .flag_string("plot-dir", "", "write gnuplot <id>.dat/<id>.gp into this directory");
+}
+
+bool matches_reference(double value, double reference) {
+  const double denom = std::abs(reference) > 1.0 ? std::abs(reference) : 1.0;
+  return std::abs(value - reference) / denom <= 1e-7;
 }
 
 SweepOptions sweep_from_cli(const Cli& cli) {

@@ -57,6 +57,13 @@ struct SweepOptions {
 void add_sweep_flags(Cli& cli);
 SweepOptions sweep_from_cli(const Cli& cli);
 
+// True when a parallel run's answer matches its serial reference.
+// Per-thread partial checksums merge through a monitor, so the fp addition
+// order varies with the partition; the relative tolerance (1e-7) absorbs
+// merge-order noise while still failing loudly on any genuinely wrong
+// answer.
+bool matches_reference(double value, double reference);
+
 // Uniform observability wiring for the bench binaries:
 //
 //   --trace-out FILE    Perfetto/Chrome trace_events JSON of every attached

@@ -44,11 +44,6 @@ namespace {
 using namespace hyp;
 using Clock = std::chrono::steady_clock;
 
-// Per-thread partial checksums merge through a monitor, so the fp addition
-// order varies with the partition; the tolerance absorbs merge-order noise
-// while still failing loudly on any genuinely wrong answer.
-constexpr double kRelTol = 1e-7;
-
 std::vector<int> parse_nodes(const std::string& spec) {
   std::vector<int> out;
   std::size_t pos = 0;
@@ -96,10 +91,7 @@ struct ScalePoint {
   std::uint64_t ckpt_msgs = 0;
   std::uint64_t ckpt_bytes = 0;
 
-  bool stable() const {
-    const double denom = std::abs(reference) > 1.0 ? std::abs(reference) : 1.0;
-    return std::abs(value - reference) / denom <= kRelTol;
-  }
+  bool stable() const { return bench::matches_reference(value, reference); }
   std::uint64_t events_per_sec() const {
     return wall_s > 0 ? static_cast<std::uint64_t>(static_cast<double>(events) / wall_s)
                       : 0;

@@ -566,8 +566,7 @@ void Cluster::tx_give_up(TxPacket packet, bool no_quorum) {
       // parked caller instead of letting the run end in a generic deadlock.
       auto it = find_pending(packet.token);
       if (it != pending_calls_.end() && !it->second->done) {
-        fail_call(*it->second, packet.token,
-                  no_quorum ? RpcStatus::kNoQuorum : RpcStatus::kBudgetExhausted,
+        fail_call(*it->second, no_quorum ? RpcStatus::kNoQuorum : RpcStatus::kBudgetExhausted,
                   packet.retransmits);
       }
       return;
@@ -595,8 +594,7 @@ void Cluster::tx_give_up(TxPacket packet, bool no_quorum) {
   auto it = find_pending(packet.token);
   if (it != pending_calls_.end() && !it->second->done) {
     PendingCall& pc = *it->second;
-    fail_call(pc, packet.token, no_quorum ? RpcStatus::kNoQuorum : RpcStatus::kTimeout,
-              packet.retransmits);
+    fail_call(pc, no_quorum ? RpcStatus::kNoQuorum : RpcStatus::kTimeout, packet.retransmits);
     pc.error.message +=
         " (reply from node " + std::to_string(packet.from) + " was undeliverable)";
   } else {
@@ -615,9 +613,7 @@ void Cluster::complete_call(std::uint64_t token, Buffer payload) {
   engine_.unpark(pc.waiter);
 }
 
-void Cluster::fail_call(PendingCall& call, std::uint64_t token, RpcStatus status,
-                        std::uint32_t retransmits) {
-  (void)token;
+void Cluster::fail_call(PendingCall& call, RpcStatus status, std::uint32_t retransmits) {
   call.error =
       make_error(status, call.from, call.to, call.service, retransmits,
                  engine_.now() - call.started);

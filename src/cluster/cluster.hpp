@@ -396,8 +396,7 @@ class Cluster {
   // The entry for `token`, or end() once the call returned (map::find).
   PendingCalls::iterator find_pending(std::uint64_t token);
   void complete_call(std::uint64_t token, Buffer payload);
-  void fail_call(PendingCall& call, std::uint64_t token, RpcStatus status,
-                 std::uint32_t retransmits);
+  void fail_call(PendingCall& call, RpcStatus status, std::uint32_t retransmits);
   RpcError make_error(RpcStatus status, NodeId from, NodeId to, ServiceId service,
                       std::uint32_t retransmits, Time waited) const;
   void record_service_name(ServiceId service, const char* name);

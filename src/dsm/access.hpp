@@ -13,7 +13,9 @@
 //     test below plays the MMU: it costs nothing in virtual time when the
 //     page is present (hardware does it for free); when the page is absent
 //     it charges the paper's measured page-fault cost and runs the fault
-//     handler (fetch + mprotect + twin).
+//     handler (fetch + mprotect + twin). A store's test also finds a
+//     replica's first local store, which takes the twin's bytes on the host
+//     (the copy's virtual time was charged at fetch).
 //
 // Both policies operate on real bytes in the node's arena; a protocol bug
 // yields wrong program output, not just wrong timing.
@@ -32,8 +34,9 @@ concept DsmScalar = std::is_trivially_copyable_v<T> &&
                     (sizeof(T) == 1 || sizeof(T) == 2 || sizeof(T) == 4 || sizeof(T) == 8);
 
 // The fast paths read ThreadCtx::presence directly: one indexed byte load
-// answers both "present?" (bit 0) and "home?" (bit 1), with no NodeDsm call
-// and no home_of_page division (docs/PERFORMANCE.md). The page id comes from
+// answers both "present?" (bit 0) and "home?" (bit 1), and for a pf-mode
+// store "are the twin's bytes taken?", with no NodeDsm call and no
+// home_of_page division (docs/PERFORMANCE.md). The page id comes from
 // ThreadCtx::page_shift (cached from Layout), so address-to-page is a single
 // shift with no dsm->layout() chase. The miss branches only ever run for
 // non-home pages (home pages are always present), so a presence byte loaded
@@ -44,6 +47,13 @@ concept DsmScalar = std::is_trivially_copyable_v<T> &&
 // slows the tight access loops (register pressure around the call), and the
 // detector-off contract is ZERO overhead. with_policy() picks the
 // instrumented instantiation only when a detector is attached.
+
+// A pf-mode replica's first local store takes the twin's bytes just before
+// it lands, tested after the store's miss, if any, returned: the miss can
+// yield, and a sibling's acquire can invalidate the page meanwhile. Only a
+// byte still twinned without bytes (kTwinBit is set only on present
+// replicas) takes them; on a page gone absent the store lands untwinned.
+constexpr std::uint8_t kTwinState = NodeDsm::kTwinBit | NodeDsm::kTwinBytesBit;
 
 template <bool RaceHooks = false>
 struct IcPolicyT {
@@ -111,8 +121,10 @@ struct PfPolicyT {
   template <DsmScalar T>
   static void put(ThreadCtx& t, Gva a, T v) {
     const PageId p = static_cast<PageId>(a >> t.page_shift);
-    if ((t.presence[p] & NodeDsm::kPresentBit) == 0) [[unlikely]] {
-      t.dsm->miss(t, p);
+    if ((t.presence[p] & (NodeDsm::kHomeBit | NodeDsm::kTwinBytesBit)) == 0) [[unlikely]] {
+      // Absent, or a replica's first local store.
+      if ((t.presence[p] & NodeDsm::kPresentBit) == 0) t.dsm->miss(t, p);
+      if ((t.presence[p] & kTwinState) == NodeDsm::kTwinBit) t.nd->take_twin(p);
     }
     // Direct store; updateMainMemory finds it by twin comparison.
     std::memcpy(t.base + a, &v, sizeof(T));
@@ -185,6 +197,7 @@ struct HybridPolicyT {
       // could be neither logged nor twin-diffed — a lost update.
       st = t.presence[p];
     }
+    if ((st & kTwinState) == NodeDsm::kTwinBit) [[unlikely]] t.nd->take_twin(p);
     std::memcpy(t.base + a, &v, sizeof(T));
     if ((st & kBare) == 0) {
       // Non-home page in ic mode: field-granularity write log (pf-mode pages

@@ -314,9 +314,12 @@ void DsmSystem::fetch_page(ThreadCtx& t, PageId p) {
   std::memcpy(t.nd->page_ptr(p), reply.data(),
               mark > base ? std::min<std::size_t>(mark - base, page_bytes) : 0);
   t.clock.charge(cpu.copy_cost(page_bytes));
-  const bool with_twin = !ic_mode(*t.nd, p);  // pf-mode replicas are twin-diffed
+  // pf-mode replicas are twin-diffed. The twin copy is charged here, where
+  // the paper's java_pf makes it; the host takes its bytes at the replica's
+  // first local store (NodeDsm::take_twin).
+  const bool with_twin = !ic_mode(*t.nd, p);
   t.nd->mark_cached(p, with_twin);
-  if (with_twin) t.clock.charge(cpu.copy_cost(page_bytes));  // twin snapshot
+  if (with_twin) t.clock.charge(cpu.copy_cost(page_bytes));
   t.clock.flush();
 
   t.stats->add(Counter::kPageFetches);
@@ -502,10 +505,11 @@ void DsmSystem::give_up_ic(ThreadCtx& t, PageId p) {
   wheat_[static_cast<std::size_t>(t.node)]->fold(
       p, cluster_->engine().now() / kModeEpoch);
   if (!t.nd->is_home(p) && !t.nd->has_twin(p)) {
-    // pf-mode replicas are twin-diffed at flush; snapshot one now so bare
-    // stores made after the flip are still shipped home. Stores made before
-    // it are already in the write log — the two cover the generation with no
-    // gap and no double-send.
+    // pf-mode replicas are twin-diffed at flush; twin this one now so bare
+    // stores made after the flip are still shipped home (the first of them
+    // takes the twin's bytes, which then hold the page as of the flip).
+    // Stores made before it are already in the write log — the two cover the
+    // generation with no gap and no double-send.
     t.nd->ensure_twin(p);
     t.clock.charge(cpu.copy_cost(layout_.page_bytes()));
   }
@@ -635,7 +639,9 @@ void DsmSystem::update_main_memory(ThreadCtx& t) {
   //
   // The scan compares aligned u64 words, skipping clean 64-byte chunks with
   // one OR-of-XORs test. Run boundaries are identical to a word-at-a-time
-  // scan: a chunk is skipped only when all eight words match.
+  // scan: a chunk is skipped only when all eight words match. Every twinned
+  // replica is charged its diff; only those stored to since their fetch hold
+  // twin bytes, and only they are compared.
   if (t.nd->live_twins() != 0) {
     const std::size_t page_bytes = layout_.page_bytes();
     const std::size_t words = page_bytes / 8;
@@ -643,6 +649,7 @@ void DsmSystem::update_main_memory(ThreadCtx& t) {
     for (PageId p : t.nd->cached_pages()) {
       if (!t.nd->has_twin(p)) continue;
       t.clock.charge(cpu.diff_cost(page_bytes));
+      if (!t.nd->has_twin_bytes(p)) continue;
       const std::byte* cur = t.nd->page_ptr(p);
       const std::byte* twin = t.nd->twin(p);
       const std::uint32_t key = cohort_key(rule, layout_.page_base(p));
@@ -925,10 +932,11 @@ void DsmSystem::hand_off_page(PageId p, NodeId from, NodeId to) {
   NodeDsm& dst = node_dsm(to);
   const std::size_t page_bytes = layout_.page_bytes();
   // Realize the authoritative bytes in the new home's arena. If `to` holds a
-  // pf-mode replica, its unflushed local writes (cur != twin words) survive:
-  // only clean words take the old home's bytes (cf. HaManager::move_zone
-  // preserving the backup's pending diffs during zone failover).
-  if (dst.has_twin(p)) {
+  // pf-mode replica that was stored to, its unflushed local writes (cur !=
+  // twin words) survive: only clean words take the old home's bytes (cf.
+  // HaManager::move_zone preserving the backup's pending diffs during zone
+  // failover). A replica without twin bytes holds no local store.
+  if (dst.has_twin_bytes(p)) {
     std::byte* cur = dst.page_ptr(p);
     const std::byte* twin = dst.twin(p);
     const std::byte* bytes = src.page_ptr(p);

@@ -11,9 +11,10 @@
 //   java_pf (§3.3) — accesses hit the local arena directly; absent pages
 //     trip the (simulated) MMU: the miss charges the paper's measured page
 //     fault cost plus an mprotect to open the page, and fetches it with a
-//     twin. updateMainMemory diffs cached pages against their twins and
-//     ships the modified words home. Monitor entry re-protects everything
-//     with one region-wide mprotect.
+//     twin (charged at fetch; its bytes are taken at the first local store).
+//     updateMainMemory diffs cached pages against their twins and ships the
+//     modified words home. Monitor entry re-protects everything with one
+//     region-wide mprotect.
 //
 //   hybrid (docs/PROTOCOLS.md §hybrid) — picks the detection mode per page
 //     online from windowed heat (obs::WindowedHeat): dense low-miss pages run

@@ -36,18 +36,20 @@ NodeDsm::~NodeDsm() {
   if (arena_ != nullptr) munmap(arena_, layout_->total_bytes());
 }
 
-void NodeDsm::snapshot_twin(PageId p) {
+void NodeDsm::take_twin(PageId p) {
+  HYP_CHECK_MSG((presence_[p] & (kPresentBit | kTwinBit | kTwinBytesBit)) ==
+                    (kPresentBit | kTwinBit),
+                "twin bytes taken for a page that is not a present, twinned replica without them");
   auto* twin = new std::byte[layout_->page_bytes()];
   std::memcpy(twin, page_ptr(p), layout_->page_bytes());
   twins_[p] = twin;
-  presence_[p] |= kTwinBit;
-  ++live_twins_;
+  presence_[p] |= kTwinBytesBit;
 }
 
 void NodeDsm::drop_twin(PageId p) {
   if (!has_twin(p)) return;
-  delete[] twins_[p];
-  presence_[p] &= static_cast<std::uint8_t>(~kTwinBit);
+  if (has_twin_bytes(p)) delete[] twins_[p];
+  presence_[p] &= static_cast<std::uint8_t>(~(kTwinBit | kTwinBytesBit));
   --live_twins_;
 }
 
@@ -57,7 +59,7 @@ void NodeDsm::mark_cached(PageId p, bool with_twin) {
   HYP_CHECK_MSG((presence_[p] & kPresentBit) == 0, "page already cached");
   presence_[p] |= kPresentBit;  // |= preserves a hybrid kPfModeBit
   cached_list_.push_back(p);
-  if (with_twin) snapshot_twin(p);
+  if (with_twin) ensure_twin(p);
 }
 
 std::size_t NodeDsm::invalidate_all() {
@@ -97,11 +99,13 @@ void NodeDsm::demote_home(PageId first, PageId last) {
 }
 
 void NodeDsm::ensure_twin(PageId p) {
-  if (!has_twin(p)) snapshot_twin(p);
+  if (has_twin(p)) return;
+  presence_[p] |= kTwinBit;
+  ++live_twins_;
 }
 
 void NodeDsm::refresh_twin(PageId p) {
-  HYP_CHECK(has_twin(p));
+  HYP_CHECK(has_twin_bytes(p));
   std::memcpy(twins_[p], page_ptr(p), layout_->page_bytes());
 }
 

@@ -9,9 +9,12 @@
 //   * cached         — a replica fetched from the home (at most one per node,
 //                      shared by all the node's threads, per the paper);
 //   * absent         — any access must first load the page.
-// A pf-mode replica (every java_pf replica, hybrid's pf-mode ones)
-// additionally keeps a *twin* (pristine copy at fetch time) so
-// updateMainMemory can diff out the modified words.
+// A pf-mode replica (every java_pf replica, hybrid's pf-mode ones) is
+// *twinned*: updateMainMemory diffs it against a pristine copy to find the
+// modified words. The copy's bytes are taken at the replica's first local
+// store, not at fetch (a replica that is only read has nothing to diff, so
+// it costs no twin allocation, no copy and no scan); virtual time still
+// charges the twin copy at fetch, as the paper's java_pf does.
 //
 // A node commits only what it holds. The per-page tables are lazily committed
 // (common/lazy_array.hpp), a zero presence byte is a fresh page under every
@@ -50,8 +53,13 @@ class NodeDsm {
   // page's learned mode carries over to its next fetch); java_ic/java_pf
   // never set it.
   static constexpr std::uint8_t kPfModeBit = 4;
-  // The page has a twin: no scan reads the twin slot of a page without one.
+  // The page is a twinned (pf-mode) replica: the flush charges its diff, and
+  // live_twins() counts it.
   static constexpr std::uint8_t kTwinBit = 8;
+  // The twin's bytes exist (set by take_twin at the replica's first local
+  // store); the twin slot is valid only while this is set. Without it the
+  // replica holds no local store, so it is clean.
+  static constexpr std::uint8_t kTwinBytesBit = 16;
 
   NodeDsm(const Layout* layout, NodeId node);
   ~NodeDsm();
@@ -81,8 +89,9 @@ class NodeDsm {
   // the NodeDsm indirection. The table never remaps after construction.
   const std::uint8_t* presence_data() const { return presence_.data(); }
 
-  // Marks a freshly fetched page cached. `with_twin` snapshots a twin
-  // (java_pf). The caller has already copied the payload into the arena.
+  // Marks a freshly fetched page cached; `with_twin` makes it a twinned
+  // (pf-mode) replica, whose bytes wait for its first store. The caller has
+  // already copied the payload into the arena.
   void mark_cached(PageId p, bool with_twin);
 
   // Drops every cached page (monitor-entry invalidation). Returns how many
@@ -90,17 +99,22 @@ class NodeDsm {
   std::size_t invalidate_all();
 
   bool has_twin(PageId p) const { return (presence_[p] & kTwinBit) != 0; }
+  bool has_twin_bytes(PageId p) const { return (presence_[p] & kTwinBytesBit) != 0; }
   std::byte* twin(PageId p) {
-    HYP_DCHECK(has_twin(p));
+    HYP_DCHECK(has_twin_bytes(p));
     return twins_[p];
   }
-  // Twins currently allocated. Every twin belongs to a cached page, which is
-  // what lets the destructor free them by walking the cached list.
+  // Twinned replicas, with or without bytes. Every twin belongs to a cached
+  // page, which is what lets the destructor free them by walking the cached
+  // list.
   std::size_t live_twins() const { return live_twins_; }
 
-  // Snapshots a twin of a cached page that was fetched without one (hybrid
-  // mid-generation ic -> pf flip). No-op if the twin already exists.
+  // Twins a cached page that was fetched without one (hybrid mid-generation
+  // ic -> pf flip). No-op if it is twinned already.
   void ensure_twin(PageId p);
+  // Copies a present, twinned replica's bytes into its twin, before the
+  // first local store lands.
+  void take_twin(PageId p);
   // Refreshes the twin of a cached page to match the current arena contents
   // (after its diffs have been shipped home).
   void refresh_twin(PageId p);
@@ -151,10 +165,8 @@ class NodeDsm {
   void finish_fetch(PageId p);
 
  private:
-  // Allocate page p's twin as a copy of its arena bytes / free it (no-op
-  // without kTwinBit, so drop it before masking the byte), keeping
-  // live_twins_ in step.
-  void snapshot_twin(PageId p);
+  // Untwins page p, freeing its bytes if taken (no-op without kTwinBit, so
+  // drop it before masking the byte), keeping live_twins_ in step.
   void drop_twin(PageId p);
 
   const Layout* layout_;
@@ -162,7 +174,7 @@ class NodeDsm {
   std::byte* arena_ = nullptr;
   LazyArray<std::uint8_t> presence_;  // indexed by page; see bits above
   std::vector<PageId> cached_list_;   // pages with presence_[p]==kPresentBit
-  LazyArray<std::byte*> twins_;       // indexed by page; owning, valid iff kTwinBit
+  LazyArray<std::byte*> twins_;       // indexed by page; owning, valid iff kTwinBytesBit
   std::size_t live_twins_ = 0;
   Gva alloc_next_;
 

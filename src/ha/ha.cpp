@@ -387,7 +387,8 @@ void HaManager::move_zone(NodeId zone, NodeId dead, NodeId new_home) {
   dsm::NodeDsm& bnd = dsm_->node_dsm(new_home);
 
   // (1) Extract the new home's pending java_pf diffs (cur vs twin) for
-  //     cached pages of the zone — promote_to_home drops the twins below.
+  //     cached pages of the zone — promote_to_home drops the twins below. A
+  //     twinned replica without bytes was never stored to: it is clean.
   struct SavedRun {
     dsm::Gva at;
     std::vector<std::byte> bytes;
@@ -395,7 +396,7 @@ void HaManager::move_zone(NodeId zone, NodeId dead, NodeId new_home) {
   std::vector<SavedRun> pending;
   const std::size_t page_bytes = layout.page_bytes();
   for (dsm::PageId p : bnd.cached_pages()) {
-    if (p < first || p >= last || !bnd.has_twin(p)) continue;
+    if (p < first || p >= last || !bnd.has_twin_bytes(p)) continue;
     const std::byte* cur = bnd.page_ptr(p);
     const std::byte* tw = bnd.twin(p);
     std::size_t i = 0;

@@ -12,9 +12,11 @@
 //     the unshipped remainder when a home migrates mid-flush.
 // The HomeRoute tests race a page fetch and monitor enter/exit against a
 // home migration: the old home refuses the request and the caller resends
-// it to the new one. The FlushGuard tests flush one cohort per page for
-// hundreds of pages, which must not be mistaken for a reroute that does not
-// converge.
+// it to the new one. The TwinBytes tests pin when a pf-mode replica takes
+// its twin's bytes (its first local store, never a page gone absent during
+// the store's miss) and what its flush ships and charges. The FlushGuard
+// tests flush one cohort per page for hundreds of pages, which must not be
+// mistaken for a reroute that does not converge.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -322,6 +324,162 @@ TEST(HomeRoute, MonitorExitRefusedByTheOldHomeIsResentToTheNewOne) {
     EXPECT_EQ(r.nacks, 1u) << "profile '" << profile << "'";
     EXPECT_GE(r.reroutes, 1u) << "profile '" << profile << "'";
   }
+}
+
+// A store whose miss yields, racing a sibling's monitor enter (no HA). Page
+// P is homed on node 0. Thread A on node 1 stores to P while it is absent in
+// pf mode (hybrid first reads P densely, which gives up ic mode, and drops it
+// with a monitor enter). A's miss fetches P as a twinned replica, then yields
+// while the copies and the trap's mprotect are charged. Thread B on node 1
+// enters a monitor homed on node 2 at `enter_at`; its grant lands inside A's
+// window, so its invalidation drops P before A's store. The store lands on
+// an absent page, and P must not take a twin. (That the store is lost is the
+// two-threads-per-node window of ROADMAP's first open item; not asserted.)
+struct StoreRace {
+  int byte_before = -1;  // P's presence byte on node 1 just before A's store
+  int byte_after = -1;   // ... and when it returned
+  std::uint64_t fetches = 0;  // A's fetches of P for its store
+  std::size_t live_twins = 0;  // node 1's, after the run
+};
+
+StoreRace store_miss_across_invalidation(ProtocolKind kind, Time enter_at) {
+  cluster::Cluster c(cluster::ClusterParams::myrinet200(), 4);
+  DsmSystem dsm(&c, std::size_t{1} << 20, kind);
+  hyperion::MonitorSubsystem monitors(&c, &dsm);
+  const std::size_t page = dsm.layout().page_bytes();
+  const Gva p = dsm.alloc(0, page, page);
+  const Gva lock = dsm.alloc(2, 8);
+  const PageId pid = dsm.layout().page_of(p);
+  NodeDsm& nd = dsm.node_dsm(1);
+  StoreRace out;
+  c.spawn_thread(1, "storer", [&] {
+    auto t = dsm.make_thread(1);
+    if (kind == ProtocolKind::kHybrid) {
+      for (int i = 0; i < 1000; ++i) HybridPolicy::get<std::int64_t>(*t, p);
+      EXPECT_FALSE(nd.ic_mode(pid));
+      monitors.enter(*t, lock);
+      monitors.exit(*t, lock);
+    }
+    t->clock.flush();
+    sim::sleep_until(kMillisecond);
+    out.byte_before = nd.presence_data()[pid];
+    const std::uint64_t fetches = c.node(1).stats().get(Counter::kPageFetches);
+    with_policy(kind, [&](auto policy) {
+      using P = decltype(policy);
+      P::template put<std::int64_t>(*t, p, 42);
+    });
+    out.byte_after = nd.presence_data()[pid];
+    out.fetches = c.node(1).stats().get(Counter::kPageFetches) - fetches;
+  });
+  c.spawn_thread(1, "acquirer", [&] {
+    auto t = dsm.make_thread(1);
+    sim::sleep_until(enter_at);
+    monitors.enter(*t, lock);
+    monitors.exit(*t, lock);
+  });
+  c.run();
+  out.live_twins = nd.live_twins();
+  return out;  // ~DsmSystem: the NodeDsm destructor checks its twins
+}
+
+// B's grant lands inside A's window for enter_at in [1.060, 1.070) ms under
+// both protocols; 1.065 ms sits in the middle.
+void expect_store_window_leaves_no_twin(ProtocolKind kind) {
+  const StoreRace r =
+      store_miss_across_invalidation(kind, kMillisecond + 65 * kMicrosecond);
+  const int pf_mode = kind == ProtocolKind::kHybrid ? NodeDsm::kPfModeBit : 0;
+  EXPECT_EQ(r.byte_before, pf_mode);  // absent, in pf mode
+  EXPECT_EQ(r.fetches, 1u);
+  // The window was hit: A's store returned with P absent again, and no
+  // twin bit on its byte.
+  EXPECT_EQ(r.byte_after, pf_mode);
+  EXPECT_EQ(r.byte_after & (NodeDsm::kTwinBit | NodeDsm::kTwinBytesBit), 0);
+  EXPECT_EQ(r.live_twins, 0u);
+}
+
+TEST(TwinBytes, StoreMissRacingAnInvalidationTwinsNoAbsentPageJavaPf) {
+  expect_store_window_leaves_no_twin(ProtocolKind::kJavaPf);
+}
+
+TEST(TwinBytes, StoreMissRacingAnInvalidationTwinsNoAbsentPageHybrid) {
+  expect_store_window_leaves_no_twin(ProtocolKind::kHybrid);
+}
+
+// Flushes of twinned replicas (no HA). Node 1 reads pages P and Q, both
+// homed on node 0. Under hybrid it reads each densely, so the fast path gives
+// up ic mode and twins the present page (give_up_ic); under java_pf the fetch
+// twins it. Neither page has twin bytes until it is stored to:
+//   * the flush of two read-only replicas ships nothing, and charges the
+//     same two diff scans as ever;
+//   * a store to P takes P's bytes, and the flush ships exactly that word;
+//   * a second thread on node 1 stores to Q, which the first one fetched:
+//     that first store takes Q's bytes, and its flush ships the word too.
+void flush_twinned_replicas(ProtocolKind kind) {
+  cluster::Cluster c(cluster::ClusterParams::myrinet200(), 4);
+  DsmSystem dsm(&c, std::size_t{1} << 20, kind);
+  const std::size_t page = dsm.layout().page_bytes();
+  const Gva p = dsm.alloc(0, 2 * page, page);
+  const Gva q = p + page;
+  const PageId pp = dsm.layout().page_of(p);
+  const PageId qp = dsm.layout().page_of(q);
+  NodeDsm& nd = dsm.node_dsm(1);
+  const Stats& stats = c.node(1).stats();
+  const Time diff = c.params().cpu.diff_cost(page);
+  c.spawn_thread(1, "reader", [&] {
+    auto t = dsm.make_thread(1);
+    auto u = dsm.make_thread(1);
+    with_policy(kind, [&](auto policy) {
+      using P = decltype(policy);
+      const int reads = kind == ProtocolKind::kHybrid ? 1000 : 1;
+      for (Gva a : {p, q}) {
+        for (int i = 0; i < reads; ++i) EXPECT_EQ((P::template get<std::int64_t>(*t, a)), 0);
+      }
+      ASSERT_EQ(nd.live_twins(), 2u);
+      for (PageId pg : {pp, qp}) {
+        EXPECT_TRUE(nd.has_twin(pg));
+        EXPECT_FALSE(nd.has_twin_bytes(pg));
+      }
+
+      // Read only: no runs, no message, two diff scans' time.
+      t->clock.flush();
+      const Time at = c.engine().now();
+      dsm.update_main_memory(*t);
+      EXPECT_EQ(c.engine().now() - at, 2 * diff);
+      EXPECT_EQ(stats.get(Counter::kDiffWords), 0u);
+      EXPECT_EQ(stats.get(Counter::kUpdatesSent), 0u);
+
+      // The first store to P takes its bytes; the flush ships that word.
+      P::template put<std::int64_t>(*t, p + 16, 7);
+      EXPECT_TRUE(nd.has_twin_bytes(pp));
+      EXPECT_FALSE(nd.has_twin_bytes(qp));
+      dsm.update_main_memory(*t);
+      EXPECT_EQ(stats.get(Counter::kDiffWords), 1u);
+      EXPECT_EQ(stats.get(Counter::kUpdatesSent), 1u);
+      EXPECT_EQ(stats.get(Counter::kUpdateBytes), 4u + 8 + 4 + 8);  // one one-word run
+      EXPECT_EQ(dsm.read_home<std::int64_t>(p + 16), 7);
+
+      // A sibling's first store to Q, a page it did not fetch.
+      const std::uint64_t fetches = stats.get(Counter::kPageFetches);
+      P::template put<std::int64_t>(*u, q + 40, 9);
+      EXPECT_EQ(stats.get(Counter::kPageFetches), fetches);
+      EXPECT_TRUE(nd.has_twin_bytes(qp));
+      dsm.update_main_memory(*u);
+      EXPECT_EQ(stats.get(Counter::kDiffWords), 2u);
+      EXPECT_EQ(stats.get(Counter::kUpdatesSent), 2u);
+      EXPECT_EQ(dsm.read_home<std::int64_t>(q + 40), 9);
+      EXPECT_EQ(dsm.read_home<std::int64_t>(p + 16), 7);
+    });
+  });
+  c.run();
+  EXPECT_EQ(nd.live_twins(), 2u);  // freed by ~NodeDsm, which checks them
+}
+
+TEST(TwinBytes, JavaPfReplicaTakesItsTwinBytesAtTheFirstStore) {
+  flush_twinned_replicas(ProtocolKind::kJavaPf);
+}
+
+TEST(TwinBytes, HybridReplicaTakesItsTwinBytesAtTheFirstStoreAfterGivingUpIc) {
+  flush_twinned_replicas(ProtocolKind::kHybrid);
 }
 
 // HA on (a crash far beyond the run's end) makes hybrid cohorts page-pure.

@@ -30,10 +30,15 @@ TEST_F(NodeDsmTest, MarkCachedMakesPagePresent) {
   EXPECT_EQ(nd_.cached_pages().size(), 1u);
 }
 
+// A twinned replica's bytes are taken at its first local store, not when it
+// is cached: until then the twin has no bytes to compare.
 TEST_F(NodeDsmTest, TwinSnapshotsPageContents) {
   std::memset(nd_.page_ptr(0), 0xAB, 4096);
   nd_.mark_cached(0, /*with_twin=*/true);
   ASSERT_TRUE(nd_.has_twin(0));
+  EXPECT_FALSE(nd_.has_twin_bytes(0));
+  nd_.take_twin(0);  // the first store's turn
+  ASSERT_TRUE(nd_.has_twin_bytes(0));
   EXPECT_EQ(0, std::memcmp(nd_.twin(0), nd_.page_ptr(0), 4096));
   // Later writes diverge from the twin until refreshed.
   nd_.page_ptr(0)[100] = std::byte{0x01};
@@ -101,6 +106,17 @@ TEST_F(NodeDsmTest, CachingHomePageAborts) {
   EXPECT_DEATH(nd_.mark_cached(64, false), "never 'cached'");
 }
 
+// Twin bytes exist only for a present, twinned replica, and only once.
+TEST_F(NodeDsmTest, TwinBytesOfAnAbsentUntwinnedOrTakenPageAbort) {
+  EXPECT_DEATH(nd_.take_twin(0), "not a present, twinned replica");  // absent
+  EXPECT_DEATH(nd_.take_twin(64), "not a present, twinned replica");  // home
+  nd_.mark_cached(0, /*with_twin=*/false);
+  EXPECT_DEATH(nd_.take_twin(0), "not a present, twinned replica");  // ic-mode replica
+  nd_.mark_cached(1, /*with_twin=*/true);
+  nd_.take_twin(1);
+  EXPECT_DEATH(nd_.take_twin(1), "not a present, twinned replica");  // taken already
+}
+
 // The constructor folds home-ness over the node's own zone only; the fold must
 // agree with Layout::home_of_page everywhere, including the remainder tail
 // that belongs to the last node.
@@ -122,14 +138,21 @@ TEST_F(NodeDsmTest, LiveTwinsFollowTheirCachedPages) {
   EXPECT_EQ(nd_.live_twins(), 2u);
   nd_.ensure_twin(2);  // hybrid ic -> pf flip of a cached page
   EXPECT_EQ(nd_.live_twins(), 3u);
+  EXPECT_FALSE(nd_.has_twin_bytes(2));
+  nd_.take_twin(1);
   nd_.promote_to_home(1, 2);  // the page becomes home: its twin goes
   EXPECT_EQ(nd_.live_twins(), 2u);
   EXPECT_FALSE(nd_.has_twin(1));
+  EXPECT_FALSE(nd_.has_twin_bytes(1));
+  nd_.take_twin(0);
   nd_.invalidate_all();
   EXPECT_EQ(nd_.live_twins(), 0u);
+  EXPECT_FALSE(nd_.has_twin_bytes(0));
   // Twins left on cached pages are freed by the destructor (fixture teardown).
   nd_.mark_cached(3, true);
-  EXPECT_EQ(nd_.live_twins(), 1u);
+  nd_.mark_cached(4, true);
+  nd_.take_twin(4);
+  EXPECT_EQ(nd_.live_twins(), 2u);
 }
 
 TEST(WriteLog, RecordAndClear) {

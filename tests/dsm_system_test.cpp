@@ -466,8 +466,8 @@ TEST(DsmFootprint, HybridSystemAt256NodesCostsTouchedStateOnly) {
 
 // A replica commits the bytes its zone has allocated, not its whole page: 32
 // readers each cache 31 pages of 64 KB holding one 64-byte object. Full-page
-// installs commit 62 MB here. java_pf's full-page twins still do, so it
-// checks values only.
+// installs commit 62 MB here, and so would java_pf's twins if a replica that
+// is only read took its twin's bytes.
 TEST(DsmFootprint, ReplicasCommitOnlyTheAllocatedBytesOfTheirPages) {
   constexpr int kNodes = 32;
   cluster::ClusterParams params = test_params();
@@ -491,14 +491,13 @@ TEST(DsmFootprint, ReplicasCommitOnlyTheAllocatedBytesOfTheirPages) {
       });
     }
     c.run();
-    if (kind != ProtocolKind::kJavaPf) {
-      EXPECT_LT(rss_growth_since(before), std::size_t{24} << 20) << protocol_name(kind);
-    }
+    EXPECT_LT(rss_growth_since(before), std::size_t{24} << 20) << protocol_name(kind);
   }
 }
 
 // Twins are freed with their cached pages when the system goes away: the
 // NodeDsm destructor walks the cached list and checks that no twin is left.
+// Only the page stored to holds twin bytes; the two only read hold none.
 TEST(DsmFootprint, TwinsOfCachedPagesAreFreedAtTeardown) {
   cluster::Cluster c(test_params(), 2);
   auto dsm = std::make_unique<DsmSystem>(&c, kRegion, ProtocolKind::kJavaPf);
@@ -508,10 +507,16 @@ TEST(DsmFootprint, TwinsOfCachedPagesAreFreedAtTeardown) {
     for (Gva off = 0; off < 3 * 4096; off += 4096) {
       EXPECT_EQ((PfPolicy::get<std::int64_t>(*t, a + off)), 0);
     }
+    PfPolicy::put<std::int64_t>(*t, a + 4096, 7);
   });
   c.run();
-  EXPECT_EQ(dsm->node_dsm(1).live_twins(), 3u);
-  EXPECT_EQ(dsm->node_dsm(1).cached_pages().size(), 3u);
+  const NodeDsm& nd = dsm->node_dsm(1);
+  const PageId first = dsm->layout().page_of(a);
+  EXPECT_EQ(nd.live_twins(), 3u);
+  EXPECT_EQ(nd.cached_pages().size(), 3u);
+  EXPECT_FALSE(nd.has_twin_bytes(first));
+  EXPECT_TRUE(nd.has_twin_bytes(first + 1));
+  EXPECT_FALSE(nd.has_twin_bytes(first + 2));
   dsm.reset();  // aborts if a twin outlived its cached page
 }
 
