@@ -11,10 +11,12 @@
 //     measured at <= 12 nodes; this extends the curve to 1024 to show where
 //     the irregular tree traffic stops rewarding prefetching.
 //
-// Per point the harness reports virtual seconds, the java_ic/java_pf gap,
-// host events/sec, host peak RSS (getrusage high-water — points run in
-// ascending N order so each reading is attributable), the minor page faults
-// the point took (the kernel's share of its host time), and — when a
+// Every N runs both workloads under java_ic, java_pf and hybrid. Per point
+// the harness reports virtual seconds, the java_ic/java_pf gap, host
+// events/sec, host peak RSS (getrusage: the process's high-water mark so
+// far, so a point that peaks below an earlier one reads that one's peak;
+// points run in ascending N order), the minor page faults the point took
+// (the kernel's share of its host time), and — when a
 // --fault-profile is given — fault counts, checkpoint traffic and the
 // failure detector's share of engine events. Everything lands in the
 // hyp-metrics-v1 JSON (--metrics-out), host fields included, so two sweeps
@@ -224,7 +226,8 @@ int main(int argc, char** argv) {
     // thread-count independent up to fp merge order).
     apps::JacobiParams jpp = jp;
     if (jp.n - 2 < n) jpp.threads = jp.n - 2;
-    for (auto kind : {dsm::ProtocolKind::kJavaIc, dsm::ProtocolKind::kJavaPf}) {
+    for (auto kind :
+         {dsm::ProtocolKind::kJavaIc, dsm::ProtocolKind::kJavaPf, dsm::ProtocolKind::kHybrid}) {
       run_point("jacobi", kind, n, jacobi_ref,
                 [&](const apps::VmConfig& cfg) { return apps::jacobi_parallel(cfg, jpp); });
       run_point("barnes", kind, n, barnes_ref,

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Scale smoke (the ctest `scale_smoke` entry, docs/SCALING.md): reduced
 # Jacobi + Barnes at N=256 — two orders of magnitude past the paper's node
-# counts — under a kill-and-recover profile with K=2 chain backups, must
+# counts — under java_ic, java_pf and hybrid with a kill-and-recover profile
+# and K=2 chain backups, must
 #
 #   1. land on the exact serial-reference answers for every point (the
 #      sweep_scale binary exits nonzero otherwise),

@@ -138,8 +138,9 @@ struct PfPolicyT {
 // (NodeDsm::kPfModeBit), so the fast path is still one indexed load — a
 // non-home page whose bit is clear (a fresh page is 0) is in ic mode and
 // charges the inline check; pf-mode pages and home pages access bare. The
-// raw tally of the page's heat slot (ThreadCtx::awin) is a host-only indexed
-// increment feeding the switch decision on the miss cold path.
+// raw tally of the node's heat slot of the page (ThreadCtx::heat: the node's
+// base awin plus one shift of the page id into the page-major table) is a
+// host-only increment feeding the switch decision on the miss cold path.
 template <bool RaceHooks = false>
 struct HybridPolicyT {
   static constexpr ProtocolKind kKind = ProtocolKind::kHybrid;
@@ -149,7 +150,8 @@ struct HybridPolicyT {
   template <DsmScalar T>
   static T get(ThreadCtx& t, Gva a) {
     const PageId p = static_cast<PageId>(a >> t.page_shift);
-    ++t.awin[p].raw;
+    obs::WindowedHeat::Slot& heat = t.heat(p);
+    ++heat.raw;
     const std::uint8_t st = t.presence[p];
     if ((st & kBare) == 0) {
       t.clock.charge(t.check_cost);
@@ -158,8 +160,7 @@ struct HybridPolicyT {
       // reached the break-even R has already paid a fault's worth of checks
       // with no miss to re-decide at — flip it to pf now (yield-free; the
       // present bit cannot change under us).
-      if ((st & NodeDsm::kPresentBit) != 0 && t.awin[p].raw >= t.ic_giveup)
-          [[unlikely]] {
+      if ((st & NodeDsm::kPresentBit) != 0 && heat.raw >= t.ic_giveup) [[unlikely]] {
         t.dsm->give_up_ic(t, p);
       }
     }
@@ -177,13 +178,13 @@ struct HybridPolicyT {
   template <DsmScalar T>
   static void put(ThreadCtx& t, Gva a, T v) {
     const PageId p = static_cast<PageId>(a >> t.page_shift);
-    ++t.awin[p].raw;
+    obs::WindowedHeat::Slot& heat = t.heat(p);
+    ++heat.raw;
     std::uint8_t st = t.presence[p];
     if ((st & kBare) == 0) {
       t.clock.charge(t.check_cost);
       t.stats->add(Counter::kInlineChecks);
-      if ((st & NodeDsm::kPresentBit) != 0 && t.awin[p].raw >= t.ic_giveup)
-          [[unlikely]] {
+      if ((st & NodeDsm::kPresentBit) != 0 && heat.raw >= t.ic_giveup) [[unlikely]] {
         t.dsm->give_up_ic(t, p);
         // The flip set the pf bit: the store below must go bare and be
         // found by the fresh twin, not double-logged.

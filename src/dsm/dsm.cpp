@@ -54,13 +54,9 @@ DsmSystem::DsmSystem(cluster::Cluster* cluster, std::size_t region_bytes, Protoc
     const Time check = cpu.check_cost();
     hybrid_r_ = (cpu.page_fault_cost + cpu.mprotect_page_cost) / (check == 0 ? 1 : check);
     if (hybrid_r_ == 0) hybrid_r_ = 1;
-    home_override_.assign(layout_.total_pages(), -1);
-    mig_.assign(layout_.total_pages(), MigStat{});
-    wheat_.reserve(static_cast<std::size_t>(n));
-    for (NodeId i = 0; i < n; ++i) {
-      wheat_.push_back(std::make_unique<obs::WindowedHeat>());
-      wheat_.back()->init(layout_.total_pages());
-    }
+    home_override_.reset(layout_.total_pages());
+    mig_.reset(layout_.total_pages());
+    wheat_.init(layout_.total_pages(), n);
   }
 }
 
@@ -82,6 +78,7 @@ std::unique_ptr<ThreadCtx> DsmSystem::make_thread(NodeId node) {
   t->check_cost = cluster_->params().cpu.check_cost();
   if (kind_ == ProtocolKind::kHybrid) {
     t->awin = access_window(node);
+    t->awin_shift = wheat_.byte_shift();
     t->ic_giveup = hybrid_r_;
   }
   t->stats = &cluster_->node(node).stats();
@@ -272,7 +269,7 @@ void DsmSystem::fetch_page(ThreadCtx& t, PageId p) {
   sim::Fiber* self = eng->current_fiber();
 
   // At most one outstanding fetch per (node, page); later threads wait.
-  if (!t.nd->begin_fetch(p, self)) {
+  if (!t.nd->begin_fetch(p)) {
     t.nd->wait_fetch(p, self);
     return;
   }
@@ -468,11 +465,10 @@ void DsmSystem::miss(ThreadCtx& t, PageId p) {
   // most R per miss by construction. First touch (acc ~ 0, miss = 1) keeps
   // the fresh page's ic start: sparse pages never pay a blind fault.
   if (kind_ == ProtocolKind::kHybrid && !t.nd->fetch_inflight(p)) {
-    obs::WindowedHeat& w = *wheat_[static_cast<std::size_t>(t.node)];
     const std::uint64_t epoch = cluster_->engine().now() / kModeEpoch;
-    w.note_miss(p, epoch);
-    const std::uint64_t acc = w.accesses(p);
-    const std::uint64_t misses = w.misses(p);  // >= 1: note_miss counted this one
+    wheat_.note_miss(t.node, p, epoch);
+    const std::uint64_t acc = wheat_.accesses(t.node, p);
+    const std::uint64_t misses = wheat_.misses(t.node, p);  // >= 1: note_miss counted this one
     const std::uint64_t breakeven = static_cast<std::uint64_t>(hybrid_r_) * misses;
     const bool next_ic = was_ic ? acc < breakeven : 4 * acc < breakeven;
     if (next_ic != was_ic) {
@@ -502,8 +498,7 @@ void DsmSystem::give_up_ic(ThreadCtx& t, PageId p) {
   // invalidate the page under a half-done access.
   if (!t.nd->ic_mode(p) || !t.nd->present(p)) return;
   const auto& cpu = cluster_->params().cpu;
-  wheat_[static_cast<std::size_t>(t.node)]->fold(
-      p, cluster_->engine().now() / kModeEpoch);
+  wheat_.fold(t.node, p, cluster_->engine().now() / kModeEpoch);
   if (!t.nd->is_home(p) && !t.nd->has_twin(p)) {
     // pf-mode replicas are twin-diffed at flush; twin this one now so bare
     // stores made after the flip are still shipped home (the first of them
@@ -855,11 +850,11 @@ void DsmSystem::note_remote_update(NodeId self, PageId p, NodeId from, std::uint
     // Close the open window. A clear byte-majority survivor extends the
     // dominance streak only across strictly consecutive epochs — idle gaps
     // break it, so sporadic traffic never accumulates into a migration.
-    const bool dom = st.cand >= 0 && st.total >= kMigMinBytes &&
+    const bool dom = st.cand != 0 && st.total >= kMigMinBytes &&
                      st.weight * 2 > static_cast<std::int64_t>(st.total);
     if (!dom || e != st.epoch + 1) {
       st.streak = 0;
-      st.last_dom = -1;
+      st.last_dom = 0;
     }
     if (dom) {
       if (st.cand == st.last_dom) {
@@ -869,15 +864,15 @@ void DsmSystem::note_remote_update(NodeId self, PageId p, NodeId from, std::uint
         st.streak = 1;
       }
     }
-    const NodeId target = st.last_dom;
+    const NodeId target = st.last_dom - 1;
     const bool fire = st.streak >= kMigStreak && target >= 0;
     st.epoch = e;
-    st.cand = -1;
+    st.cand = 0;
     st.weight = 0;
     st.total = 0;
     if (fire) {
       st.streak = 0;
-      st.last_dom = -1;
+      st.last_dom = 0;
       maybe_migrate(self, p, target);
       if (effective_home_of_page(p) != self) return;  // moved: tracking restarts there
     }
@@ -886,13 +881,13 @@ void DsmSystem::note_remote_update(NodeId self, PageId p, NodeId from, std::uint
   // byte-weighted pairwise cancellation is the only possible majority writer;
   // the margin test at window close rejects accidental survivors.
   st.total += bytes;
-  if (st.cand == from) {
+  if (st.cand == from + 1) {
     st.weight += static_cast<std::int64_t>(bytes);
   } else if (st.weight >= static_cast<std::int64_t>(bytes)) {
     st.weight -= static_cast<std::int64_t>(bytes);
   } else {
     st.weight = static_cast<std::int64_t>(bytes) - st.weight;
-    st.cand = from;
+    st.cand = from + 1;
   }
 }
 
@@ -909,7 +904,7 @@ void DsmSystem::maybe_migrate(NodeId self, PageId p, NodeId target) {
 
   hand_off_page(p, self, target);
   node_dsm(self).demote_home(p, p + 1);
-  home_override_[p] = target;
+  home_override_[p] = target + 1;
   mig_[p] = MigStat{};
 
   ++home_migrations_;
@@ -956,9 +951,9 @@ void DsmSystem::on_node_dead(NodeId dead) {
   if (home_override_.empty()) return;
   NodeDsm& dnd = node_dsm(dead);
   for (std::size_t i = 0; i < home_override_.size(); ++i) {
-    if (home_override_[i] != dead) continue;
+    if (home_override_[i] != dead + 1) continue;
     const PageId p = static_cast<PageId>(i);
-    home_override_[i] = -1;
+    home_override_[i] = 0;
     mig_[i] = MigStat{};
     // Strip the dead node's authority now: when it restarts it must NACK
     // stragglers for pages it no longer serves (demote leaves the arena

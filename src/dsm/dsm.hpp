@@ -51,6 +51,7 @@
 #include "cluster/cluster.hpp"
 #include "cluster/ha_hooks.hpp"
 #include "common/function.hpp"
+#include "common/lazy_array.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
 #include "dsm/address.hpp"
@@ -92,10 +93,14 @@ struct ThreadCtx {
   // layout().page_shift(), cached: the get/put fast paths compute the page
   // id with one shift instead of chasing dsm -> layout.
   unsigned page_shift = 0;
-  // hybrid only: the node's windowed heat slots (obs::WindowedHeat), whose
-  // raw access tally the hybrid fast paths bump unconditionally (host cost
-  // only) and the miss cold path folds into the decayed window. nullptr under
-  // java_ic/java_pf, whose policies never touch it.
+  // hybrid only: obs::WindowedHeat::byte_shift(), cached: page p's slot of
+  // this node lies p << awin_shift bytes past awin.
+  unsigned awin_shift = 0;
+  // hybrid only: the node's base in the windowed heat table (one page-major
+  // table for every node, obs::WindowedHeat), whose raw access tallies the
+  // hybrid fast paths bump unconditionally (host cost only) and the miss cold
+  // path folds into the decayed window. nullptr under java_ic/java_pf, whose
+  // policies never touch it.
   obs::WindowedHeat::Slot* awin = nullptr;
   // hybrid only: once a present ic-mode page has served this many accesses
   // since its last window fold, the fast path gives up on ic mid-generation
@@ -120,6 +125,11 @@ struct ThreadCtx {
   ~ThreadCtx();
 
   void charge_cycles(std::uint64_t n) { clock.charge_cycles(n); }
+  // hybrid only: this node's heat slot of page p, one shift from awin.
+  obs::WindowedHeat::Slot& heat(PageId p) const {
+    return *reinterpret_cast<obs::WindowedHeat::Slot*>(reinterpret_cast<std::byte*>(awin) +
+                                                       (std::size_t{p} << awin_shift));
+  }
 };
 
 class DsmSystem {
@@ -180,11 +190,11 @@ class DsmSystem {
   // HaManager::confirm_death before zone failover.
   void on_node_dead(NodeId dead);
   std::uint64_t home_migrations() const { return home_migrations_; }
-  // The node's heat slots (hybrid only): thread migration rebinds
-  // ThreadCtx::awin to the destination node's slots.
-  obs::WindowedHeat::Slot* access_window(NodeId node) {
-    return wheat_[static_cast<std::size_t>(node)]->slots();
-  }
+  // The node's base in hybrid's heat table: thread migration rebinds
+  // ThreadCtx::awin to the destination node's base.
+  obs::WindowedHeat::Slot* access_window(NodeId node) { return wheat_.slots(node); }
+  // The whole table, every node's slots (read-only).
+  const obs::WindowedHeat& access_heat() const { return wheat_; }
 
   // --- high availability (optional; nullptr = off, docs/RECOVERY.md) -------
   // With hooks installed, home resolution goes through the HA routing table
@@ -240,12 +250,12 @@ class DsmSystem {
 
   // Effective home of a page: a live migration override wins; otherwise the
   // layout's static zone owner, redirected by the HA routing table after a
-  // promotion. The override table is only allocated under hybrid, so the
-  // extra test costs one empty() check for the paper protocols.
+  // promotion. The override table is only mapped under hybrid, so the extra
+  // test costs one empty() check for the paper protocols.
   NodeId effective_home_of_page(PageId p) const {
     if (!home_override_.empty()) {
       const NodeId o = home_override_[p];
-      if (o >= 0) return o;
+      if (o != 0) return o - 1;
     }
     const NodeId zone = layout_.home_of_page(p);
     return ha_ == nullptr ? zone : ha_->home_node(zone);
@@ -343,13 +353,14 @@ class DsmSystem {
   // Per-page dominant-writer tracker (home side). Boyer–Moore voting weighted
   // by update bytes within an epoch; a page becomes a migration candidate
   // after kMigStreak consecutive closed epochs dominated by the same remote
-  // node with a clear byte majority.
+  // node with a clear byte majority. Node ids are stored plus one, so the
+  // all-zero entry of a fresh LazyArray is the fresh tracker.
   struct MigStat {
     std::uint64_t epoch = 0;   // epoch the open window belongs to
-    NodeId cand = -1;          // Boyer–Moore survivor of the open window
+    NodeId cand = 0;           // Boyer–Moore survivor of the open window + 1
     std::int64_t weight = 0;   // survivor margin (bytes)
     std::uint64_t total = 0;   // total remote update bytes in the window
-    NodeId last_dom = -1;      // dominator of the last closed window
+    NodeId last_dom = 0;       // dominator of the last closed window + 1
     int streak = 0;            // consecutive closed windows won by last_dom
   };
   // Feeds `bytes` written by remote node `from` into page `p`'s tracker and
@@ -392,10 +403,12 @@ class DsmSystem {
   cluster::HaHooks* ha_ = nullptr;
   bool fencing_ = false;  // epoch tokens on the wire (partitions configured)
 
-  // --- hybrid-only state (all vectors empty under java_ic/java_pf) ---------
-  std::vector<std::unique_ptr<obs::WindowedHeat>> wheat_;  // per node
-  std::vector<NodeId> home_override_;  // per page; -1 = no migration
-  std::vector<MigStat> mig_;           // per page, tracked at the serving home
+  // --- hybrid-only state (all tables empty under java_ic/java_pf) ----------
+  // Lazily committed, and an all-zero entry is the fresh state, so building
+  // a hybrid system writes none of them.
+  obs::WindowedHeat wheat_;          // every node's heat, page-major
+  LazyArray<NodeId> home_override_;  // per page; the new home + 1, 0 = none
+  LazyArray<MigStat> mig_;           // per page, tracked at the serving home
   // Reusable per-message (page, bytes) subtotals for the update handlers
   // (single-threaded simulation; cleared before each use).
   std::vector<std::pair<PageId, std::uint64_t>> mig_batch_;

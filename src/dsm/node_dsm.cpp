@@ -119,8 +119,7 @@ Gva NodeDsm::alloc(std::size_t bytes, std::size_t align) {
   return at;
 }
 
-bool NodeDsm::begin_fetch(PageId p, sim::Fiber* self) {
-  (void)self;
+bool NodeDsm::begin_fetch(PageId p) {
   for (auto& f : inflight_) {
     if (f.page == p) return false;
   }

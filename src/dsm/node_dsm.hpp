@@ -158,9 +158,10 @@ class NodeDsm {
   std::size_t allocated_bytes() const { return alloc_next_ - layout_->zone_begin(node_); }
 
   // --- in-flight fetch deduplication ---
-  // Returns true if this fiber should perform the fetch; false means another
-  // fiber on this node is already fetching and the caller must wait_fetch().
-  bool begin_fetch(PageId p, sim::Fiber* self);
+  // Returns true if the calling fiber should perform the fetch; false means
+  // another fiber on this node is already fetching and the caller must
+  // wait_fetch().
+  bool begin_fetch(PageId p);
   void wait_fetch(PageId p, sim::Fiber* self);
   void finish_fetch(PageId p);
 

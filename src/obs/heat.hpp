@@ -87,37 +87,60 @@ class PageHeatTable {
 // `hybrid` protocol (docs/PROTOCOLS.md §hybrid).
 //
 // The flat PageHeatTable above accumulates run totals; switching decisions
-// must track *recent* behavior, so this table keeps per-page access and miss
-// counters that halve once per elapsed epoch. The fold is lazy: each page
-// carries the epoch its window was last touched in, and fold() shifts the
-// decayed counters by the number of epochs that passed since — integer-only,
-// so same-seed runs make byte-identical decisions.
+// must track *recent* behavior, so this table keeps each node's access and
+// miss counters per page, halved once per elapsed epoch. The fold is lazy:
+// each slot carries the epoch its window was last touched in, and fold()
+// shifts the decayed counters by the number of epochs that passed since —
+// integer-only, so same-seed runs make byte-identical decisions.
 //
-// Hot-path discipline: the access fast paths bump slots()[page].raw
-// directly (one indexed increment, host cost only — same contract as
-// record_*); the raw tally is folded into the decayed window only on the
-// miss cold path, where the switching decision is made anyway.
+// Layout: one table for every node, page-major. Node n's slot of page p sits
+// at index (p << node_shift()) + n, where 1 << node_shift() is the smallest
+// power of two >= the node count, so every node's slot of one page shares one
+// or two OS pages (8 KB at 256 nodes): a page that all nodes touch commits its
+// heat once, not one OS page per node. The trade-off: a page touched by one
+// node alone commits a whole stride of slots.
+//
+// Hot-path discipline: the access fast paths bump a slot's raw tally
+// directly, from the node's base slots(node) plus page << byte_shift() bytes
+// (one shift, one indexed increment, host cost only — same contract as
+// record_*); the raw tally is folded into the decayed window only on the miss
+// cold path, where the switching decision is made anyway.
 class WindowedHeat {
  public:
-  // One page's heat in one 32-byte slot: a touched page commits the OS page of
-  // its slot, not one OS page per field.
+  // One (node, page)'s heat in one 32-byte slot.
   struct Slot {
     std::uint64_t raw = 0;    // accesses since the last fold
     std::uint64_t acc = 0;    // decayed access window
     std::uint64_t miss = 0;   // decayed miss window
     std::uint64_t stamp = 0;  // epoch of the last fold
   };
+  static constexpr unsigned kSlotShift = 5;
+  static_assert(sizeof(Slot) == std::size_t{1} << kSlotShift);
 
-  void init(std::size_t total_pages) { slots_.reset(total_pages); }
+  // (Re)sizes for `total_pages` pages of `nodes` nodes and zeroes all heat.
+  void init(std::size_t total_pages, int nodes) {
+    node_shift_ = 0;
+    while ((1 << node_shift_) < nodes) ++node_shift_;
+    pages_ = total_pages;
+    slots_.reset(total_pages << node_shift_);
+  }
 
-  // Per-page slots, indexed by page; cached on the access fast path.
-  Slot* slots() { return slots_.data(); }
+  // Node `node`'s base: its slot of page p lies p << byte_shift() bytes past
+  // it. Cached on the access fast path (ThreadCtx::awin, ThreadCtx::awin_shift).
+  Slot* slots(int node) { return slots_.data() + node; }
+  unsigned node_shift() const { return node_shift_; }
+  unsigned byte_shift() const { return node_shift_ + kSlotShift; }
 
-  // Folds the raw tally into the decayed window, decaying both counters by
-  // half per epoch elapsed since the page was last folded.
-  void fold(std::uint64_t page, std::uint64_t epoch) {
-    if (page >= slots_.size()) return;
-    Slot& s = slots_[page];
+  Slot& slot(int node, std::uint64_t page) { return slots_[(page << node_shift_) + node]; }
+  const Slot& slot(int node, std::uint64_t page) const {
+    return slots_[(page << node_shift_) + node];
+  }
+
+  // Folds node `node`'s raw tally of `page` into its decayed window, decaying
+  // both counters by half per epoch elapsed since that slot was last folded.
+  void fold(int node, std::uint64_t page, std::uint64_t epoch) {
+    if (page >= pages_) return;
+    Slot& s = slot(node, page);
     if (epoch > s.stamp) {
       const std::uint64_t shift = epoch - s.stamp < 63 ? epoch - s.stamp : 63;
       s.acc >>= shift;
@@ -128,21 +151,23 @@ class WindowedHeat {
     s.raw = 0;
   }
 
-  void note_miss(std::uint64_t page, std::uint64_t epoch) {
-    fold(page, epoch);
-    if (page < slots_.size()) ++slots_[page].miss;
+  void note_miss(int node, std::uint64_t page, std::uint64_t epoch) {
+    fold(node, page, epoch);
+    if (page < pages_) ++slot(node, page).miss;
   }
 
-  std::uint64_t accesses(std::uint64_t page) const {
-    return page < slots_.size() ? slots_[page].acc : 0;
+  std::uint64_t accesses(int node, std::uint64_t page) const {
+    return page < pages_ ? slot(node, page).acc : 0;
   }
-  std::uint64_t misses(std::uint64_t page) const {
-    return page < slots_.size() ? slots_[page].miss : 0;
+  std::uint64_t misses(int node, std::uint64_t page) const {
+    return page < pages_ ? slot(node, page).miss : 0;
   }
 
  private:
-  // Lazily committed: a node pays only for the pages its threads touch.
+  // Lazily committed: the table pays for the pages some node touches.
   LazyArray<Slot> slots_;
+  std::size_t pages_ = 0;
+  unsigned node_shift_ = 0;
 };
 
 }  // namespace hyp::obs

@@ -436,7 +436,7 @@ TEST(DsmSystem, ConcurrentSamePageMissesFetchOnce) {
 // Per-page DSM state is lazily committed: a node pays for the pages it
 // touches, never region size x nodes. Eager tables cost 41 B per page per
 // node under hybrid (presence, twin pointer, four heat counters): 688 MB for
-// this shape.
+// this shape; hybrid's per-system override and migration tables, 2.9 MB.
 TEST(DsmFootprint, HybridSystemAt256NodesCostsTouchedStateOnly) {
   constexpr int kNodes = 256;
   constexpr std::size_t kPages = 65536;
@@ -447,6 +447,7 @@ TEST(DsmFootprint, HybridSystemAt256NodesCostsTouchedStateOnly) {
     DsmSystem dsm(&c, kPages * page_bytes, ProtocolKind::kHybrid);
     EXPECT_LT(rss_growth_since(before), std::size_t{8} << 20);
     const Layout& layout = dsm.layout();
+    const unsigned stride = dsm.access_heat().node_shift();
     for (NodeId n : {0, 1, kNodes - 1}) {
       NodeDsm& nd = dsm.node_dsm(n);
       const obs::WindowedHeat::Slot* window = dsm.access_window(n);
@@ -456,12 +457,41 @@ TEST(DsmFootprint, HybridSystemAt256NodesCostsTouchedStateOnly) {
         ASSERT_EQ(int{nd.presence_data()[p]}, home ? NodeDsm::kPresentBit | NodeDsm::kHomeBit : 0);
         ASSERT_TRUE(home || nd.ic_mode(p));
         ASSERT_FALSE(nd.has_twin(p));
-        ASSERT_EQ(window[p].raw | window[p].acc | window[p].miss | window[p].stamp, 0u);
+        // The node's slot of page p, at the page-major index.
+        const obs::WindowedHeat::Slot& s = window[std::size_t{p} << stride];
+        ASSERT_EQ(s.raw | s.acc | s.miss | s.stamp, 0u);
+        ASSERT_EQ(dsm.effective_home_of_page(p), layout.home_of_page(p));
       }
       EXPECT_EQ(nd.live_twins(), 0u);
     }
   }
   EXPECT_LT(rss_growth_since(before), std::size_t{8} << 20);
+}
+
+// hybrid's heat is one page-major table for every node, so all nodes' slots
+// of one page share one stride (8 KB at 256 nodes). In Barnes' shape every
+// node touches the first page of each zone: that commits 2 MB of slots here,
+// where one table per node commits one OS page per (node, page), 256 MB.
+TEST(DsmFootprint, HeatOfPagesEveryNodeTouchesCommitsOnce) {
+  constexpr int kNodes = 256;
+  constexpr std::size_t kPages = 65536;
+  cluster::Cluster c(test_params(), kNodes);
+  DsmSystem dsm(&c, kPages * c.params().page_bytes, ProtocolKind::kHybrid);
+  const Layout& layout = dsm.layout();
+  std::vector<std::unique_ptr<ThreadCtx>> threads;
+  for (NodeId n = 0; n < kNodes; ++n) threads.push_back(dsm.make_thread(n));
+  const std::size_t before = rss_bytes();
+  for (const auto& t : threads) {
+    for (NodeId zone = 0; zone < kNodes; ++zone) {
+      ++t->heat(layout.page_of(layout.zone_begin(zone))).raw;  // the fast path's bump
+    }
+  }
+  EXPECT_LT(rss_growth_since(before), std::size_t{8} << 20);
+  for (NodeId n : {0, 1, kNodes - 1}) {
+    for (NodeId zone = 0; zone < kNodes; ++zone) {
+      ASSERT_EQ(dsm.access_heat().slot(n, layout.page_of(layout.zone_begin(zone))).raw, 1u);
+    }
+  }
 }
 
 // A replica commits the bytes its zone has allocated, not its whole page: 32

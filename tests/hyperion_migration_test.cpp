@@ -162,6 +162,39 @@ TEST_P(MigrationTest, ComputeToDataBeatsRemoteAccessForBigData) {
   EXPECT_LT(run_with(true), run_with(false));
 }
 
+// hybrid: migrate_to rebinds ThreadCtx::awin to the destination node's base
+// in the one page-major heat table, so a thread's accesses count in its
+// current node's slot of the page and the node it left stops counting.
+TEST(MigrationHeat, HybridAccessesCountInTheCurrentNodesSlot) {
+  HyperionVM vm(test_config(dsm::ProtocolKind::kHybrid, 3));
+  const obs::WindowedHeat& heat = vm.dsm().access_heat();
+  obs::WindowedHeat::Slot on1_left, on1_end, on2_end;
+  vm.run_main([&](JavaEnv& main) {
+    auto cell = main.new_cell<std::int64_t>(5);  // homed on node 0
+    const dsm::PageId page = vm.dsm().layout().page_of(cell.addr);
+    auto t = main.start_thread("nomad", [&, cell, page](JavaEnv& env) {
+      Mem<dsm::HybridPolicy> mem(env.ctx());
+      env.migrate_to(1);
+      for (int i = 0; i < 10; ++i) EXPECT_EQ(mem.get(cell), 5);
+      on1_left = heat.slot(1, page);
+      env.migrate_to(2);
+      for (int i = 0; i < 7; ++i) EXPECT_EQ(mem.get(cell), 5);
+      on1_end = heat.slot(1, page);
+      on2_end = heat.slot(2, page);
+    });
+    main.join(t);
+  });
+  // Each node's first access missed, which folded it into the window.
+  EXPECT_EQ(on1_left.raw + on1_left.acc, 10u);
+  EXPECT_EQ(on1_left.miss, 1u);
+  EXPECT_EQ(on2_end.raw + on2_end.acc, 7u);
+  EXPECT_EQ(on2_end.miss, 1u);
+  EXPECT_EQ(on1_end.raw, on1_left.raw);
+  EXPECT_EQ(on1_end.acc, on1_left.acc);
+  EXPECT_EQ(on1_end.miss, on1_left.miss);
+  EXPECT_EQ(on1_end.stamp, on1_left.stamp);
+}
+
 TEST(MigrationDeath, TargetOutOfRangeAborts) {
   HyperionVM vm(test_config(dsm::ProtocolKind::kJavaPf, 2));
   EXPECT_DEATH(vm.run_main([](JavaEnv& main) { main.migrate_to(9); }), "out of range");

@@ -189,37 +189,77 @@ TEST(PageHeat, OutOfRangeGettersReadZero) {
 
 TEST(WindowedHeat, FoldDecaysByHalfPerElapsedEpoch) {
   WindowedHeat w;
-  w.init(8);
-  w.slots()[3].raw = 16;
-  w.note_miss(3, 10);  // folds raw into the window, then counts the miss
-  EXPECT_EQ(w.accesses(3), 16u);
-  EXPECT_EQ(w.misses(3), 1u);
+  w.init(8, 4);
+  w.slot(2, 3).raw = 16;
+  w.note_miss(2, 3, 10);  // folds raw into the window, then counts the miss
+  EXPECT_EQ(w.accesses(2, 3), 16u);
+  EXPECT_EQ(w.misses(2, 3), 1u);
 
   // Two epochs later: both window counters halve twice before accumulating.
-  w.slots()[3].raw = 4;
-  w.note_miss(3, 12);
-  EXPECT_EQ(w.accesses(3), 16u / 4 + 4u);
-  EXPECT_EQ(w.misses(3), 1u);  // 1 >> 2 == 0, then the new miss
+  w.slot(2, 3).raw = 4;
+  w.note_miss(2, 3, 12);
+  EXPECT_EQ(w.accesses(2, 3), 16u / 4 + 4u);
+  EXPECT_EQ(w.misses(2, 3), 1u);  // 1 >> 2 == 0, then the new miss
 
   // Same epoch: no decay, raw still folds in.
-  w.slots()[3].raw = 1;
-  w.fold(3, 12);
-  EXPECT_EQ(w.accesses(3), 9u);
+  w.slot(2, 3).raw = 1;
+  w.fold(2, 3, 12);
+  EXPECT_EQ(w.accesses(2, 3), 9u);
 }
 
 TEST(WindowedHeat, HugeEpochGapsClampAndOutOfRangeIsIgnored) {
   WindowedHeat w;
-  w.init(2);
-  w.slots()[0].raw = 1;
-  w.note_miss(0, 1);
-  w.note_miss(0, 500);  // gap >> 63 epochs: shift clamps, window zeroes
-  EXPECT_EQ(w.accesses(0), 0u);
-  EXPECT_EQ(w.misses(0), 1u);
+  w.init(2, 1);
+  w.slot(0, 0).raw = 1;
+  w.note_miss(0, 0, 1);
+  w.note_miss(0, 0, 500);  // gap >> 63 epochs: shift clamps, window zeroes
+  EXPECT_EQ(w.accesses(0, 0), 0u);
+  EXPECT_EQ(w.misses(0, 0), 1u);
 
-  w.fold(1000, 5);      // out of range: no write, no crash
-  w.note_miss(1000, 5);
-  EXPECT_EQ(w.accesses(1000), 0u);
-  EXPECT_EQ(w.misses(1000), 0u);
+  w.fold(0, 1000, 5);  // out of range: no write, no crash
+  w.note_miss(0, 1000, 5);
+  EXPECT_EQ(w.accesses(0, 1000), 0u);
+  EXPECT_EQ(w.misses(0, 1000), 0u);
+}
+
+// Page-major layout: 12 nodes take a stride of 16 slots per page. Every
+// (node, page) slot folds, decays and counts on its own — neighbours in one
+// page's stride and the last node's slot included.
+TEST(WindowedHeat, NodesOfOnePageFoldAndCountIndependently) {
+  WindowedHeat w;
+  w.init(4, 12);
+  EXPECT_EQ(w.node_shift(), 4u);
+  EXPECT_EQ(w.byte_shift(), 4u + 5u);
+  // The fast path's addressing reaches the same slot as slot(node, page).
+  EXPECT_EQ(reinterpret_cast<std::byte*>(w.slots(11)) + (std::size_t{2} << w.byte_shift()),
+            reinterpret_cast<std::byte*>(&w.slot(11, 2)));
+
+  w.slot(0, 2).raw = 8;
+  w.slot(1, 2).raw = 6;
+  w.slot(11, 2).raw = 40;
+  w.note_miss(0, 2, 3);
+  w.note_miss(1, 2, 3);
+  w.note_miss(1, 2, 4);  // node 1 only: its window halves once, node 0's does not
+  EXPECT_EQ(w.accesses(0, 2), 8u);
+  EXPECT_EQ(w.misses(0, 2), 1u);
+  EXPECT_EQ(w.accesses(1, 2), 3u);
+  EXPECT_EQ(w.misses(1, 2), 1u);  // 1 >> 1 == 0, then the new miss
+
+  // Node 11's raw tally waited untouched by its neighbours' folds.
+  EXPECT_EQ(w.slot(11, 2).raw, 40u);
+  EXPECT_EQ(w.accesses(11, 2), 0u);
+  w.fold(11, 2, 7);
+  EXPECT_EQ(w.accesses(11, 2), 40u);
+  EXPECT_EQ(w.misses(11, 2), 0u);
+  EXPECT_EQ(w.slot(11, 2).stamp, 7u);
+
+  // Other pages of the same nodes stay fresh.
+  for (int n : {0, 1, 11}) {
+    for (std::uint64_t p : {1u, 3u}) {
+      const WindowedHeat::Slot& s = w.slot(n, p);
+      EXPECT_EQ(s.raw | s.acc | s.miss | s.stamp, 0u) << "node " << n << " page " << p;
+    }
+  }
 }
 
 // ---- phase accounting -------------------------------------------------------
