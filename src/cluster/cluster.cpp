@@ -316,6 +316,7 @@ void Cluster::tx_enqueue(TimeDelta depart_delay, NodeId from, NodeId to, Service
   HYP_CHECK_MSG(from != to || ha_ != nullptr || loopback_ok_,
                 "loopback RPC: callers handle the local case directly");
   PairState& ps = pair(from, to);
+  tx_reap(ps);
   const std::uint64_t seq = ps.next_seq++;
   TxPacket p;
   p.from = from;
@@ -332,13 +333,24 @@ void Cluster::tx_enqueue(TimeDelta depart_delay, NodeId from, NodeId to, Service
     tx_spare_.pop_back();
   }
   ps.outstanding.push_back(std::move(p));
-  tx_transmit(from, to, seq, depart_delay);
+  tx_transmit(ps, seq, depart_delay);
 }
 
-Cluster::TxPacket* Cluster::tx_find(PairState& ps, std::uint64_t seq) {
+std::size_t Cluster::transport_pairs_holding_packets() const {
+  return static_cast<std::size_t>(
+      std::count_if(pair_slots_.begin(), pair_slots_.end(),
+                    [](const auto& ps) { return ps->outstanding.capacity() != 0; }));
+}
+
+Cluster::TxPacket* Cluster::tx_slot(PairState& ps, std::uint64_t seq) {
   const auto it = std::lower_bound(ps.outstanding.begin(), ps.outstanding.end(), seq,
                                    [](const TxPacket& p, std::uint64_t s) { return p.seq < s; });
   return it != ps.outstanding.end() && it->seq == seq ? &*it : nullptr;
+}
+
+Cluster::TxPacket* Cluster::tx_find(PairState& ps, std::uint64_t seq) {
+  TxPacket* p = tx_slot(ps, seq);
+  return p != nullptr && !tx_acked(*p) ? p : nullptr;
 }
 
 Cluster::TxPacket Cluster::tx_take(PairState& ps, TxPacket* p) {
@@ -348,6 +360,31 @@ Cluster::TxPacket Cluster::tx_take(PairState& ps, TxPacket* p) {
   return packet;
 }
 
+void Cluster::tx_reap(const PairState& enqueuing) {
+  // Acks land out of order (jitter), so one still in flight at the front
+  // holds the rest back until a later enqueue.
+  std::size_t i = tx_acked_head_;
+  for (; i < tx_acked_.size(); ++i) {
+    PairState& ps = *tx_acked_[i].ps;
+    TxPacket* p = tx_slot(ps, tx_acked_[i].seq);
+    if (p == nullptr) continue;  // given up before its ack landed
+    if (!tx_acked(*p)) break;
+    ps.outstanding.erase(ps.outstanding.begin() + (p - ps.outstanding.data()));
+    // The enqueuing pair keeps its vector for the packet it is about to add.
+    if (ps.outstanding.empty() && &ps != &enqueuing) {
+      tx_spare_.push_back(std::exchange(ps.outstanding, {}));
+    }
+  }
+  if (i == tx_acked_.size()) {
+    tx_acked_.clear();
+    i = 0;
+  } else if (2 * i >= tx_acked_.size()) {
+    tx_acked_.erase(tx_acked_.begin(), tx_acked_.begin() + static_cast<std::ptrdiff_t>(i));
+    i = 0;
+  }
+  tx_acked_head_ = i;
+}
+
 Cluster::PendingCalls::iterator Cluster::find_pending(std::uint64_t token) {
   const auto it = std::lower_bound(
       pending_calls_.begin(), pending_calls_.end(), token,
@@ -355,11 +392,12 @@ Cluster::PendingCalls::iterator Cluster::find_pending(std::uint64_t token) {
   return it != pending_calls_.end() && it->first == token ? it : pending_calls_.end();
 }
 
-void Cluster::tx_transmit(NodeId from, NodeId to, std::uint64_t seq, TimeDelta depart_delay) {
-  PairState& ps = pair(from, to);
+void Cluster::tx_transmit(PairState& ps, std::uint64_t seq, TimeDelta depart_delay) {
   TxPacket* found = tx_find(ps, seq);
   if (found == nullptr) return;  // acked or cancelled meanwhile
   TxPacket& p = *found;
+  const NodeId from = ps.from;
+  const NodeId to = ps.to;
 
   // A crashed node transmits nothing: its NIC holds every outbound packet
   // until the restart instant (fibers, stacks and queued sends all survive a
@@ -368,7 +406,7 @@ void Cluster::tx_transmit(NodeId from, NodeId to, std::uint64_t seq, TimeDelta d
     const Time release = params_.fault.crash_release(from, engine_.now() + depart_delay);
     if (release != 0) {
       engine_.post_on(node_shard(from), release,
-                      [this, from, to, seq]() { tx_transmit(from, to, seq, 0); });
+                      [this, &ps, seq]() { tx_transmit(ps, seq, 0); });
       return;
     }
   }
@@ -381,10 +419,15 @@ void Cluster::tx_transmit(NodeId from, NodeId to, std::uint64_t seq, TimeDelta d
   const std::uint64_t key = FaultProfile::packet_key(from, to, seq, p.retransmits);
   const Time depart = engine_.now() + depart_delay + params_.net.send_overhead;
 
-  // Arm the retransmit timer no matter what the wire does to this attempt:
-  // the sender cannot observe drops, only missing acks.
-  engine_.post_on(node_shard(from), depart + p.rto,
-                  [this, from, to, seq]() { tx_on_timer(from, to, seq); });
+  // Every attempt has a retransmit timer at depart + rto, and it takes its
+  // event seq here, at transmission, whether or not it is ever queued, so
+  // skipping it moves no other event. The sender cannot observe
+  // drops, but the simulator can: the timer is queued now only if this
+  // attempt's original copy is lost or lands at or after the deadline.
+  // Otherwise that copy's arrival queues it, unless the ack it sends lands
+  // first (tx_send_ack) and the timer could only find the packet gone.
+  p.timer_at = depart + p.rto;
+  p.timer_seq = engine_.reserve_seq();
 
   // Corruption is detected by the receiver checksum and counts as a drop.
   // Asymmetric linkdrop rates stack on the symmetric rate with their own
@@ -394,6 +437,7 @@ void Cluster::tx_transmit(NodeId from, NodeId to, std::uint64_t seq, TimeDelta d
       f.roll(f.linkdrop_ppm(from, to), key, FaultProfile::kSaltLinkDrop)) {
     src.stats().add(Counter::kNetDrops);
     trace_event(from, TraceKind::kNetDrop, to, static_cast<std::int64_t>(seq));
+    tx_post_timer(ps, p);
     return;
   }
 
@@ -404,14 +448,18 @@ void Cluster::tx_transmit(NodeId from, NodeId to, std::uint64_t seq, TimeDelta d
     src.stats().add(Counter::kNetDrops);
     src.stats().add(Counter::kHaPartitionDrops);
     trace_event(from, TraceKind::kNetDrop, to, static_cast<std::int64_t>(seq));
+    tx_post_timer(ps, p);
     return;
   }
   const Time arrival = f.apply_windows(to, base_arrival);
   if (arrival == FaultProfile::kDropped) {
     src.stats().add(Counter::kNetDrops);
     trace_event(from, TraceKind::kNetDrop, to, static_cast<std::int64_t>(seq));
+    tx_post_timer(ps, p);
   } else {
-    tx_schedule_arrival(p, arrival, /*injected_dup=*/false);
+    const bool carries_timer = arrival < p.timer_at;
+    if (!carries_timer) tx_post_timer(ps, p);
+    tx_schedule_arrival(ps, p, arrival, carries_timer);
   }
 
   if (f.roll(f.dup_ppm, key, FaultProfile::kSaltDup)) {
@@ -423,25 +471,34 @@ void Cluster::tx_transmit(NodeId from, NodeId to, std::uint64_t seq, TimeDelta d
                                            static_cast<std::uint64_t>(window));
     const Time dup_arrival = f.apply_windows(to, base_arrival + gap);
     if (dup_arrival != FaultProfile::kDropped) {
-      tx_schedule_arrival(p, dup_arrival, /*injected_dup=*/true);
+      tx_schedule_arrival(ps, p, dup_arrival, /*carries_timer=*/false);
     }
   }
 }
 
-void Cluster::tx_schedule_arrival(const TxPacket& p, Time arrival, bool /*injected_dup*/) {
+void Cluster::tx_post_timer(PairState& ps, const TxPacket& p) {
+  engine_.post_reserved(node_shard(ps.from), p.timer_at, p.timer_seq,
+                        [this, &ps, seq = p.seq]() { tx_on_timer(ps, seq); });
+}
+
+void Cluster::tx_schedule_arrival(PairState& ps, const TxPacket& p, Time arrival,
+                                  bool carries_timer) {
   // The packet may be acked (erased) before this event fires; ship a copy.
   Buffer copy = clone_buffer(p.payload);
-  engine_.post_on(node_shard(p.to), arrival,
-                  [this, from = p.from, to = p.to, service = p.service, token = p.token,
-                   is_reply = p.is_reply, seq = p.seq, moved = std::move(copy)]() mutable {
-                    tx_on_arrival(from, to, service, token, is_reply, std::move(moved), seq);
+  engine_.post_on(node_shard(ps.to), arrival,
+                  [this, &ps, service = p.service, token = p.token, is_reply = p.is_reply,
+                   seq = p.seq, carries_timer, moved = std::move(copy)]() mutable {
+                    tx_on_arrival(ps, service, token, is_reply, std::move(moved), seq,
+                                  carries_timer);
                   });
 }
 
-void Cluster::tx_on_arrival(NodeId from, NodeId to, ServiceId service, std::uint64_t token,
-                            bool is_reply, Buffer payload, std::uint64_t seq) {
+void Cluster::tx_on_arrival(PairState& ps, ServiceId service, std::uint64_t token,
+                            bool is_reply, Buffer payload, std::uint64_t seq,
+                            bool carries_timer) {
+  const NodeId from = ps.from;
+  const NodeId to = ps.to;
   Node& dst = node(to);
-  PairState& ps = pair(from, to);
 
   // Receiver-side dedup: everything below the watermark was delivered;
   // seqs above it that arrived early are bits in the window.
@@ -450,7 +507,7 @@ void Cluster::tx_on_arrival(NodeId from, NodeId to, ServiceId service, std::uint
     dst.stats().add(Counter::kDupSuppressed);
     trace_event(to, TraceKind::kDupSuppressed, from, static_cast<std::int64_t>(seq));
     // Re-ack: the original ack may be what got lost.
-    tx_send_ack(to, from, seq);
+    tx_send_ack(ps, seq, carries_timer);
     return;
   }
   if (seq == ps.seen_watermark) {
@@ -461,7 +518,7 @@ void Cluster::tx_on_arrival(NodeId from, NodeId to, ServiceId service, std::uint
   } else {
     ps.seen_above.insert(seq);
   }
-  tx_send_ack(to, from, seq);
+  tx_send_ack(ps, seq, carries_timer);
 
   if (is_reply) {
     // Replies bypass the service queue (the caller fiber is parked); only
@@ -487,11 +544,13 @@ void Cluster::tx_on_arrival(NodeId from, NodeId to, ServiceId service, std::uint
   });
 }
 
-void Cluster::tx_send_ack(NodeId from, NodeId to, std::uint64_t seq) {
-  // `from` is the ack sender (= the data receiver); the acked data packet
-  // travelled (to -> from). Acks are fire-and-forget control packets: they
-  // run the same fault gauntlet but are never themselves acked — a lost ack
-  // is recovered by the data sender's retransmit.
+void Cluster::tx_send_ack(PairState& ps, std::uint64_t seq, bool carries_timer) {
+  // The ack travels back over the pair: from its data receiver (`from`
+  // here) to its data sender (`to`). Acks are fire-and-forget control
+  // packets: they run the same fault gauntlet but are never themselves
+  // acked — a lost ack is recovered by the data sender's retransmit.
+  const NodeId from = ps.to;
+  const NodeId to = ps.from;
   Node& src = node(from);
   src.stats().add(Counter::kAcksSent);
 
@@ -500,47 +559,74 @@ void Cluster::tx_send_ack(NodeId from, NodeId to, std::uint64_t seq) {
   // ack transmission rolls independently of data packets.
   const std::uint64_t key =
       FaultProfile::packet_key(from, to, message_seq_++, /*attempt=*/0x80000000u);
+  Time arrival = FaultProfile::kDropped;
   if (f.roll(f.corrupt_ppm, key, FaultProfile::kSaltCorrupt) ||
       f.roll(f.drop_ppm, key, FaultProfile::kSaltDrop) ||
       f.roll(f.linkdrop_ppm(from, to), key, FaultProfile::kSaltLinkDrop)) {
     src.stats().add(Counter::kNetDrops);
     trace_event(from, TraceKind::kNetDrop, to, static_cast<std::int64_t>(seq));
-    return;
-  }
-  if (f.severed(from, to, engine_.now())) {
+  } else if (f.severed(from, to, engine_.now())) {
     src.stats().add(Counter::kNetDrops);
     src.stats().add(Counter::kHaPartitionDrops);
     trace_event(from, TraceKind::kNetDrop, to, static_cast<std::int64_t>(seq));
-    return;
+  } else {
+    arrival = f.apply_windows(to, engine_.now() + params_.net.send_overhead +
+                                      params_.net.wire_time(0) + f.extra_delay(key));
+    if (arrival == FaultProfile::kDropped) {
+      src.stats().add(Counter::kNetDrops);
+      trace_event(from, TraceKind::kNetDrop, to, static_cast<std::int64_t>(seq));
+    }
   }
-  Time arrival =
-      engine_.now() + params_.net.send_overhead + params_.net.wire_time(0) + f.extra_delay(key);
-  arrival = f.apply_windows(to, arrival);
-  if (arrival == FaultProfile::kDropped) {
-    src.stats().add(Counter::kNetDrops);
-    trace_event(from, TraceKind::kNetDrop, to, static_cast<std::int64_t>(seq));
-    return;
+
+  TxPacket* p = tx_find(ps, seq);
+  // The timer's seq was reserved before this ack's, so at equal instants
+  // the timer fires first: the ack lands first only strictly before it.
+  const bool lands_first =
+      arrival != FaultProfile::kDropped && p != nullptr && arrival < p->timer_at;
+  if (arrival != FaultProfile::kDropped) {
+    const std::uint64_t ack_seq = engine_.reserve_seq();
+    if (lands_first && p->retransmits == 0) {
+      // The ack event would only erase the packet (no retry latency to
+      // record, no timer left to stop), so it is applied now: the packet
+      // counts as acked from the ack's landing point on, and its payload,
+      // needed only for a retransmit that cannot happen, goes at once.
+      if (p->ack_at == kNoAck) {
+        p->payload = Buffer();
+        tx_acked_.push_back({&ps, seq});
+      }
+      if (arrival < p->ack_at) {  // a duplicate's ack may land earlier
+        p->ack_at = arrival;
+        p->ack_seq = ack_seq;
+      }
+    } else {
+      // Lands on the data sender's shard.
+      engine_.post_reserved(node_shard(to), arrival, ack_seq,
+                            [this, &ps, seq]() { tx_on_ack(ps, seq); });
+    }
   }
-  // Ack for data direction (to -> from); lands on the data sender's shard.
-  engine_.post_on(node_shard(to), arrival, [this, to, from, seq]() { tx_on_ack(to, from, seq); });
+  // The deferred timer: needed unless the packet is gone or an ack lands
+  // before it (an in-place ack always does).
+  if (carries_timer && p != nullptr && !lands_first && p->ack_at == kNoAck) {
+    tx_post_timer(ps, *p);
+  }
 }
 
-void Cluster::tx_on_ack(NodeId from, NodeId to, std::uint64_t seq) {
-  PairState& ps = pair(from, to);
+void Cluster::tx_on_ack(PairState& ps, std::uint64_t seq) {
   TxPacket* p = tx_find(ps, seq);
   if (p == nullptr) return;  // stale or duplicate ack
   if (p->retransmits > 0) {
     const Time waited = engine_.now() - p->first_sent;
-    node(from).stats().record(Hist::kRetryLatency, static_cast<std::uint64_t>(waited));
+    node(ps.from).stats().record(Hist::kRetryLatency, static_cast<std::uint64_t>(waited));
   }
   tx_take(ps, p);
 }
 
-void Cluster::tx_on_timer(NodeId from, NodeId to, std::uint64_t seq) {
-  PairState& ps = pair(from, to);
+void Cluster::tx_on_timer(PairState& ps, std::uint64_t seq) {
   TxPacket* found = tx_find(ps, seq);
   if (found == nullptr) return;  // acked or cancelled: timer is moot
   TxPacket& p = *found;
+  const NodeId from = ps.from;
+  const NodeId to = ps.to;
   // Fast give-up: once the failure detector confirmed the destination dead —
   // or an open partition window severs the pair — there is no point burning
   // the rest of the retry budget against it. The severed case surfaces the
@@ -556,7 +642,7 @@ void Cluster::tx_on_timer(NodeId from, NodeId to, std::uint64_t seq) {
   p.rto *= kRtoBackoff;
   node(from).stats().add(Counter::kRetransmits);
   trace_event(from, TraceKind::kRetransmit, to, static_cast<std::int64_t>(seq));
-  tx_transmit(from, to, seq, /*depart_delay=*/0);
+  tx_transmit(ps, seq, /*depart_delay=*/0);
 }
 
 void Cluster::tx_give_up(TxPacket packet, bool no_quorum) {
@@ -674,10 +760,15 @@ void Cluster::ha_fail_traffic_to(NodeId dead) {
   for (NodeId other : peers) {
     // Everything still outstanding *to* the dead node gives up now: blocking
     // calls wake with kBudgetExhausted and re-route; one-way sends are
-    // discarded (the confirmed_dead branch of tx_give_up).
+    // discarded (the confirmed_dead branch of tx_give_up). A packet whose
+    // in-place ack has landed is acked, not outstanding: tx_reap drops it.
     if (PairState* to_dead = pair_find(other, dead)) {
-      while (!to_dead->outstanding.empty()) {
-        tx_give_up(tx_take(*to_dead, &to_dead->outstanding.front()));
+      for (std::size_t i = 0; i < to_dead->outstanding.size();) {
+        if (tx_acked(to_dead->outstanding[i])) {
+          ++i;
+        } else {
+          tx_give_up(tx_take(*to_dead, &to_dead->outstanding[i]));
+        }
       }
     }
     // Replies the dead node still owed: fail the parked callers (kTimeout)
@@ -685,7 +776,7 @@ void Cluster::ha_fail_traffic_to(NodeId dead) {
     // node itself is merely frozen and its sends resume after the restart.
     if (PairState* from_dead = pair_find(dead, other)) {
       for (std::size_t i = 0; i < from_dead->outstanding.size();) {
-        if (from_dead->outstanding[i].is_reply) {
+        if (from_dead->outstanding[i].is_reply && !tx_acked(from_dead->outstanding[i])) {
           tx_give_up(tx_take(*from_dead, &from_dead->outstanding[i]));
         } else {
           ++i;

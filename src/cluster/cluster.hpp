@@ -224,6 +224,9 @@ class Cluster {
 
   // True when the configured fault profile engages the reliable transport.
   bool transport_active() const { return lossy_; }
+  // How many (from, to) pairs hold a vector of unacked packets: the busy
+  // ones, plus those whose last ack landed since the latest enqueue.
+  std::size_t transport_pairs_holding_packets() const;
 
   // --- event-queue sharding (docs/SCALING.md) ------------------------------
   // At/above this node count the constructor splits the engine's event queue
@@ -339,6 +342,8 @@ class Cluster {
     Time started = 0;
   };
 
+  static constexpr Time kNoAck = ~Time{0};
+
   struct TxPacket {
     NodeId from = -1;
     NodeId to = -1;
@@ -350,6 +355,15 @@ class Cluster {
     std::uint32_t retransmits = 0;
     Time first_sent = 0;
     Time rto = 0;                  // current retransmit timeout
+    // The current attempt's retransmit timer: its instant and the event seq
+    // reserved for it at transmission (queued only when it can fire on an
+    // unacked packet, docs/FAULTS.md).
+    Time timer_at = 0;
+    std::uint64_t timer_seq = 0;
+    // An ack applied without an event lands at (ack_at, ack_seq); the packet
+    // counts as acked once dispatch passes that point (tx_acked).
+    Time ack_at = kNoAck;
+    std::uint64_t ack_seq = 0;
   };
 
   struct PairState {
@@ -358,7 +372,8 @@ class Cluster {
     std::uint64_t next_seq = 0;  // sender side
     // Unacked packets in ascending seq (seqs are issued in order, so
     // appending keeps it sorted). A drained pair hands its capacity to
-    // Cluster::tx_spare_, so idle pairs own no heap memory.
+    // Cluster::tx_spare_, so idle pairs own no heap memory. A packet acked in
+    // place stays until tx_reap erases it after its ack has landed.
     std::vector<TxPacket> outstanding;
     // Receiver-side dedup window: everything below the watermark has been
     // delivered; seqs above it that arrived early are bits in seen_above.
@@ -378,19 +393,33 @@ class Cluster {
   // Enqueues a packet on the reliable transport and transmits it.
   void tx_enqueue(TimeDelta depart_delay, NodeId from, NodeId to, ServiceId service,
                   std::uint64_t token, bool is_reply, Buffer payload);
-  // One physical transmission attempt (first send and retransmits).
-  void tx_transmit(NodeId from, NodeId to, std::uint64_t seq, TimeDelta depart_delay);
-  void tx_schedule_arrival(const TxPacket& p, Time arrival, bool injected_dup);
-  void tx_on_arrival(NodeId from, NodeId to, ServiceId service, std::uint64_t token,
-                     bool is_reply, Buffer payload, std::uint64_t seq);
-  void tx_send_ack(NodeId from, NodeId to, std::uint64_t seq);
-  void tx_on_ack(NodeId from, NodeId to, std::uint64_t seq);
-  void tx_on_timer(NodeId from, NodeId to, std::uint64_t seq);
+  // One physical transmission attempt (first send and retransmits). Every
+  // event of a packet's life holds its PairState (slots never move), so
+  // only tx_enqueue looks the pair up.
+  void tx_transmit(PairState& ps, std::uint64_t seq, TimeDelta depart_delay);
+  // `carries_timer`: this copy's arrival queues the attempt's timer.
+  void tx_schedule_arrival(PairState& ps, const TxPacket& p, Time arrival, bool carries_timer);
+  void tx_post_timer(PairState& ps, const TxPacket& p);
+  void tx_on_arrival(PairState& ps, ServiceId service, std::uint64_t token, bool is_reply,
+                     Buffer payload, std::uint64_t seq, bool carries_timer);
+  void tx_send_ack(PairState& ps, std::uint64_t seq, bool carries_timer);
+  void tx_on_ack(PairState& ps, std::uint64_t seq);
+  void tx_on_timer(PairState& ps, std::uint64_t seq);
   void tx_give_up(TxPacket packet, bool no_quorum = false);
+  // True once `p`'s in-place ack has landed (dispatch passed it).
+  bool tx_acked(const TxPacket& p) const {
+    return p.ack_at != kNoAck && engine_.dispatched_before(p.ack_at, p.ack_seq);
+  }
+  // The packet `seq` of ps.outstanding, acked in place or not, or nullptr.
+  static TxPacket* tx_slot(PairState& ps, std::uint64_t seq);
   // The outstanding packet `seq` of `ps`, or nullptr once acked/cancelled.
-  static TxPacket* tx_find(PairState& ps, std::uint64_t seq);
+  TxPacket* tx_find(PairState& ps, std::uint64_t seq);
   // Removes `p` (a packet of ps.outstanding) and returns it.
   TxPacket tx_take(PairState& ps, TxPacket* p);
+  // Erases the packets of tx_acked_ whose ack has landed, in the order the
+  // acks were applied, handing every drained vector but `enqueuing`'s to
+  // tx_spare_. Runs at each enqueue.
+  void tx_reap(const PairState& enqueuing);
   // Lossy-mode call table, ascending token (tokens are issued in order).
   using PendingCalls = std::vector<std::pair<std::uint64_t, PendingCall*>>;
   // The entry for `token`, or end() once the call returned (map::find).
@@ -433,6 +462,14 @@ class Cluster {
   std::vector<std::uint32_t> pair_table_;  // open addressing: slot+1, 0 empty
   // Drained outstanding vectors, capacity kept for the next busy pair.
   std::vector<std::vector<TxPacket>> tx_spare_;
+  // Packets acked in place, in the order their acks were applied; entries
+  // before tx_acked_head_ are reaped (tx_reap).
+  struct TxAcked {
+    PairState* ps;
+    std::uint64_t seq;
+  };
+  std::vector<TxAcked> tx_acked_;
+  std::size_t tx_acked_head_ = 0;
   // Lossy-mode call matching: monotonically increasing tokens are never
   // recycled, so a reply that limps in after its call failed can only miss
   // the table (and be suppressed) — it can never corrupt an unrelated call.

@@ -69,10 +69,12 @@ class Buffer {
     bytes_.reserve(reserve_bytes);
   }
 
+  // A moved-from buffer owns no capacity, and the pool would drop it anyway:
+  // only a backing worth keeping pays the thread-local pool lookup.
   Buffer(Buffer&& other) noexcept = default;
   Buffer& operator=(Buffer&& other) noexcept {
     if (this != &other) {
-      detail::ByteVecPool::local().release(std::move(bytes_));
+      if (bytes_.capacity() != 0) detail::ByteVecPool::local().release(std::move(bytes_));
       bytes_ = std::move(other.bytes_);
     }
     return *this;
@@ -80,7 +82,9 @@ class Buffer {
   Buffer(const Buffer&) = delete;
   Buffer& operator=(const Buffer&) = delete;
 
-  ~Buffer() { detail::ByteVecPool::local().release(std::move(bytes_)); }
+  ~Buffer() {
+    if (bytes_.capacity() != 0) detail::ByteVecPool::local().release(std::move(bytes_));
+  }
 
   std::size_t size() const { return bytes_.size(); }
   bool empty() const { return bytes_.empty(); }
@@ -95,9 +99,11 @@ class Buffer {
     std::memcpy(bytes_.data() + at, &value, sizeof(T));
   }
 
+  // Appends with one copy: no zero-fill of the new bytes before the memcpy.
   void put_bytes(const void* src, std::size_t n) {
-    const std::size_t at = grow(n);
-    if (n != 0) std::memcpy(bytes_.data() + at, src, n);
+    adopt_pooled();
+    const auto* first = static_cast<const std::byte*>(src);
+    bytes_.insert(bytes_.end(), first, first + n);
   }
 
   void put_string(const std::string& s) {
@@ -108,9 +114,12 @@ class Buffer {
   std::span<const std::byte> span() const { return {bytes_.data(), bytes_.size()}; }
 
  private:
+  void adopt_pooled() {
+    if (bytes_.capacity() == 0) bytes_ = detail::ByteVecPool::local().acquire();
+  }
   // Extends the buffer by n bytes, adopting a pooled backing on first write.
   std::size_t grow(std::size_t n) {
-    if (bytes_.capacity() == 0) bytes_ = detail::ByteVecPool::local().acquire();
+    adopt_pooled();
     const std::size_t at = bytes_.size();
     bytes_.resize(at + n);
     return at;

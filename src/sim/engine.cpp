@@ -193,10 +193,23 @@ std::vector<std::string> Engine::run() {
   running_ = true;
   t_current_engine = this;
 
-  while (pending_total_ != 0) {
+  while (true) {
+    if (direct_ != nullptr) {
+      // A callback unparked this fiber with nothing due ahead of it: its
+      // wakeup (at now_) is the next event, dispatched without the queue.
+      Fiber* fiber = std::exchange(direct_, nullptr);
+      dispatch_seq_ = direct_seq_;
+      active_shard_ = fiber->shard_;
+      ++events_processed_;
+      ++in_place_resumes_;
+      switch_to(fiber);
+      continue;
+    }
+    if (pending_total_ == 0) break;
     const Event event = pop_event();
     HYP_CHECK(event.at >= now_);
     now_ = event.at;
+    dispatch_seq_ = event.seq;
     ++events_processed_;
 
     if (event.fiber != nullptr) {
@@ -261,6 +274,15 @@ void Engine::unpark(Fiber* fiber) {
   HYP_CHECK(fiber != nullptr);
   switch (fiber->state_) {
     case FiberState::kParked:
+      // From a callback, with nothing due at now_ and no other in-place
+      // wakeup: this wakeup is the next event whatever the callback posts
+      // after it (a later post takes a later seq), so it skips the queue.
+      if (running_ && current_ == nullptr && direct_ == nullptr && nothing_due_by(now_)) {
+        direct_ = fiber;
+        direct_seq_ = next_seq_++;
+        fiber->state_ = FiberState::kReadyQueued;
+        break;
+      }
       schedule_wakeup(fiber, now_, FiberState::kReadyQueued);
       break;
     case FiberState::kRunning:

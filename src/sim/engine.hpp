@@ -122,6 +122,33 @@ class Engine {
     push_event(shard, Event{at, next_seq_++, nullptr, cb_acquire(std::move(fn))});
   }
 
+  // Takes the seq the next post would take, for an event whose posting is
+  // decided later (post_reserved): reserving it where the event would be
+  // posted keeps every other event's seq, and so the whole (at, seq) order,
+  // the same whether or not it is posted.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
+  // Posts `fn` at `at` under a seq taken earlier by reserve_seq(). The event
+  // must not precede the one being dispatched: it would have run already.
+  void post_reserved(std::uint32_t shard, Time at, std::uint64_t seq,
+                     UniqueFunction<void()> fn) {
+    HYP_CHECK_MSG(!dispatched_before(at, seq),
+                  "post_reserved: the event precedes the one being dispatched (at=" +
+                      std::to_string(at) + " now=" + std::to_string(now_) + ")");
+    HYP_CHECK_MSG(shard < shards_.size(), "post_reserved: shard out of range");
+    // A callback's in-place unpark (see run()) was the next event when it
+    // took its seq; a reserved event may not land ahead of it.
+    HYP_CHECK_MSG(direct_ == nullptr || at > now_ || seq > direct_seq_,
+                  "post_reserved: the event precedes a callback's in-place unpark");
+    push_event(shard, Event{at, seq, nullptr, cb_acquire(std::move(fn))});
+  }
+
+  // True when (at, seq) precedes the event being dispatched, i.e. an event
+  // posted there would already have run.
+  bool dispatched_before(Time at, std::uint64_t seq) const {
+    return at != now_ ? at < now_ : seq < dispatch_seq_;
+  }
+
   // Splits the event queue into `count` shards (see the header comment).
   // Must be called before any event is created; the engine starts with one
   // shard, which is exactly the historical flat heap.
@@ -136,11 +163,22 @@ class Engine {
   Time now() const { return now_; }
   std::uint64_t context_switches() const { return switches_; }
   std::uint64_t events_processed() const { return events_processed_; }
+  // Wakeups dispatched in place (see sleep_until): already counted in
+  // events_processed() and context_switches(), as if they had been queued.
+  std::uint64_t in_place_resumes() const { return in_place_resumes_; }
 
   // --- Fiber-side API (must be called from inside a running fiber) ---
+  //
+  // When the caller's own wakeup would be the next event, sleep_until and
+  // yield dispatch it in place (resume_in_place): same seq, same counts, no
+  // queue round trip and no context switch.
   void sleep_until(Time t) {
     require_fiber_context("sleep_until");
     HYP_CHECK_MSG(t >= now_, "sleeping into the past");
+    if (nothing_due_by(t)) {
+      resume_in_place(t);
+      return;
+    }
     schedule_wakeup(current_, t, FiberState::kSleeping);
     switch_out();
   }
@@ -148,6 +186,10 @@ class Engine {
   // Re-queues the caller behind already-pending same-time events.
   void yield() {
     require_fiber_context("yield");
+    if (nothing_due_by(now_)) {
+      resume_in_place(now_);
+      return;
+    }
     schedule_wakeup(current_, now_, FiberState::kReadyQueued);
     switch_out();
   }
@@ -251,6 +293,25 @@ class Engine {
     return idx;
   }
 
+  // True when no pending event is due at or before `t`, so a wakeup posted
+  // now for `t` would be the next event dispatched.
+  bool nothing_due_by(Time t) const {
+    if (pending_total_ == 0) return true;
+    const std::uint32_t s = shards_.size() > 1 ? merge_.front() : 0;
+    return shards_[s].heap.front().at > t;
+  }
+  // Dispatches the running fiber's own wakeup at `t` without leaving it: the
+  // wakeup takes its seq and counts as one event and two switches, exactly
+  // as the trip through the queue would have.
+  void resume_in_place(Time t) {
+    dispatch_seq_ = next_seq_++;
+    now_ = t;
+    ++events_processed_;
+    ++in_place_resumes_;
+    switches_ += 2;
+    active_shard_ = current_->shard_;
+  }
+
   void schedule_wakeup(Fiber* fiber, Time at, FiberState pending_state) {
     HYP_CHECK_MSG(at >= now_, "scheduling a wakeup into the past");
     HYP_CHECK_MSG(fiber->state_ == FiberState::kRunning || fiber->state_ == FiberState::kParked,
@@ -269,8 +330,14 @@ class Engine {
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t dispatch_seq_ = 0;  // seq of the event being dispatched (at now_)
+  // A callback's unpark whose wakeup is the next event: run() switches to it
+  // as soon as the callback returns, skipping the queue. At most one.
+  Fiber* direct_ = nullptr;
+  std::uint64_t direct_seq_ = 0;
   std::uint64_t switches_ = 0;
   std::uint64_t events_processed_ = 0;
+  std::uint64_t in_place_resumes_ = 0;
   bool running_ = false;
   Fiber* current_ = nullptr;
   Context scheduler_context_{};

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstring>
+#include <vector>
 
 namespace hyp {
 namespace {
@@ -61,6 +63,24 @@ TEST(BufferDeath, UnderrunAborts) {
   BufferReader r(b);
   (void)r.get<std::uint16_t>();
   EXPECT_DEATH((void)r.get<std::uint8_t>(), "buffer underrun");
+}
+
+TEST(Buffer, PutBytesAppendsAPageVerbatim) {
+  std::vector<std::byte> page(4096);
+  for (std::size_t i = 0; i < page.size(); ++i) page[i] = static_cast<std::byte>(i * 7 + 3);
+  Buffer b;
+  b.put<std::uint32_t>(9);
+  b.put_bytes(page.data(), page.size());
+  b.put_bytes(page.data(), 0);
+  ASSERT_EQ(b.size(), 4u + page.size());
+  EXPECT_EQ(0, std::memcmp(b.data() + 4, page.data(), page.size()));
+
+  // A moved-from buffer keeps no backing; destroying it leaves the pool as is.
+  Buffer moved = std::move(b);
+  const std::size_t pooled = detail::ByteVecPool::local().pooled();
+  b = Buffer();
+  EXPECT_EQ(detail::ByteVecPool::local().pooled(), pooled);
+  EXPECT_EQ(moved.size(), 4u + page.size());
 }
 
 TEST(Buffer, ReserveDoesNotChangeSize) {

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/ha_hooks.hpp"
+#include "cluster/trace.hpp"
 #include "hyperion/japi.hpp"
 #include "hyperion/vm.hpp"
 #include "test_util.hpp"
@@ -356,6 +358,194 @@ TEST(FaultTransport, CallTimeoutFiresWhenServiceNeverReplies) {
   EXPECT_NE(result.error.message.find("timed out"), std::string::npos);
   EXPECT_NE(result.error.message.find("late_reply"), std::string::npos);
   EXPECT_NE(result.error.message.find("undeliverable"), std::string::npos);
+}
+
+// --- which events a packet costs (docs/FAULTS.md) ---------------------------
+//
+// A retransmit timer is queued only when it can find its packet unacked, and
+// an ack that can only erase its packet is applied without an event. The
+// tests below pin the boundaries: every retransmit, dup suppression and
+// retry latency must come out exactly as with one event per timer and ack.
+
+// A lossy profile that never bites: node 1's NIC stalls long after the run.
+ClusterParams clean_lossy_params() {
+  ClusterParams p = tiny_params();
+  p.fault.windows.push_back({1, Time{3600} * 1000 * kMillisecond, kMicrosecond, false});
+  return p;
+}
+
+// One one-way 1-byte send 0 -> 1 at t=0, with the protocol trace attached.
+struct OneSend {
+  Stats stats;
+  std::vector<TraceEvent> trace;
+  int delivered = 0;
+};
+
+OneSend one_send(const ClusterParams& p) {
+  Cluster c(p, 2);
+  TraceLog trace;
+  c.set_trace(&trace);
+  OneSend out;
+  c.node(1).register_service(kOneWay, "one_way_test", [&](Incoming&) { ++out.delivered; });
+  c.spawn_thread(0, "sender", [&] {
+    Buffer b;
+    b.put<std::uint8_t>(1);
+    c.send(0, 1, kOneWay, std::move(b));
+  });
+  c.run();
+  out.stats = c.total_stats();
+  out.trace = trace.events();
+  return out;
+}
+
+// When the first ack of a 1-byte packet sent at t=0 lands at node 0.
+Time first_ack_at(const ClusterParams& p) {
+  const Time depart = p.net.send_overhead;
+  return depart + p.net.wire_time(1) + p.net.send_overhead + p.net.wire_time(0);
+}
+
+TEST(FaultTransportEvents, AckLandingOnItsTimerInstantLosesToTheTimer) {
+  // rto = the ack's round trip: the ack lands exactly at depart + rto. The
+  // timer's seq is the older one, so it fires first and retransmits; the
+  // retransmitted copy is a duplicate at the receiver.
+  ClusterParams p = clean_lossy_params();
+  p.fault.rto_initial = first_ack_at(p) - p.net.send_overhead;
+  const OneSend tie = one_send(p);
+  EXPECT_EQ(tie.delivered, 1);
+  EXPECT_EQ(tie.stats.get(Counter::kRetransmits), 1u);
+  EXPECT_EQ(tie.stats.get(Counter::kDupSuppressed), 1u);
+  EXPECT_EQ(tie.stats.get(Counter::kAcksSent), 2u);
+  // The first ack erased the retransmitted packet: its wait is recorded.
+  EXPECT_EQ(tie.stats.hist(Hist::kRetryLatency).count(), 1u);
+  EXPECT_EQ(tie.stats.hist(Hist::kRetryLatency).max(), first_ack_at(p));
+
+  // One picosecond more and the ack wins: nothing is retransmitted.
+  p.fault.rto_initial += 1;
+  const OneSend won = one_send(p);
+  EXPECT_EQ(won.delivered, 1);
+  EXPECT_EQ(won.stats.get(Counter::kRetransmits), 0u);
+  EXPECT_EQ(won.stats.get(Counter::kDupSuppressed), 0u);
+  EXPECT_EQ(won.stats.hist(Hist::kRetryLatency).count(), 0u);
+}
+
+TEST(FaultTransportEvents, LostAckStillRetransmitsAtDepartPlusRto) {
+  // Node 0's NIC is dark for 2us around the first ack's landing: the data
+  // got through, its ack did not.
+  ClusterParams p = clean_lossy_params();
+  const Time ack_at = first_ack_at(p);
+  p.fault.windows.push_back({0, ack_at - kMicrosecond, 2 * kMicrosecond, true});
+  const OneSend r = one_send(p);
+  EXPECT_EQ(r.delivered, 1);
+  EXPECT_EQ(r.stats.get(Counter::kRetransmits), 1u);
+  EXPECT_EQ(r.stats.get(Counter::kDupSuppressed), 1u);
+  EXPECT_EQ(r.stats.get(Counter::kNetDrops), 1u);
+
+  const Time depart = p.net.send_overhead;
+  Time retransmit_at = 0;
+  for (const TraceEvent& e : r.trace) {
+    if (e.kind == TraceKind::kRetransmit) retransmit_at = e.at;
+  }
+  EXPECT_EQ(retransmit_at, depart + p.fault.rto_initial);
+  // The retransmit's re-ack lands one ack round trip after it departs.
+  const Time reack_at = retransmit_at + first_ack_at(p);
+  EXPECT_EQ(r.stats.hist(Hist::kRetryLatency).count(), 1u);
+  EXPECT_EQ(r.stats.hist(Hist::kRetryLatency).max(), reack_at);
+}
+
+// HA hooks that only answer "is node 1 confirmed dead".
+struct DeadFlagHooks : HaHooks {
+  bool dead = false;
+  NodeId home_node(int zone) const override { return zone; }
+  bool confirmed_dead(NodeId node) const override { return dead && node == 1; }
+  std::uint64_t epoch() const override { return 0; }
+  Time retry_hold(NodeId, Time) const override { return 0; }
+  void note_checkpoint(NodeId, std::uint64_t) override {}
+  std::uint32_t replicas() const override { return 1; }
+  std::uint64_t node_epoch(NodeId) const override { return 0; }
+  bool suspected(NodeId) const override { return false; }
+  NodeId chain_backup(NodeId home, std::uint32_t) const override { return home; }
+};
+
+// Sends one one-way packet 0 -> 1 at t=0, confirms node 1 dead at `fail_at`
+// and fails its traffic over; returns how many sends were given up.
+std::uint64_t sends_given_up_when_failing_over_at(Time fail_at) {
+  Cluster c(clean_lossy_params(), 2);
+  DeadFlagHooks hooks;
+  c.set_ha_hooks(&hooks);
+  c.node(1).register_service(kOneWay, "one_way_test", [](Incoming&) {});
+  c.spawn_thread(0, "sender", [&] {
+    Buffer b;
+    b.put<std::uint8_t>(1);
+    c.send(0, 1, kOneWay, std::move(b));
+  });
+  c.engine().post(fail_at, [&] {
+    hooks.dead = true;
+    c.ha_fail_traffic_to(1);
+  });
+  c.run();
+  return c.total_stats().get(Counter::kHaDeadSendsDropped);
+}
+
+TEST(FaultTransportEvents, FailoverSkipsAPacketWhoseAckLandedWithoutAnEvent) {
+  const Time ack_at = first_ack_at(clean_lossy_params());
+  // Before the ack lands the packet is still unacked: failover gives it up.
+  EXPECT_EQ(sends_given_up_when_failing_over_at(ack_at - 1), 1u);
+  // After it lands the packet is acked, although it still sits in the
+  // pair's vector until the next enqueue reaps it.
+  EXPECT_EQ(sends_given_up_when_failing_over_at(ack_at + 1), 0u);
+}
+
+TEST(FaultTransportEvents, APairWhoseLastAckLandedGivesItsVectorBack) {
+  // Node 0 sends one packet to each peer in turn, each after the previous
+  // packet's ack has landed (in place, without an event). Each enqueue
+  // reaps the landed acks, so only the pair last used holds a vector: a pair
+  // that falls idle owns no heap memory, whichever pair sends next.
+  constexpr int kNodes = 8;
+  Cluster c(clean_lossy_params(), kNodes);
+  for (NodeId n = 1; n < kNodes; ++n) {
+    c.node(n).register_service(kOneWay, "one_way_test", [](Incoming&) {});
+  }
+  std::vector<std::size_t> holding;
+  c.spawn_thread(0, "sender", [&] {
+    for (NodeId to = 1; to < kNodes; ++to) {
+      Buffer b;
+      b.put<std::uint8_t>(1);
+      c.send(0, to, kOneWay, std::move(b));
+      c.engine().sleep_for(kMillisecond);
+      holding.push_back(c.transport_pairs_holding_packets());
+    }
+  });
+  c.run();
+  EXPECT_EQ(holding, std::vector<std::size_t>(kNodes - 1, 1));
+  EXPECT_EQ(c.total_stats().get(Counter::kRetransmits), 0u);
+}
+
+TEST(FaultTransportEvents, CleanLossyEchoCallRunsTwoEventsPerPacket) {
+  // A clean call is two packets. A timer and an ack event for each would
+  // make 9 events: request arrival, its timer, its ack, handler execution,
+  // reply arrival, its timer, its ack, call completion and the caller's
+  // wakeup. Neither timer nor ack can change this run, so 5 remain.
+  constexpr std::uint64_t kCalls = 20;
+  constexpr std::uint64_t kEventsPerCallWithTimersAndAcks = 9;
+  constexpr std::uint64_t kPacketsPerCall = 2;
+  Cluster c(clean_lossy_params(), 2);
+  ASSERT_TRUE(c.transport_active());
+  register_echo(c, 1);
+  c.spawn_thread(0, "caller", [&] {
+    for (std::uint32_t i = 0; i < kCalls; ++i) {
+      Buffer req;
+      req.put<std::uint32_t>(i);
+      Buffer resp = c.call(0, 1, kEcho, std::move(req));
+      BufferReader r(resp);
+      EXPECT_EQ(r.get<std::uint32_t>(), i + 1);
+    }
+  });
+  c.run();
+  // One more event: the caller fiber's first wakeup.
+  EXPECT_EQ(c.engine().events_processed(),
+            1 + kCalls * (kEventsPerCallWithTimersAndAcks - 2 * kPacketsPerCall));
+  EXPECT_EQ(c.total_stats().get(Counter::kAcksSent), kCalls * kPacketsPerCall);
+  EXPECT_EQ(c.total_stats().get(Counter::kRetransmits), 0u);
 }
 
 // --- 4. full VM under chaos -------------------------------------------------

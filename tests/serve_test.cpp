@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "cluster/params.hpp"
+#include "cluster/trace.hpp"
 #include "serve/serve.hpp"
 
 namespace hyp::serve {
@@ -391,6 +393,80 @@ TEST(ServeGolden, AllCellsBitIdentical) {
         << "serving run drifted at " << key << "\n  expected: " << want
         << "\n  actual:   " << it->second;
   }
+}
+
+// ------------------------------------------------------------- trace golden
+//
+// The counter goldens above pin totals; this one pins the order and the
+// timestamp of every protocol event of one lossy cell: each drop, dup
+// suppression, retransmit, fetch, update and promotion. One line per
+// protocol:
+//   <protocol> records=<n> fnv1a=<hex>
+// where fnv1a is the 64-bit FNV-1a hash of the TraceLog text dump.
+
+#ifndef HYP_SERVE_TRACE_GOLDEN_FILE
+#error "HYP_SERVE_TRACE_GOLDEN_FILE must point at the recorded trace goldens"
+#endif
+
+constexpr const char* kLossyTraceProfile =
+    "drop1%,dup1%,reorder3us,replicas=2,partition@10ms+6ms:1|0.2.3,seed=7";
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::string trace_golden_line(dsm::ProtocolKind kind) {
+  apps::VmConfig cfg = apps::make_config("myri200", kind, 4);
+  cfg.cluster.fault = cluster::FaultProfile::parse(kLossyTraceProfile);
+  cluster::TraceLog trace(1 << 17);
+  cfg.trace = &trace;
+  const ServeResult r = run_serve(cfg, small_params());
+  EXPECT_TRUE(r.state_ok) << dsm::protocol_name(kind) << ": " << r.lost_keys
+                          << " keys diverged";
+  EXPECT_EQ(trace.dropped(), 0u) << "the trace must hold the whole run";
+  EXPECT_GT(r.run.stats.get(Counter::kRetransmits), 0u) << "the profile must bite";
+  EXPECT_GT(r.run.stats.get(Counter::kDupSuppressed), 0u);
+  std::ostringstream text;
+  trace.write_text(text);
+  char hash[17];
+  std::snprintf(hash, sizeof(hash), "%016llx",
+                static_cast<unsigned long long>(fnv1a(text.str())));
+  std::ostringstream os;
+  os << dsm::protocol_name(kind) << " records=" << trace.events().size() << " fnv1a=" << hash;
+  return os.str();
+}
+
+TEST(ServeGolden, LossyCellTraceIsPinned) {
+  std::vector<std::string> lines;
+  for (auto kind : {dsm::ProtocolKind::kJavaPf, dsm::ProtocolKind::kHybrid}) {
+    lines.push_back(trace_golden_line(kind));
+  }
+
+  if (std::getenv("HYP_UPDATE_GOLDENS") != nullptr) {
+    std::ofstream out(HYP_SERVE_TRACE_GOLDEN_FILE);
+    ASSERT_TRUE(out.good()) << "cannot write " << HYP_SERVE_TRACE_GOLDEN_FILE;
+    out << "# Serve trace goldens: the serve golden's store and workload under\n"
+           "# " << kLossyTraceProfile << ";\n"
+           "# record count and FNV-1a of TraceLog::write_text per protocol.\n"
+           "# Regenerate with HYP_UPDATE_GOLDENS=1 ./serve_tests -- and justify\n"
+           "# the semantic change in the commit message.\n";
+    for (const auto& line : lines) out << line << '\n';
+    GTEST_SKIP() << "goldens re-recorded at " << HYP_SERVE_TRACE_GOLDEN_FILE;
+  }
+
+  std::ifstream in(HYP_SERVE_TRACE_GOLDEN_FILE);
+  ASSERT_TRUE(in.good()) << "missing goldens; record with HYP_UPDATE_GOLDENS=1";
+  std::vector<std::string> expected;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!line.empty() && line[0] != '#') expected.push_back(line);
+  }
+  EXPECT_EQ(lines, expected) << "the lossy cell's protocol trace drifted";
 }
 
 TEST(ServeGolden, BackToBackRunsIdentical) {

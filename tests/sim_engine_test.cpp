@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace hyp::sim {
@@ -194,6 +195,93 @@ TEST(Engine, CountsSwitchesAndEvents) {
   eng.run();
   EXPECT_GE(eng.context_switches(), 2u);
   EXPECT_GE(eng.events_processed(), 2u);
+}
+
+// A fiber whose own wakeup is the next event resumes in place: sleep_until
+// and yield with nothing due by their time, and an unpark from a callback
+// with nothing due ahead of it. The schedule mixes those with queued
+// wakeups; the log, the event count and the switch count are exactly those
+// of one queue round trip per wakeup.
+TEST(Engine, InPlaceResumeKeepsTimeSeqOrder) {
+  Engine eng;
+  std::vector<std::pair<Time, std::string>> log;
+  auto note = [&](std::string what) { log.emplace_back(eng.now(), std::move(what)); };
+  eng.spawn("s", [&] {
+    for (int i = 1; i <= 4; ++i) {
+      eng.sleep_for(10);
+      note(numbered("s", i));
+    }
+    eng.yield();  // nothing else due at 40: in place
+    note("s-yield");
+  });
+  eng.spawn("y", [&] {
+    eng.yield();  // p's first wakeup is due at 0: queued behind it
+    note("y-yield");
+    eng.sleep_until(20);
+    note("y20");
+    eng.yield();
+    note("y20-yield");
+  });
+  Fiber* p = eng.spawn("p", [&] {
+    for (int i = 0; i < 3; ++i) {
+      eng.park();
+      note("p-woke");
+      eng.sleep_for(1);
+      note("p-slept");
+    }
+  });
+  eng.post(15, [&] {
+    note("cb15");
+    eng.unpark(p);  // nothing due at 15: in place, ahead of what follows
+    eng.post(15, [&] { note("cb15-later"); });
+  });
+  eng.post(20, [&] {
+    note("cb20");
+    eng.unpark(p);  // y and s wake at 20 too: queued behind them
+  });
+  eng.post(35, [&] {
+    note("cb35");
+    eng.unpark(p);
+    eng.unpark(p);  // already woken: a permit
+  });
+  EXPECT_TRUE(eng.run().empty());
+  const std::vector<std::pair<Time, std::string>> want = {
+      {0, "y-yield"},  {10, "s1"},         {15, "cb15"},     {15, "p-woke"},
+      {15, "cb15-later"}, {16, "p-slept"}, {20, "cb20"},     {20, "y20"},
+      {20, "s2"},      {20, "p-woke"},     {20, "y20-yield"}, {21, "p-slept"},
+      {30, "s3"},      {35, "cb35"},       {35, "p-woke"},   {36, "p-slept"},
+      {40, "s4"},      {40, "s-yield"}};
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(eng.events_processed(), 21u);
+  EXPECT_EQ(eng.context_switches(), 31u);
+  // cb15's and cb35's unparks, p's sleep to 36 and s's yield at 40.
+  EXPECT_EQ(eng.in_place_resumes(), 4u);
+}
+
+TEST(EngineDeath, PostReservedAheadOfACallbackUnparkAborts) {
+  // The seq reserved at t=40 is older than the in-place unpark's: at t=50
+  // its event would have to run before the wakeup already taken as next.
+  Engine eng;
+  Fiber* p = eng.spawn("p", [&] { eng.park(); });
+  std::uint64_t reserved = 0;
+  eng.post(50, [&] {
+    eng.unpark(p);
+    eng.post_reserved(0, 50, reserved, [] {});
+  });
+  eng.post(40, [&] { reserved = eng.reserve_seq(); });
+  EXPECT_DEATH(eng.run(), "precedes a callback's in-place unpark");
+}
+
+TEST(EngineDeath, PostReservedBeforeTheDispatchedEventAborts) {
+  Engine eng;
+  eng.spawn("t", [&] {
+    const std::uint64_t seq = eng.reserve_seq();
+    eng.sleep_for(kMicrosecond);
+    // Same instant as the wakeup being dispatched, but an older seq: the
+    // event would have run before it.
+    eng.post_reserved(0, eng.now(), seq, [] {});
+  });
+  EXPECT_DEATH(eng.run(), "precedes the one being dispatched");
 }
 
 TEST(EngineDeath, SleepOutsideFiberAborts) {
