@@ -168,45 +168,33 @@ RpcResult Cluster::call_result(NodeId from, NodeId to, ServiceId service, Buffer
   sim::Engine* eng = &engine_;
   HYP_CHECK_MSG(eng->in_fiber(), "Cluster::call must run on a fiber");
 
-  if (!lossy_) {
-    // Historical lossless path, preserved event-for-event: recycled reply
-    // slots, no transport state, cannot fail (the determinism goldens pin
-    // this exact event sequence).
-    PendingReply slot;
-    slot.waiter = eng->current_fiber();
-    // Recycle a reply slot index; the token is index+1 so 0 stays "one-way".
-    std::uint32_t idx;
-    if (!reply_free_.empty()) {
-      idx = reply_free_.back();
-      reply_free_.pop_back();
-      reply_slots_[idx] = &slot;
-    } else {
-      idx = static_cast<std::uint32_t>(reply_slots_.size());
-      reply_slots_.push_back(&slot);
-    }
-    deliver(0, from, to, service, std::move(payload), idx + 1);
-    while (!slot.done) eng->park();
-    reply_slots_[idx] = nullptr;
-    reply_free_.push_back(idx);
-    RpcResult out;
-    out.payload = std::move(slot.payload);
-    return out;
-  }
-
-  // Lossy path: monotonically increasing tokens are never recycled, so a
-  // reply that limps in after its call has failed can only miss the map.
   PendingCall pc;
   pc.waiter = eng->current_fiber();
   pc.from = from;
   pc.to = to;
   pc.service = service;
   pc.started = engine_.now();
-  const std::uint64_t token = next_call_token_++;
-  pending_calls_.emplace_back(token, &pc);
-  tx_enqueue(0, from, to, service, token, /*is_reply=*/false, std::move(payload));
+  std::uint32_t idx;
+  if (!call_free_.empty()) {
+    idx = call_free_.back();
+    call_free_.pop_back();
+  } else {
+    idx = static_cast<std::uint32_t>(call_slots_.size());
+    call_slots_.emplace_back();
+  }
+  CallSlot& slot = call_slots_[idx];
+  slot.call = &pc;
+  // Uses start at 1, so no token is 0 ("one-way").
+  const std::uint64_t token = (std::uint64_t{++slot.uses} << 32) | idx;
+  if (lossy_) {
+    tx_enqueue(0, from, to, service, token, /*is_reply=*/false, std::move(payload));
+  } else {
+    deliver(0, from, to, service, std::move(payload), token);
+  }
 
   while (!pc.done) eng->park();
-  pending_calls_.erase(find_pending(token));
+  call_slots_[idx].call = nullptr;
+  call_free_.push_back(idx);
 
   RpcResult out;
   out.status = pc.error.status;
@@ -260,20 +248,23 @@ void Cluster::deliver(TimeDelta depart_delay, NodeId from, NodeId to, ServiceId 
 
   // Arrival and execution belong to the destination node: route them to its
   // queue shard (the nested exec post inherits it via active_shard_).
-  engine_.post_on(node_shard(to), arrival, [this, &dst, from, to, service, reply_token,
+  engine_.post_on(node_shard(to), arrival, [this, &dst, from, service, reply_token,
                                             moved = std::move(payload)]() mutable {
-    // Arrived: contend for the receiving node's service queue.
-    const Time begin = dst.service_queue().reserve(params_.net.recv_overhead);
-    const Time exec_at = begin + params_.net.recv_overhead;
-    engine_.post(exec_at, [this, &dst, from, to, service, reply_token,
-                           payload2 = std::move(moved)]() mutable {
-      const auto idx = static_cast<std::size_t>(service);
-      HYP_CHECK_MSG(idx < dst.handlers_.size() && dst.handlers_[idx],
-                    "no handler for service " + std::to_string(service) + " on node " +
-                        std::to_string(to));
-      Incoming incoming{from, to, BufferReader(payload2), reply_token};
-      dst.handlers_[idx](incoming);
-    });
+    dispatch_request(dst, from, service, reply_token, std::move(moved));
+  });
+}
+
+void Cluster::dispatch_request(Node& dst, NodeId from, ServiceId service, std::uint64_t token,
+                               Buffer payload) {
+  const Time begin = dst.service_queue().reserve(params_.net.recv_overhead);
+  const Time exec_at = begin + params_.net.recv_overhead;
+  engine_.post(exec_at, [&dst, from, service, token, moved = std::move(payload)]() mutable {
+    const auto idx = static_cast<std::size_t>(service);
+    HYP_CHECK_MSG(idx < dst.handlers_.size() && dst.handlers_[idx],
+                  "no handler for service " + std::to_string(service) + " on node " +
+                      std::to_string(dst.id()));
+    Incoming incoming{from, dst.id(), BufferReader(moved), token};
+    dst.handlers_[idx](incoming);
   });
 }
 
@@ -298,13 +289,7 @@ void Cluster::deliver_reply(TimeDelta depart_delay, NodeId from, NodeId to, std:
                       params_.net.recv_overhead + params_.fault.extra_delay(msg_seq);
 
   engine_.post_on(node_shard(to), wakeup, [this, token, moved = std::move(payload)]() mutable {
-    HYP_CHECK_MSG(token >= 1 && token <= reply_slots_.size(),
-                  "reply for unknown or completed call");
-    PendingReply* slot = reply_slots_[token - 1];
-    HYP_CHECK_MSG(slot != nullptr, "reply for unknown or completed call");
-    slot->payload = std::move(moved);
-    slot->done = true;
-    engine_.unpark(slot->waiter);
+    complete_call(token, std::move(moved));
   });
 }
 
@@ -383,13 +368,6 @@ void Cluster::tx_reap(const PairState& enqueuing) {
     i = 0;
   }
   tx_acked_head_ = i;
-}
-
-Cluster::PendingCalls::iterator Cluster::find_pending(std::uint64_t token) {
-  const auto it = std::lower_bound(
-      pending_calls_.begin(), pending_calls_.end(), token,
-      [](const PendingCalls::value_type& e, std::uint64_t t) { return e.first < t; });
-  return it != pending_calls_.end() && it->first == token ? it : pending_calls_.end();
 }
 
 void Cluster::tx_transmit(PairState& ps, std::uint64_t seq, TimeDelta depart_delay) {
@@ -530,18 +508,7 @@ void Cluster::tx_on_arrival(PairState& ps, ServiceId service, std::uint64_t toke
     return;
   }
 
-  // Request: contend for the receiving node's service queue, then dispatch.
-  const Time begin = dst.service_queue().reserve(params_.net.recv_overhead);
-  const Time exec_at = begin + params_.net.recv_overhead;
-  engine_.post(exec_at, [this, &dst, from, to, service, token,
-                         payload2 = std::move(payload)]() mutable {
-    const auto idx = static_cast<std::size_t>(service);
-    HYP_CHECK_MSG(idx < dst.handlers_.size() && dst.handlers_[idx],
-                  "no handler for service " + std::to_string(service) + " on node " +
-                      std::to_string(to));
-    Incoming incoming{from, to, BufferReader(payload2), token};
-    dst.handlers_[idx](incoming);
-  });
+  dispatch_request(dst, from, service, token, std::move(payload));
 }
 
 void Cluster::tx_send_ack(PairState& ps, std::uint64_t seq, bool carries_timer) {
@@ -650,9 +617,9 @@ void Cluster::tx_give_up(TxPacket packet, bool no_quorum) {
     if (packet.token != 0) {
       // Request packet of a blocking call: surface a typed failure to the
       // parked caller instead of letting the run end in a generic deadlock.
-      auto it = find_pending(packet.token);
-      if (it != pending_calls_.end() && !it->second->done) {
-        fail_call(*it->second, no_quorum ? RpcStatus::kNoQuorum : RpcStatus::kBudgetExhausted,
+      PendingCall* pc = find_call(packet.token);
+      if (pc != nullptr && !pc->done) {
+        fail_call(*pc, no_quorum ? RpcStatus::kNoQuorum : RpcStatus::kBudgetExhausted,
                   packet.retransmits);
       }
       return;
@@ -677,11 +644,10 @@ void Cluster::tx_give_up(TxPacket packet, bool no_quorum) {
   // Reply packet: the replier cannot reach the caller. Fail the caller's
   // pending call (the simulator sees both ends) so the fiber wakes with a
   // typed error instead of parking forever.
-  auto it = find_pending(packet.token);
-  if (it != pending_calls_.end() && !it->second->done) {
-    PendingCall& pc = *it->second;
-    fail_call(pc, no_quorum ? RpcStatus::kNoQuorum : RpcStatus::kTimeout, packet.retransmits);
-    pc.error.message +=
+  PendingCall* pc = find_call(packet.token);
+  if (pc != nullptr && !pc->done) {
+    fail_call(*pc, no_quorum ? RpcStatus::kNoQuorum : RpcStatus::kTimeout, packet.retransmits);
+    pc->error.message +=
         " (reply from node " + std::to_string(packet.from) + " was undeliverable)";
   } else {
     // Caller already gone (its request failed first); account the give-up here.
@@ -691,12 +657,14 @@ void Cluster::tx_give_up(TxPacket packet, bool no_quorum) {
 }
 
 void Cluster::complete_call(std::uint64_t token, Buffer payload) {
-  auto it = find_pending(token);
-  if (it == pending_calls_.end() || it->second->done) return;  // stale reply: call failed
-  PendingCall& pc = *it->second;
-  pc.payload = std::move(payload);
-  pc.done = true;
-  engine_.unpark(pc.waiter);
+  PendingCall* pc = find_call(token);
+  // Only a lossy call can fail, so only a lossy reply can outlive its call.
+  const bool live = pc != nullptr && !pc->done;
+  HYP_CHECK_MSG(live || lossy_, "reply for unknown or completed call");
+  if (!live) return;  // stale reply: the call failed
+  pc->payload = std::move(payload);
+  pc->done = true;
+  engine_.unpark(pc->waiter);
 }
 
 void Cluster::fail_call(PendingCall& call, RpcStatus status, std::uint32_t retransmits) {
@@ -807,8 +775,9 @@ void Cluster::run() {
     // Name any still-pending RPCs: "which node/service is stuck" is the
     // question a deadlock under fault injection actually poses.
     std::string detail;
-    for (const auto& [token, pc] : pending_calls_) {
-      if (pc->done) continue;
+    for (const CallSlot& slot : call_slots_) {
+      const PendingCall* pc = slot.call;
+      if (pc == nullptr || pc->done) continue;
       detail += "\n  pending rpc: node " + std::to_string(pc->from) + " -> node " +
                 std::to_string(pc->to) + " service " + service_label(pc->service) +
                 " (waiting " + std::to_string(to_micros(engine_.now() - pc->started)) + " us)";

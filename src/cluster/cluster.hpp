@@ -308,10 +308,26 @@ class Cluster {
   }
 
  private:
-  struct PendingReply {
+  // A blocking call in flight, on either transport; it lives on the caller's
+  // stack and is reached through its slot of the call table.
+  struct PendingCall {
     sim::Fiber* waiter = nullptr;
     Buffer payload;
     bool done = false;
+    RpcError error;  // status != kOk on failure (lossy transport only)
+    // Identity, for diagnostics.
+    NodeId from = -1;
+    NodeId to = -1;
+    ServiceId service = -1;
+    Time started = 0;
+  };
+  // One slot of the call table: the call it holds (nullptr = free) and how
+  // many calls it has held. A call's token is its slot index, with that
+  // count in the high 32 bits: lookup is one indexed load, and a reply that
+  // outlives its call (lossy transport) cannot match the slot's next call.
+  struct CallSlot {
+    PendingCall* call = nullptr;
+    std::uint32_t uses = 0;
   };
 
   // Computes arrival and schedules handler execution.
@@ -319,6 +335,10 @@ class Cluster {
                std::uint64_t reply_token);
   void deliver_reply(TimeDelta depart_delay, NodeId from, NodeId to, std::uint64_t token,
                      Buffer payload);
+  // An arrived request, on either transport: contends for `dst`'s service
+  // queue, then runs the service's handler.
+  void dispatch_request(Node& dst, NodeId from, ServiceId service, std::uint64_t token,
+                        Buffer payload);
 
   // --- reliable transport (engaged only when the fault profile is lossy) ---
   //
@@ -330,18 +350,6 @@ class Cluster {
   // (the original ack may itself have been lost). Quiet networks never
   // reach this code: deliver()/deliver_reply() keep the historical
   // one-event-per-message path, bit-identical to the goldens.
-  struct PendingCall {
-    sim::Fiber* waiter = nullptr;
-    Buffer payload;
-    bool done = false;
-    RpcError error;  // status != kOk on failure
-    // Identity, for diagnostics.
-    NodeId from = -1;
-    NodeId to = -1;
-    ServiceId service = -1;
-    Time started = 0;
-  };
-
   static constexpr Time kNoAck = ~Time{0};
 
   struct TxPacket {
@@ -420,10 +428,13 @@ class Cluster {
   // acks were applied, handing every drained vector but `enqueuing`'s to
   // tx_spare_. Runs at each enqueue.
   void tx_reap(const PairState& enqueuing);
-  // Lossy-mode call table, ascending token (tokens are issued in order).
-  using PendingCalls = std::vector<std::pair<std::uint64_t, PendingCall*>>;
-  // The entry for `token`, or end() once the call returned (map::find).
-  PendingCalls::iterator find_pending(std::uint64_t token);
+  // The call `token` names, or nullptr once it has returned.
+  PendingCall* find_call(std::uint64_t token) {
+    const auto idx = static_cast<std::uint32_t>(token);
+    if (idx >= call_slots_.size()) return nullptr;
+    const CallSlot& slot = call_slots_[idx];
+    return slot.uses == token >> 32 ? slot.call : nullptr;
+  }
   void complete_call(std::uint64_t token, Buffer payload);
   void fail_call(PendingCall& call, RpcStatus status, std::uint32_t retransmits);
   RpcError make_error(RpcStatus status, NodeId from, NodeId to, ServiceId service,
@@ -434,12 +445,10 @@ class Cluster {
   ClusterParams params_;
   sim::Engine engine_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  // Call/reply matching: token = slot index + 1 into reply_slots_; freed
-  // indices recycle through reply_free_, so steady-state call() never
-  // allocates. Safe because the protocol delivers exactly one reply per call
-  // and the slot is only freed after that reply has been consumed.
-  std::vector<PendingReply*> reply_slots_;
-  std::vector<std::uint32_t> reply_free_;
+  // The call table (see CallSlot); freed slots recycle through call_free_,
+  // so steady-state call() never allocates.
+  std::vector<CallSlot> call_slots_;
+  std::vector<std::uint32_t> call_free_;
   std::uint64_t message_seq_ = 0;  // drives deterministic jitter
   TraceLog* trace_ = nullptr;
   obs::PhaseAccounting* phases_ = nullptr;
@@ -470,11 +479,6 @@ class Cluster {
   };
   std::vector<TxAcked> tx_acked_;
   std::size_t tx_acked_head_ = 0;
-  // Lossy-mode call matching: monotonically increasing tokens are never
-  // recycled, so a reply that limps in after its call failed can only miss
-  // the table (and be suppressed) — it can never corrupt an unrelated call.
-  std::uint64_t next_call_token_ = 1;
-  PendingCalls pending_calls_;
   std::vector<std::string> service_names_;  // [service id] -> label ("" = unnamed)
 };
 

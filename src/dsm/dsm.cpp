@@ -679,8 +679,8 @@ void DsmSystem::update_main_memory(ThreadCtx& t) {
     t.clock.flush();
   }
 
-  // Ship. The write log stays in place until its lane is home: a promotion
-  // or migration meanwhile replays it (replay_logged_writes).
+  // Ship. The write log stays in place until its lane is home: a hand-off
+  // meanwhile replays it (replay_logged_writes).
   ship(t, rule, /*runs=*/false, keyed_at);
   t.wlog.clear();
   ship(t, rule, /*runs=*/true, keyed_at);
@@ -902,7 +902,7 @@ void DsmSystem::maybe_migrate(NodeId self, PageId p, NodeId target) {
   if (f.crash_release(target, now) != 0) return;
   if (f.severed(self, target, now) || f.severed(target, self, now)) return;
 
-  hand_off_page(p, self, target);
+  hand_off(p, p + 1, self, target);
   node_dsm(self).demote_home(p, p + 1);
   home_override_[p] = target + 1;
   mig_[p] = MigStat{};
@@ -918,33 +918,36 @@ void DsmSystem::maybe_migrate(NodeId self, PageId p, NodeId target) {
   cluster_->node(self).extend_service(cpu.copy_cost(page_bytes));
   cluster_->node(target).extend_service(cpu.copy_cost(page_bytes));
   if (ha_ != nullptr) ha_->note_checkpoint(target, page_bytes);
-  const Gva begin = layout_.page_base(p);
-  if (home_moved_) home_moved_(self, target, begin, begin + page_bytes);
 }
 
-void DsmSystem::hand_off_page(PageId p, NodeId from, NodeId to) {
+void DsmSystem::hand_off(PageId first, PageId last, NodeId from, NodeId to) {
   NodeDsm& src = node_dsm(from);
   NodeDsm& dst = node_dsm(to);
   const std::size_t page_bytes = layout_.page_bytes();
-  // Realize the authoritative bytes in the new home's arena. If `to` holds a
-  // pf-mode replica that was stored to, its unflushed local writes (cur !=
-  // twin words) survive: only clean words take the old home's bytes (cf.
-  // HaManager::move_zone preserving the backup's pending diffs during zone
-  // failover). A replica without twin bytes holds no local store.
-  if (dst.has_twin_bytes(p)) {
-    std::byte* cur = dst.page_ptr(p);
-    const std::byte* twin = dst.twin(p);
-    const std::byte* bytes = src.page_ptr(p);
-    for (std::size_t w = 0; w < page_bytes / 8; ++w) {
-      if (load_word(cur, w) == load_word(twin, w)) std::memcpy(cur + w * 8, bytes + w * 8, 8);
+  const Gva begin = layout_.page_base(first);
+  const Gva end = layout_.page_base(last);
+  // Only the bytes below the zone's allocation mark differ from zero.
+  const Gva mark = std::min(end, alloc_mark(layout_.home_of_page(first)));
+  for (PageId p = first; layout_.page_base(p) < mark; ++p) {
+    const Gva at = layout_.page_base(p);
+    const std::size_t n = std::min<std::size_t>(page_bytes, mark - at);
+    std::byte* cur = dst.arena() + at;
+    const std::byte* bytes = src.arena() + at;
+    if (!dst.has_twin_bytes(p)) {
+      std::memcpy(cur, bytes, n);  // no local store: nothing of `to`'s to keep
+      continue;
     }
-  } else {
-    std::memcpy(dst.page_ptr(p), src.page_ptr(p), page_bytes);
+    // `to`'s unflushed pf stores are its bytes that differ from the twin;
+    // every other byte takes the old home's. Byte, not word, granularity: a
+    // third node's flushed store may share a word with one of them.
+    const std::byte* twin = dst.twin(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (cur[i] == twin[i]) cur[i] = bytes[i];
+    }
   }
-  dst.promote_to_home(p, p + 1);
-  // Unflushed ic-mode stores of `to`'s threads stay visible as well.
-  const Gva begin = layout_.page_base(p);
-  replay_logged_writes(to, begin, begin + page_bytes);
+  dst.promote_to_home(first, last);
+  replay_logged_writes(to, begin, end);  // `to`'s unflushed ic stores
+  if (home_moved_) home_moved_(from, to, begin, end);
 }
 
 void DsmSystem::on_node_dead(NodeId dead) {
@@ -963,11 +966,9 @@ void DsmSystem::on_node_dead(NodeId dead) {
     if (back == dead) continue;  // its own zone: confirm_death's failover realizes it
     // Re-realize the page at the fallback home from the dead node's
     // replicated state, preserving the fallback's own unflushed writes.
-    hand_off_page(p, dead, back);
+    hand_off(p, p + 1, dead, back);
     cluster_->node(back).stats().add_named("dsm_migrations_reverted");
     cluster_->trace_event(dead, cluster::TraceKind::kHomeMigrated, p, back);
-    const Gva begin = layout_.page_base(p);
-    if (home_moved_) home_moved_(dead, back, begin, begin + layout_.page_bytes());
   }
 }
 

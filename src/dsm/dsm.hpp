@@ -175,15 +175,25 @@ class DsmSystem {
   // paths between the presence load and the data access.
   void give_up_ic(ThreadCtx& t, PageId p);
 
+  // --- the one home move (docs/PROTOCOLS.md §One engine) ------------------
+  // Makes `to` the home of pages [first, last), all in one zone, with
+  // `from`'s bytes below the zone's allocation mark, keeping `to`'s own
+  // unflushed stores byte for byte (a twinned replica's bytes that differ
+  // from its twin, then its threads' logged stores), and fires the
+  // home-moved hook. Migration, its revert and the HA promotion all move
+  // homes through it; the caller owns the routing change and the costs.
+  void hand_off(PageId first, PageId last, NodeId from, NodeId to);
+  // Installed by the runtime so co-located state (monitor tables) moves with
+  // every home move: hand_off calls it as (old_home, new_home, gva_begin,
+  // gva_end).
+  using HomeMovedHook = std::function<void(NodeId, NodeId, Gva, Gva)>;
+  void set_home_moved_hook(HomeMovedHook hook) { home_moved_ = std::move(hook); }
+
   // --- hybrid home migration (docs/PROTOCOLS.md §hybrid) -------------------
   // True when the heat-driven migration policy is live (hybrid protocol);
   // home resolution then consults the per-page override table and every home
   // handler NACKs requests for pages it no longer serves.
   bool migrations_enabled() const { return kind_ == ProtocolKind::kHybrid; }
-  // Installed by the runtime so co-located state (monitor tables) moves with
-  // a migrated page: called as (old_home, new_home, gva_begin, gva_end).
-  using HomeMovedHook = std::function<void(NodeId, NodeId, Gva, Gva)>;
-  void set_home_moved_hook(HomeMovedHook hook) { home_moved_ = std::move(hook); }
   // Clears migration overrides targeting a node the HA detector just
   // confirmed dead, re-realizing each such page at its fallback home (the
   // same global-metadata idealization as the HA promotion path). Called by
@@ -267,12 +277,6 @@ class DsmSystem {
   Gva alloc_mark(NodeId zone) const {
     return layout_.zone_begin(zone) + nodes_[static_cast<std::size_t>(zone)]->allocated_bytes();
   }
-  // Replays the pending (unflushed) write-log entries of every live thread
-  // bound to `node` whose address falls in [begin, end) into that node's
-  // arena. Used by the HA promotion: realizing the dead home's zone bytes in
-  // the backup's arena must not clobber the backup threads' own logged-but-
-  // unflushed java_ic stores (read-own-writes inside a synchronized block).
-  void replay_logged_writes(NodeId node, Gva begin, Gva end);
   // ThreadCtx destructor hook (threads deregister from the replay registry).
   void unregister_thread(ThreadCtx* t);
 
@@ -367,9 +371,12 @@ class DsmSystem {
   // migrates the page's home to a sustained dominant writer (see .cpp).
   void note_remote_update(NodeId self, PageId p, NodeId from, std::uint64_t bytes);
   void maybe_migrate(NodeId self, PageId p, NodeId target);
-  // Makes `to` the home of page `p` with `from`'s bytes, keeping `to`'s own
-  // unflushed writes (migration, and its revert when a node dies).
-  void hand_off_page(PageId p, NodeId from, NodeId to);
+  // Replays the pending (unflushed) write-log entries of every live thread
+  // bound to `node` whose address falls in [begin, end) into that node's
+  // arena: a hand-off realizing the old home's bytes there must not clobber
+  // those threads' own logged stores (read-own-writes inside a synchronized
+  // block).
+  void replay_logged_writes(NodeId node, Gva begin, Gva end);
 
   void handle_page_request(cluster::Incoming& in, NodeId self);
   // Services kUpdateFields (write-log fields) and kUpdateRuns (diff runs).
@@ -396,7 +403,7 @@ class DsmSystem {
   std::vector<std::unique_ptr<NodeDsm>> nodes_;
   std::uint64_t next_thread_uid_ = 1;
   // Live-thread registry (registered by make_thread, removed by ~ThreadCtx);
-  // consulted only by the HA promotion's write-log replay.
+  // consulted only by the hand-off's write-log replay.
   std::vector<ThreadCtx*> threads_;
   obs::PageHeatTable* heat_ = nullptr;
   obs::RaceDetector* race_ = nullptr;

@@ -26,9 +26,8 @@ void insert_sorted(std::vector<NodeId>& v, NodeId x) {
 }
 }  // namespace
 
-HaManager::HaManager(cluster::Cluster* cluster, dsm::DsmSystem* dsm,
-                     hyperion::MonitorSubsystem* monitors)
-    : cluster_(cluster), dsm_(dsm), monitors_(monitors) {
+HaManager::HaManager(cluster::Cluster* cluster, dsm::DsmSystem* dsm)
+    : cluster_(cluster), dsm_(dsm) {
   const auto n = static_cast<std::size_t>(cluster_->node_count());
   zone_home_.resize(n);
   home_zones_.resize(n);
@@ -366,75 +365,29 @@ void HaManager::confirm_death(NodeId dead, NodeId watcher, Time silence) {
 }
 
 void HaManager::move_zone(NodeId zone, NodeId dead, NodeId new_home) {
-  // --- checkpoint realization ---------------------------------------------
-  // The incremental replication stream has been mirroring the dying home's
-  // state all along (note_checkpoint accounts it — piggybacked or as real
-  // chain messages); the simulator realizes the mirrored copy here, in three
-  // steps that keep the new home's own unflushed working-memory
-  // modifications intact.
-  const dsm::Layout& layout = dsm_->layout();
+  // The replication stream has been mirroring the dying home's state all
+  // along (note_checkpoint accounts it, piggybacked or as real chain
+  // messages); the simulator realizes the mirror here. The dying home's
+  // arena holds the zone's authoritative bytes (for a zone that had moved
+  // before, the previous promotion put them there), and its pristine
+  // snapshot feeds the restart-side final-checkpoint diff (see on_restart).
   dsm::PageId first = 0;
   dsm::PageId last = 0;
   zone_pages(zone, &first, &last);
-  const dsm::Gva zbegin = layout.zone_begin(zone);
-  const dsm::Gva zend = layout.zone_end(zone);
-  const std::size_t zbytes = static_cast<std::size_t>(zend - zbegin);
-  // The dying home's arena holds the zone's authoritative bytes (for a zone
-  // that had moved before, the previous promotion copied them there). Only
-  // the live prefix can differ from zero, so only it is mirrored.
-  const std::size_t live = live_prefix(zone);
-  dsm::NodeDsm& dnd = dsm_->node_dsm(dead);
-  dsm::NodeDsm& bnd = dsm_->node_dsm(new_home);
-
-  // (1) Extract the new home's pending java_pf diffs (cur vs twin) for
-  //     cached pages of the zone — promote_to_home drops the twins below. A
-  //     twinned replica without bytes was never stored to: it is clean.
-  struct SavedRun {
-    dsm::Gva at;
-    std::vector<std::byte> bytes;
-  };
-  std::vector<SavedRun> pending;
-  const std::size_t page_bytes = layout.page_bytes();
-  for (dsm::PageId p : bnd.cached_pages()) {
-    if (p < first || p >= last || !bnd.has_twin_bytes(p)) continue;
-    const std::byte* cur = bnd.page_ptr(p);
-    const std::byte* tw = bnd.twin(p);
-    std::size_t i = 0;
-    while (i < page_bytes) {
-      if (cur[i] == tw[i]) {
-        ++i;
-        continue;
-      }
-      std::size_t j = i + 1;
-      while (j < page_bytes && cur[j] != tw[j]) ++j;
-      pending.push_back({layout.page_base(p) + i, std::vector<std::byte>(cur + i, cur + j)});
-      i = j;
-    }
-  }
-
-  // (2) Realize the mirror and take home authority. The pristine snapshot
-  //     feeds the restart-side final-checkpoint diff (see on_restart).
+  const dsm::Gva zbegin = dsm_->layout().zone_begin(zone);
   ZoneSnap& snap = zone_snaps_[static_cast<std::size_t>(zone)];
   snap.from = dead;
   insert_sorted(snap_zones_[static_cast<std::size_t>(dead)], zone);
-  snap.bytes.assign(dnd.arena() + zbegin, dnd.arena() + zbegin + live);
-  std::memcpy(bnd.arena() + zbegin, dnd.arena() + zbegin, live);
-  bnd.promote_to_home(first, last);
-
-  // (3) The new home's own unflushed modifications win over the mirrored
-  //     base (they are exactly what its next updateMainMemory would apply).
-  for (const SavedRun& r : pending) {
-    std::memcpy(bnd.arena() + r.at, r.bytes.data(), r.bytes.size());
-  }
-  dsm_->replay_logged_writes(new_home, zbegin, zend);  // java_ic pending stores
-
-  // Monitor tables of objects in the zone (and the applied-op-id set) move
-  // with it.
-  monitors_->fail_over_home(dead, new_home, static_cast<std::uint64_t>(zbegin),
-                            static_cast<std::uint64_t>(zend));
+  const std::byte* live = dsm_->node_dsm(dead).arena() + zbegin;
+  snap.bytes.assign(live, live + live_prefix(zone));
+  // Bytes, home authority and (through the home-moved hook) the monitor
+  // tables move in the one hand-off, which keeps the new home's own
+  // unflushed stores: they are exactly what its next updateMainMemory would
+  // apply.
+  dsm_->hand_off(first, last, dead, new_home);
 
   cluster_->trace_event(new_home, TraceKind::kHomePromoted, zone,
-                        static_cast<std::int64_t>(zbytes));
+                        static_cast<std::int64_t>(dsm_->layout().zone_end(zone) - zbegin));
 
   // Installing the final checkpoint delta occupies the new home's service
   // queue: requests against it serve after the install. Charged over the

@@ -60,7 +60,6 @@
 #include "cluster/cluster.hpp"
 #include "cluster/ha_hooks.hpp"
 #include "dsm/dsm.hpp"
-#include "hyperion/monitor.hpp"
 
 namespace hyp::ha {
 
@@ -72,8 +71,7 @@ inline constexpr cluster::ServiceId kHaCheckpoint = 30;
 
 class HaManager final : public cluster::HaHooks {
  public:
-  HaManager(cluster::Cluster* cluster, dsm::DsmSystem* dsm,
-            hyperion::MonitorSubsystem* monitors);
+  HaManager(cluster::Cluster* cluster, dsm::DsmSystem* dsm);
   HaManager(const HaManager&) = delete;
   HaManager& operator=(const HaManager&) = delete;
 
@@ -180,9 +178,11 @@ class HaManager final : public cluster::HaHooks {
   // K+1 copies.
   cluster::NodeId elect_home(cluster::NodeId zone, cluster::NodeId dead,
                              cluster::NodeId watcher, Time now) const;
-  // Moves zone `zone` from dying home `dead` to `new_home`: realizes the
-  // mirrored bytes, transfers home authority + monitor tables, charges the
-  // final-checkpoint install on the new home's service queue.
+  // Moves zone `zone` from dying home `dead` to `new_home`: snapshots the
+  // zone's live prefix for the restart-side diff, hands the zone off
+  // (DsmSystem::hand_off: bytes, home authority and, through the home-moved
+  // hook, monitor tables) and charges the final-checkpoint install on the
+  // new home's service queue.
   void move_zone(cluster::NodeId zone, cluster::NodeId dead, cluster::NodeId new_home);
   // Zone page range of `zone` as [first, last).
   void zone_pages(cluster::NodeId zone, dsm::PageId* first, dsm::PageId* last) const;
@@ -197,7 +197,6 @@ class HaManager final : public cluster::HaHooks {
 
   cluster::Cluster* cluster_;
   dsm::DsmSystem* dsm_;
-  hyperion::MonitorSubsystem* monitors_;
   std::vector<cluster::NodeId> zone_home_;  // routing table (identity until promotion)
   // Incremental reverse indexes so re-election and restart never scan all
   // zones: home_zones_[n] = zones currently homed at n; snap_zones_[n] =

@@ -60,13 +60,14 @@ class MonitorSubsystem {
   // Moves the monitors of objects in the global-address range [zbegin, zend)
   // from the dead node's table to the backup's (the simulator realizes the
   // checkpointed state the incremental replication stream has been
-  // mirroring). Called once per re-elected zone: with replicas > 1 the dead
-  // node's zones may be promoted to *different* chain members, so the move is
-  // range-filtered rather than wholesale. The dead home's applied-op-id set
-  // is copied (not cleared) into the backup's so a retry of an op the dead
-  // home had applied re-attaches instead of double-applying. Local
-  // contenders' fiber pointers stay valid: fibers survive a crash under the
-  // thread-checkpoint model.
+  // mirroring). Called through DsmSystem's home-moved hook once per home
+  // move: a re-elected zone (with replicas > 1 the dead node's zones may be
+  // promoted to *different* chain members), a migrated page or its revert,
+  // so the move is range-filtered rather than wholesale. The dead home's
+  // applied-op-id set is copied (not cleared) into the backup's so a retry
+  // of an op the dead home had applied re-attaches instead of
+  // double-applying. Local contenders' fiber pointers stay valid: fibers
+  // survive a crash under the thread-checkpoint model.
   void fail_over_home(cluster::NodeId dead, cluster::NodeId backup,
                       std::uint64_t zbegin, std::uint64_t zend);
 

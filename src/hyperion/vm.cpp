@@ -150,15 +150,15 @@ HyperionVM::HyperionVM(VmConfig config)
     dsm_.set_race(config_.race);
     cluster_.set_race_hooks(config_.race);
   }
-  if (dsm_.migrations_enabled()) {
-    // Heat-driven home migration (hybrid protocol): monitor state moves with
-    // the page it lives on, and the old home NACKs stragglers exactly like a
-    // post-promotion HA home — which may make a node its own target mid-call.
-    cluster_.allow_loopback();
-    dsm_.set_home_moved_hook([this](NodeId from, NodeId to, dsm::Gva begin, dsm::Gva end) {
-      monitors_.fail_over_home(from, to, begin, end);
-    });
-  }
+  // Monitor state moves with the home of the object it guards, whatever
+  // moved it: a migration, its revert or an HA promotion (DsmSystem::hand_off).
+  dsm_.set_home_moved_hook([this](NodeId from, NodeId to, dsm::Gva begin, dsm::Gva end) {
+    monitors_.fail_over_home(from, to, begin, end);
+  });
+  // Heat-driven home migration (hybrid protocol): the old home NACKs
+  // stragglers exactly like a post-promotion HA home, which may make a node
+  // its own target mid-call.
+  if (dsm_.migrations_enabled()) cluster_.allow_loopback();
   // A scheduled crash window — or a partition window that actually splits
   // this run's nodes — engages the HA subsystem (docs/RECOVERY.md,
   // docs/PARTITIONS.md); without one every HA branch below stays a
@@ -181,7 +181,7 @@ HyperionVM::HyperionVM(VmConfig config)
     if (a && b) partition_applies = true;
   }
   if (crash_applies || partition_applies) {
-    ha_ = std::make_unique<ha::HaManager>(&cluster_, &dsm_, &monitors_);
+    ha_ = std::make_unique<ha::HaManager>(&cluster_, &dsm_);
     cluster_.set_ha_hooks(ha_.get());
     dsm_.set_ha(ha_.get());  // the monitors read HA and fencing from the DSM
     ha_->start();

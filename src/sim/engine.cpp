@@ -15,8 +15,8 @@ thread_local Engine* t_current_engine = nullptr;
 // Fiber
 
 Fiber::Fiber(Engine* engine, std::string name, UniqueFunction<void()> body,
-             std::size_t stack_bytes, bool daemon)
-    : engine_(engine), name_(std::move(name)), body_(std::move(body)), daemon_(daemon) {
+             std::size_t stack_bytes)
+    : engine_(engine), name_(std::move(name)), body_(std::move(body)) {
   stack_ = stack_allocate(stack_bytes);
   context_make(&context_, stack_.usable_base, stack_.usable_size, &Fiber::entry, this);
 }
@@ -58,9 +58,8 @@ Engine::~Engine() {
 Engine* Engine::current() { return t_current_engine; }
 
 Fiber* Engine::spawn_impl(std::uint32_t shard, std::string name, UniqueFunction<void()> body,
-                          std::size_t stack_bytes, bool daemon) {
-  std::unique_ptr<Fiber> fiber(
-      new Fiber(this, std::move(name), std::move(body), stack_bytes, daemon));
+                          std::size_t stack_bytes) {
+  std::unique_ptr<Fiber> fiber(new Fiber(this, std::move(name), std::move(body), stack_bytes));
   Fiber* raw = fiber.get();
   raw->shard_ = shard;
   fibers_.push_back(std::move(fiber));
@@ -69,21 +68,13 @@ Fiber* Engine::spawn_impl(std::uint32_t shard, std::string name, UniqueFunction<
 }
 
 Fiber* Engine::spawn(std::string name, UniqueFunction<void()> body, std::size_t stack_bytes) {
-  return spawn_impl(active_shard_, std::move(name), std::move(body), stack_bytes,
-                    /*daemon=*/false);
-}
-
-Fiber* Engine::spawn_daemon(std::string name, UniqueFunction<void()> body,
-                            std::size_t stack_bytes) {
-  Fiber* raw = spawn(std::move(name), std::move(body), stack_bytes);
-  raw->daemon_ = true;
-  return raw;
+  return spawn_impl(active_shard_, std::move(name), std::move(body), stack_bytes);
 }
 
 Fiber* Engine::spawn_on(std::uint32_t shard, std::string name, UniqueFunction<void()> body,
                         std::size_t stack_bytes) {
   HYP_CHECK_MSG(shard < shards_.size(), "spawn_on: shard out of range");
-  return spawn_impl(shard, std::move(name), std::move(body), stack_bytes, /*daemon=*/false);
+  return spawn_impl(shard, std::move(name), std::move(body), stack_bytes);
 }
 
 void Engine::configure_shards(std::uint32_t count) {
@@ -233,10 +224,10 @@ std::vector<std::string> Engine::run() {
 
   std::vector<std::string> stuck;
   for (const auto& fiber : fibers_) {
-    if (!fiber->done() && !fiber->daemon_) stuck.push_back(fiber->name());
+    if (!fiber->done()) stuck.push_back(fiber->name());
   }
   if (!stuck.empty()) {
-    HYP_WARN("simulation quiesced with " << stuck.size() << " blocked non-daemon fiber(s)");
+    HYP_WARN("simulation quiesced with " << stuck.size() << " blocked fiber(s)");
   }
   return stuck;
 }

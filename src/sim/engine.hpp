@@ -55,8 +55,7 @@ class Fiber {
 
  private:
   friend class Engine;
-  Fiber(Engine* engine, std::string name, UniqueFunction<void()> body, std::size_t stack_bytes,
-        bool daemon);
+  Fiber(Engine* engine, std::string name, UniqueFunction<void()> body, std::size_t stack_bytes);
 
   static void entry(void* self);
 
@@ -67,7 +66,6 @@ class Fiber {
   Context context_{};
   FiberState state_ = FiberState::kParked;
   bool permit_ = false;  // a wakeup that arrived while not parked
-  bool daemon_ = false;  // daemons may be parked at quiescence without error
   std::uint32_t shard_ = 0;  // event-queue shard its wakeups are pushed to
   std::vector<Fiber*> joiners_;
 };
@@ -86,11 +84,6 @@ class Engine {
   // fibers (dynamic thread creation).
   Fiber* spawn(std::string name, UniqueFunction<void()> body,
                std::size_t stack_bytes = kDefaultStackBytes);
-
-  // Daemon fibers (message dispatchers, servers) are allowed to still be
-  // blocked when the simulation quiesces.
-  Fiber* spawn_daemon(std::string name, UniqueFunction<void()> body,
-                      std::size_t stack_bytes = kDefaultStackBytes);
 
   // spawn() pinned to an explicit queue shard: the fiber's wakeup events
   // (sleep, yield, unpark) are pushed to that shard for its whole life.
@@ -156,8 +149,8 @@ class Engine {
   std::uint32_t shard_count() const { return static_cast<std::uint32_t>(shards_.size()); }
 
   // Runs the simulation until no events remain. Returns the names of
-  // non-daemon fibers that are still blocked (deadlock / lost wakeups);
-  // an empty vector means clean quiescence.
+  // fibers that are still blocked (deadlock / lost wakeups); an empty vector
+  // means clean quiescence.
   std::vector<std::string> run();
 
   Time now() const { return now_; }
@@ -320,7 +313,7 @@ class Engine {
     fiber->state_ = pending_state;
   }
   Fiber* spawn_impl(std::uint32_t shard, std::string name, UniqueFunction<void()> body,
-                    std::size_t stack_bytes, bool daemon);
+                    std::size_t stack_bytes);
   void switch_to(Fiber* fiber);
   void switch_out();  // fiber -> scheduler
   void require_fiber_context(const char* what) const {

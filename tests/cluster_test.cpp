@@ -212,5 +212,14 @@ TEST(ClusterDeath, DeadlockAbortsWithFiberName) {
   EXPECT_DEATH(c.run(), "waiting-on-godot");
 }
 
+// Both transports share one call table, so the deadlock report names a
+// lossless call still waiting for its reply too.
+TEST(ClusterDeath, DeadlockReportNamesALosslessPendingCall) {
+  Cluster c(tiny_params(), 2);
+  c.node(1).register_service(kDeferred, "never_replies", [](Incoming&) {});
+  c.spawn_thread(0, "caller", [&] { c.call(0, 1, kDeferred, Buffer()); });
+  EXPECT_DEATH(c.run(), "pending rpc: node 0 -> node 1 service never_replies");
+}
+
 }  // namespace
 }  // namespace hyp::cluster

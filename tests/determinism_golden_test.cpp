@@ -13,16 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/asp.hpp"
 #include "apps/jacobi.hpp"
+#include "test_util.hpp"
 
 namespace hyp::apps {
 namespace {
@@ -76,52 +74,16 @@ std::string golden_line(const ConfigPoint& pt, const RunResult& r) {
   return os.str();
 }
 
-std::string point_key(const ConfigPoint& pt) {
-  return std::string(pt.app) + ' ' + dsm::protocol_name(pt.protocol) + " n" +
-         std::to_string(pt.nodes);
-}
-
 TEST(DeterminismGolden, JacobiAndAspBitIdentical) {
   std::vector<std::string> lines;
-  std::map<std::string, std::string> actual;  // key -> full line
-  for (const auto& pt : config_points()) {
-    const RunResult r = run_point(pt);
-    const std::string line = golden_line(pt, r);
-    lines.push_back(line);
-    actual[point_key(pt)] = line;
-  }
-
-  if (std::getenv("HYP_UPDATE_GOLDENS") != nullptr) {
-    std::ofstream out(HYP_GOLDEN_FILE);
-    ASSERT_TRUE(out.good()) << "cannot write " << HYP_GOLDEN_FILE;
-    out << "# Determinism goldens: jacobi(n=40,steps=6) + asp(n=40) on\n"
-           "# myri200, both protocols x {1,2,4} nodes. Regenerate with\n"
-           "# HYP_UPDATE_GOLDENS=1 ./determinism_tests -- and justify the\n"
-           "# semantic change in the commit message.\n";
-    for (const auto& line : lines) out << line << '\n';
-    GTEST_SKIP() << "goldens re-recorded at " << HYP_GOLDEN_FILE;
-  }
-
-  std::ifstream in(HYP_GOLDEN_FILE);
-  ASSERT_TRUE(in.good()) << "missing goldens; record with HYP_UPDATE_GOLDENS=1";
-  std::map<std::string, std::string> expected;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    // Key = first three tokens (app, protocol, node count).
-    std::istringstream is(line);
-    std::string a, b, c;
-    is >> a >> b >> c;
-    expected[a + ' ' + b + ' ' + c] = line;
-  }
-  ASSERT_EQ(expected.size(), actual.size()) << "golden file is stale";
-  for (const auto& [key, want] : expected) {
-    auto it = actual.find(key);
-    ASSERT_NE(it, actual.end()) << "no run for golden point " << key;
-    EXPECT_EQ(it->second, want)
-        << "simulation drifted at " << key
-        << "\n  expected: " << want << "\n  actual:   " << it->second;
-  }
+  for (const auto& pt : config_points()) lines.push_back(golden_line(pt, run_point(pt)));
+  // Key = first three tokens (app, protocol, node count).
+  expect_golden(HYP_GOLDEN_FILE,
+                "# Determinism goldens: jacobi(n=40,steps=6) + asp(n=40) on\n"
+                "# myri200, both protocols x {1,2,4} nodes. Regenerate with\n"
+                "# HYP_UPDATE_GOLDENS=1 ./determinism_tests -- and justify the\n"
+                "# semantic change in the commit message.\n",
+                lines, 3);
 }
 
 // The schedule itself must also be reproducible within one binary run —

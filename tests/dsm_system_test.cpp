@@ -5,6 +5,7 @@
 // under hybrid, which must agree on the values too.
 #include "dsm/access.hpp"
 #include "dsm/dsm.hpp"
+#include "sim/engine.hpp"
 #include "test_util.hpp"
 
 #include <gtest/gtest.h>
@@ -548,6 +549,101 @@ TEST(DsmFootprint, TwinsOfCachedPagesAreFreedAtTeardown) {
   EXPECT_TRUE(nd.has_twin_bytes(first + 1));
   EXPECT_FALSE(nd.has_twin_bytes(first + 2));
   dsm.reset();  // aborts if a twin outlived its cached page
+}
+
+// --- the one hand-off (DsmSystem::hand_off) ----------------------------------
+
+std::uint32_t arena_u32(DsmSystem& dsm, NodeId node, Gva a) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, dsm.node_dsm(node).arena() + a, sizeof(v));
+  return v;
+}
+
+// Node 1 caches a page homed on node 0 with a twin and stores bytes 0-3 of a
+// word without flushing; node 2 then stores bytes 4-7 of the same word and
+// flushes. Moving the home to node 1 keeps both: node 1's bytes that differ
+// from its twin win, every other byte takes the old home's. A word-granular
+// merge would keep node 1's whole word and lose node 2's flushed store.
+TEST(DsmHandOff, MergesTheNewHomesUnflushedBytesNotWholeWords) {
+  cluster::Cluster c(test_params(), 4);
+  DsmSystem dsm(&c, kRegion, ProtocolKind::kJavaPf);
+  const Gva a = dsm.alloc(0, 8);
+  const PageId p = dsm.layout().page_of(a);
+  c.spawn_thread(1, "new_home", [&] {
+    auto t = dsm.make_thread(1);
+    PfPolicy::put<std::uint32_t>(*t, a, 0x11111111);
+  });
+  c.spawn_thread(2, "flusher", [&] {
+    auto t = dsm.make_thread(2);
+    sim::sleep_until(kMillisecond);
+    PfPolicy::put<std::uint32_t>(*t, a + 4, 0x22222222);
+    dsm.update_main_memory(*t);
+  });
+  c.run();
+  ASSERT_TRUE(dsm.node_dsm(1).has_twin_bytes(p));
+  ASSERT_EQ(arena_u32(dsm, 0, a + 4), 0x22222222u);
+  ASSERT_EQ(arena_u32(dsm, 1, a + 4), 0u);
+
+  dsm.hand_off(p, p + 1, 0, 1);
+  EXPECT_TRUE(dsm.node_dsm(1).is_home(p));
+  EXPECT_FALSE(dsm.node_dsm(1).has_twin(p));
+  EXPECT_EQ(arena_u32(dsm, 1, a), 0x11111111u);
+  EXPECT_EQ(arena_u32(dsm, 1, a + 4), 0x22222222u);
+}
+
+// A whole-zone hand-off (the HA promotion's) under hybrid: node 1 holds an
+// unflushed ic-mode store (write log) on page P and an unflushed pf-mode
+// store (twin delta) on page Q, both homed in zone 0. The new home keeps
+// both over the old home's bytes, takes every other byte from it, and the
+// home-moved hook fires once with the zone's range.
+TEST(DsmHandOff, ZoneHandOffKeepsTwinDeltaAndLoggedStoreAndFiresTheHookOnce) {
+  cluster::Cluster c(test_params(), 4);
+  DsmSystem dsm(&c, kRegion, ProtocolKind::kHybrid);
+  const Layout& layout = dsm.layout();
+  const Gva pa = dsm.alloc(0, layout.page_bytes(), layout.page_bytes());
+  const Gva qa = dsm.alloc(0, layout.page_bytes(), layout.page_bytes());
+  const PageId q = layout.page_of(qa);
+  struct Move {
+    NodeId from, to;
+    Gva begin, end;
+  };
+  std::vector<Move> moves;
+  dsm.set_home_moved_hook([&](NodeId from, NodeId to, Gva begin, Gva end) {
+    moves.push_back({from, to, begin, end});
+  });
+  // The ThreadCtx outlives the run: the hand-off replays its write log.
+  auto t = dsm.make_thread(1);
+  c.spawn_thread(1, "new_home", [&] {
+    HybridPolicy::put<std::uint32_t>(*t, pa, 0xAAAAAAAA);  // ic: logged
+    // A dense run of reads gives Q up to pf mode (DsmSystem::give_up_ic).
+    for (int i = 0; i < 1 << 20 && dsm.node_dsm(1).ic_mode(q); ++i) {
+      (void)HybridPolicy::get<std::uint32_t>(*t, qa + 16);
+    }
+    HybridPolicy::put<std::uint32_t>(*t, qa, 0xBBBBBBBB);  // pf: twin delta
+  });
+  c.run();
+  ASSERT_FALSE(dsm.node_dsm(1).ic_mode(q));
+  ASSERT_TRUE(dsm.node_dsm(1).has_twin_bytes(q));
+  ASSERT_EQ(t->wlog.entries().size(), 1u);
+  // The old home's bytes that node 1 never stored to.
+  dsm.poke_home<std::uint32_t>(pa + 4, 1);
+  dsm.poke_home<std::uint32_t>(qa + 4, 2);
+  dsm.poke_home<std::uint32_t>(pa, 3);
+  dsm.poke_home<std::uint32_t>(qa, 4);
+
+  const PageId first = layout.page_of(layout.zone_begin(0));
+  const PageId last = layout.page_of(layout.zone_end(0));
+  dsm.hand_off(first, last, 0, 1);
+  EXPECT_EQ(arena_u32(dsm, 1, pa), 0xAAAAAAAAu);
+  EXPECT_EQ(arena_u32(dsm, 1, qa), 0xBBBBBBBBu);
+  EXPECT_EQ(arena_u32(dsm, 1, pa + 4), 1u);
+  EXPECT_EQ(arena_u32(dsm, 1, qa + 4), 2u);
+  for (PageId p = first; p < last; ++p) ASSERT_TRUE(dsm.node_dsm(1).is_home(p)) << p;
+  ASSERT_EQ(moves.size(), 1u);
+  EXPECT_EQ(moves[0].from, 0);
+  EXPECT_EQ(moves[0].to, 1);
+  EXPECT_EQ(moves[0].begin, layout.zone_begin(0));
+  EXPECT_EQ(moves[0].end, layout.zone_end(0));
 }
 
 TEST(DsmSystemDeath, UnknownProtocolNameAborts) {

@@ -24,8 +24,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -634,52 +632,29 @@ TEST(HaPartitionGolden, SameSeedPartitionRunIsBitIdentical) {
   }
 }
 
-TEST(HaRecoveryGolden, SameSeedKillAndRecoverIsBitIdentical) {
+// Two same-seed runs inside this binary must agree before either is
+// compared to the recorded golden: one line per protocol, keyed by its first
+// two tokens.
+std::vector<std::string> counter_crash_lines(const char* profile) {
   std::vector<std::string> lines;
-  std::map<std::string, std::string> actual;
   for (auto kind : {dsm::ProtocolKind::kJavaIc, dsm::ProtocolKind::kJavaPf}) {
-    // Two same-seed runs inside this binary must agree before either is
-    // compared to the recorded golden.
-    HaRunResult a = run_counter_with_crash(kind, kCrashProfile);
-    HaRunResult b = run_counter_with_crash(kind, kCrashProfile);
-    const std::string line = golden_line(kind, a);
-    ASSERT_EQ(line, golden_line(kind, b)) << "same-seed rerun diverged";
+    const std::string line = golden_line(kind, run_counter_with_crash(kind, profile));
+    EXPECT_EQ(line, golden_line(kind, run_counter_with_crash(kind, profile)))
+        << "same-seed rerun diverged";
     lines.push_back(line);
-    actual[std::string("counter_crash ") + dsm::protocol_name(kind)] = line;
   }
+  return lines;
+}
 
-  if (std::getenv("HYP_UPDATE_GOLDENS") != nullptr) {
-    std::ofstream out(HYP_RECOVERY_GOLDEN_FILE);
-    ASSERT_TRUE(out.good()) << "cannot write " << HYP_RECOVERY_GOLDEN_FILE;
-    out << "# Recovery goldens: shared-counter workload (6 workers x 40\n"
-           "# synchronized increments, counter homed on node 2) on myri200 x4\n"
-           "# under crash2@1ms+800us,seed=7, both protocols. A same-seed\n"
-           "# kill-and-recover run must stay byte-identical; re-record with\n"
-           "# HYP_UPDATE_GOLDENS=1 ./ha_tests and justify the semantic change\n"
-           "# in the commit message.\n";
-    for (const auto& line : lines) out << line << '\n';
-    GTEST_SKIP() << "goldens re-recorded at " << HYP_RECOVERY_GOLDEN_FILE;
-  }
-
-  std::ifstream in(HYP_RECOVERY_GOLDEN_FILE);
-  ASSERT_TRUE(in.good()) << "missing goldens; record with HYP_UPDATE_GOLDENS=1";
-  std::map<std::string, std::string> expected;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream is(line);
-    std::string a, b;
-    is >> a >> b;
-    expected[a + ' ' + b] = line;
-  }
-  ASSERT_EQ(expected.size(), actual.size()) << "golden file is stale";
-  for (const auto& [key, want] : expected) {
-    auto it = actual.find(key);
-    ASSERT_NE(it, actual.end()) << "no run for golden point " << key;
-    EXPECT_EQ(it->second, want)
-        << "kill-and-recover drifted at " << key << "\n  expected: " << want
-        << "\n  actual:   " << it->second;
-  }
+TEST(HaRecoveryGolden, SameSeedKillAndRecoverIsBitIdentical) {
+  expect_golden(HYP_RECOVERY_GOLDEN_FILE,
+                "# Recovery goldens: shared-counter workload (6 workers x 40\n"
+                "# synchronized increments, counter homed on node 2) on myri200 x4\n"
+                "# under crash2@1ms+800us,seed=7, both protocols. A same-seed\n"
+                "# kill-and-recover run must stay byte-identical; re-record with\n"
+                "# HYP_UPDATE_GOLDENS=1 ./ha_tests and justify the semantic change\n"
+                "# in the commit message.\n",
+                counter_crash_lines(kCrashProfile), 2);
 }
 
 #ifndef HYP_MULTI_RECOVERY_GOLDEN_FILE
@@ -691,49 +666,14 @@ TEST(HaRecoveryGolden, SameSeedKillAndRecoverIsBitIdentical) {
 // election order, the checkpoint message stream and the update op-id wire
 // format in one line per protocol.
 TEST(HaMultiRecoveryGolden, SameSeedMultiKillRunIsBitIdentical) {
-  std::vector<std::string> lines;
-  std::map<std::string, std::string> actual;
-  for (auto kind : {dsm::ProtocolKind::kJavaIc, dsm::ProtocolKind::kJavaPf}) {
-    HaRunResult a = run_counter_with_crash(kind, kMultiCrashProfile);
-    HaRunResult b = run_counter_with_crash(kind, kMultiCrashProfile);
-    const std::string line = golden_line(kind, a);
-    ASSERT_EQ(line, golden_line(kind, b)) << "same-seed rerun diverged";
-    lines.push_back(line);
-    actual[std::string("counter_crash ") + dsm::protocol_name(kind)] = line;
-  }
-
-  if (std::getenv("HYP_UPDATE_GOLDENS") != nullptr) {
-    std::ofstream out(HYP_MULTI_RECOVERY_GOLDEN_FILE);
-    ASSERT_TRUE(out.good()) << "cannot write " << HYP_MULTI_RECOVERY_GOLDEN_FILE;
-    out << "# Multi-failure recovery goldens: shared-counter workload (6 workers\n"
-           "# x 40 synchronized increments, counter homed on node 2) on myri200\n"
-           "# x4 under replicas=2,crash2@1ms+800us,crash3@8ms+2ms,seed=7, both\n"
-           "# protocols. Two sequential crashes must recover the exact answer\n"
-           "# byte-identically; re-record with HYP_UPDATE_GOLDENS=1 ./ha_tests\n"
-           "# and justify the semantic change in the commit message.\n";
-    for (const auto& line : lines) out << line << '\n';
-    GTEST_SKIP() << "goldens re-recorded at " << HYP_MULTI_RECOVERY_GOLDEN_FILE;
-  }
-
-  std::ifstream in(HYP_MULTI_RECOVERY_GOLDEN_FILE);
-  ASSERT_TRUE(in.good()) << "missing goldens; record with HYP_UPDATE_GOLDENS=1";
-  std::map<std::string, std::string> expected;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream is(line);
-    std::string a, b;
-    is >> a >> b;
-    expected[a + ' ' + b] = line;
-  }
-  ASSERT_EQ(expected.size(), actual.size()) << "golden file is stale";
-  for (const auto& [key, want] : expected) {
-    auto it = actual.find(key);
-    ASSERT_NE(it, actual.end()) << "no run for golden point " << key;
-    EXPECT_EQ(it->second, want)
-        << "multi-kill recovery drifted at " << key << "\n  expected: " << want
-        << "\n  actual:   " << it->second;
-  }
+  expect_golden(HYP_MULTI_RECOVERY_GOLDEN_FILE,
+                "# Multi-failure recovery goldens: shared-counter workload (6 workers\n"
+                "# x 40 synchronized increments, counter homed on node 2) on myri200\n"
+                "# x4 under replicas=2,crash2@1ms+800us,crash3@8ms+2ms,seed=7, both\n"
+                "# protocols. Two sequential crashes must recover the exact answer\n"
+                "# byte-identically; re-record with HYP_UPDATE_GOLDENS=1 ./ha_tests\n"
+                "# and justify the semantic change in the commit message.\n",
+                counter_crash_lines(kMultiCrashProfile), 2);
 }
 
 }  // namespace

@@ -16,16 +16,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/asp.hpp"
 #include "apps/jacobi.hpp"
+#include "test_util.hpp"
 
 namespace hyp::apps {
 namespace {
@@ -73,50 +71,15 @@ std::string golden_line(const ConfigPoint& pt, const RunResult& r) {
   return os.str();
 }
 
-std::string point_key(const ConfigPoint& pt) {
-  return std::string(pt.app) + " hybrid n" + std::to_string(pt.nodes);
-}
-
 TEST(HybridGolden, JacobiAndAspBitIdentical) {
   std::vector<std::string> lines;
-  std::map<std::string, std::string> actual;
-  for (const auto& pt : config_points()) {
-    const RunResult r = run_point(pt);
-    const std::string line = golden_line(pt, r);
-    lines.push_back(line);
-    actual[point_key(pt)] = line;
-  }
-
-  if (std::getenv("HYP_UPDATE_GOLDENS") != nullptr) {
-    std::ofstream out(HYP_HYBRID_GOLDEN_FILE);
-    ASSERT_TRUE(out.good()) << "cannot write " << HYP_HYBRID_GOLDEN_FILE;
-    out << "# Hybrid determinism goldens: jacobi(n=40,steps=6) + asp(n=40) on\n"
-           "# myri200, hybrid protocol x {1,2,4} nodes. Regenerate with\n"
-           "# HYP_UPDATE_GOLDENS=1 ./determinism_tests -- and justify the\n"
-           "# policy change in the commit message.\n";
-    for (const auto& line : lines) out << line << '\n';
-    GTEST_SKIP() << "goldens re-recorded at " << HYP_HYBRID_GOLDEN_FILE;
-  }
-
-  std::ifstream in(HYP_HYBRID_GOLDEN_FILE);
-  ASSERT_TRUE(in.good()) << "missing goldens; record with HYP_UPDATE_GOLDENS=1";
-  std::map<std::string, std::string> expected;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream is(line);
-    std::string a, b, c;
-    is >> a >> b >> c;
-    expected[a + ' ' + b + ' ' + c] = line;
-  }
-  ASSERT_EQ(expected.size(), actual.size()) << "golden file is stale";
-  for (const auto& [key, want] : expected) {
-    auto it = actual.find(key);
-    ASSERT_NE(it, actual.end()) << "no run for golden point " << key;
-    EXPECT_EQ(it->second, want)
-        << "hybrid simulation drifted at " << key
-        << "\n  expected: " << want << "\n  actual:   " << it->second;
-  }
+  for (const auto& pt : config_points()) lines.push_back(golden_line(pt, run_point(pt)));
+  expect_golden(HYP_HYBRID_GOLDEN_FILE,
+                "# Hybrid determinism goldens: jacobi(n=40,steps=6) + asp(n=40) on\n"
+                "# myri200, hybrid protocol x {1,2,4} nodes. Regenerate with\n"
+                "# HYP_UPDATE_GOLDENS=1 ./determinism_tests -- and justify the\n"
+                "# policy change in the commit message.\n",
+                lines, 3);
 }
 
 // The adaptive decisions must also be reproducible within one process run —

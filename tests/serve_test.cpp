@@ -12,10 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +20,7 @@
 #include "cluster/params.hpp"
 #include "cluster/trace.hpp"
 #include "serve/serve.hpp"
+#include "test_util.hpp"
 
 namespace hyp::serve {
 namespace {
@@ -348,51 +346,23 @@ std::string point_key(const ServePoint& pt) {
 
 TEST(ServeGolden, AllCellsBitIdentical) {
   std::vector<std::string> lines;
-  std::map<std::string, std::string> actual;
   for (const auto& pt : golden_points()) {
     const ServeResult r = run_point(pt);
     // Every golden cell — including the crash and partition ones — must hold
     // the zero-lost-acked-writes contract before its bits are worth pinning.
     EXPECT_TRUE(r.state_ok) << point_key(pt) << ": " << r.lost_keys
                             << " keys diverged";
-    const std::string line = golden_line(pt, r);
-    lines.push_back(line);
-    actual[point_key(pt)] = line;
+    lines.push_back(golden_line(pt, r));
   }
-
-  if (std::getenv("HYP_UPDATE_GOLDENS") != nullptr) {
-    std::ofstream out(HYP_SERVE_GOLDEN_FILE);
-    ASSERT_TRUE(out.good()) << "cannot write " << HYP_SERVE_GOLDEN_FILE;
-    out << "# Serve determinism goldens: 512-key store on myri200 x 4 nodes,\n"
-           "# 4 clients x 150 ops @ 4000 ops/s, theta=0.99, read%=80, seed=7;\n"
-           "# cells = {fault-free, crash1@10ms+8ms K=2, partition@10ms+6ms\n"
-           "# 1|0.2.3} x both protocols. Regenerate with\n"
-           "# HYP_UPDATE_GOLDENS=1 ./serve_tests -- and justify the semantic\n"
-           "# change in the commit message.\n";
-    for (const auto& line : lines) out << line << '\n';
-    GTEST_SKIP() << "goldens re-recorded at " << HYP_SERVE_GOLDEN_FILE;
-  }
-
-  std::ifstream in(HYP_SERVE_GOLDEN_FILE);
-  ASSERT_TRUE(in.good()) << "missing goldens; record with HYP_UPDATE_GOLDENS=1";
-  std::map<std::string, std::string> expected;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    // Key = first two tokens (profile, protocol).
-    std::istringstream is(line);
-    std::string a, b;
-    is >> a >> b;
-    expected[a + ' ' + b] = line;
-  }
-  ASSERT_EQ(expected.size(), actual.size()) << "golden file is stale";
-  for (const auto& [key, want] : expected) {
-    auto it = actual.find(key);
-    ASSERT_NE(it, actual.end()) << "no run for golden point " << key;
-    EXPECT_EQ(it->second, want)
-        << "serving run drifted at " << key << "\n  expected: " << want
-        << "\n  actual:   " << it->second;
-  }
+  // Key = first two tokens (profile, protocol).
+  expect_golden(HYP_SERVE_GOLDEN_FILE,
+                "# Serve determinism goldens: 512-key store on myri200 x 4 nodes,\n"
+                "# 4 clients x 150 ops @ 4000 ops/s, theta=0.99, read%=80, seed=7;\n"
+                "# cells = {fault-free, crash1@10ms+8ms K=2, partition@10ms+6ms\n"
+                "# 1|0.2.3} x both protocols. Regenerate with\n"
+                "# HYP_UPDATE_GOLDENS=1 ./serve_tests -- and justify the semantic\n"
+                "# change in the commit message.\n",
+                lines, 2);
 }
 
 // ------------------------------------------------------------- trace golden
@@ -446,27 +416,16 @@ TEST(ServeGolden, LossyCellTraceIsPinned) {
   for (auto kind : {dsm::ProtocolKind::kJavaPf, dsm::ProtocolKind::kHybrid}) {
     lines.push_back(trace_golden_line(kind));
   }
-
-  if (std::getenv("HYP_UPDATE_GOLDENS") != nullptr) {
-    std::ofstream out(HYP_SERVE_TRACE_GOLDEN_FILE);
-    ASSERT_TRUE(out.good()) << "cannot write " << HYP_SERVE_TRACE_GOLDEN_FILE;
-    out << "# Serve trace goldens: the serve golden's store and workload under\n"
-           "# " << kLossyTraceProfile << ";\n"
-           "# record count and FNV-1a of TraceLog::write_text per protocol.\n"
-           "# Regenerate with HYP_UPDATE_GOLDENS=1 ./serve_tests -- and justify\n"
-           "# the semantic change in the commit message.\n";
-    for (const auto& line : lines) out << line << '\n';
-    GTEST_SKIP() << "goldens re-recorded at " << HYP_SERVE_TRACE_GOLDEN_FILE;
-  }
-
-  std::ifstream in(HYP_SERVE_TRACE_GOLDEN_FILE);
-  ASSERT_TRUE(in.good()) << "missing goldens; record with HYP_UPDATE_GOLDENS=1";
-  std::vector<std::string> expected;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '#') expected.push_back(line);
-  }
-  EXPECT_EQ(lines, expected) << "the lossy cell's protocol trace drifted";
+  // Key = the protocol.
+  expect_golden(HYP_SERVE_TRACE_GOLDEN_FILE,
+                std::string("# Serve trace goldens: the serve golden's store and workload under\n"
+                            "# ") +
+                    kLossyTraceProfile +
+                    ";\n"
+                    "# record count and FNV-1a of TraceLog::write_text per protocol.\n"
+                    "# Regenerate with HYP_UPDATE_GOLDENS=1 ./serve_tests -- and justify\n"
+                    "# the semantic change in the commit message.\n",
+                lines, 1);
 }
 
 TEST(ServeGolden, BackToBackRunsIdentical) {

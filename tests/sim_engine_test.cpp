@@ -135,13 +135,6 @@ TEST(Engine, DeadlockedFiberReportedByName) {
   EXPECT_EQ(stuck[0], "stuck-forever");
 }
 
-TEST(Engine, DaemonsMayRemainParked) {
-  Engine eng;
-  eng.spawn_daemon("dispatcher", [&] { eng.park(); });
-  auto stuck = eng.run();
-  EXPECT_TRUE(stuck.empty());
-}
-
 TEST(Engine, SpawnFromInsideFiber) {
   Engine eng;
   std::vector<int> order;
