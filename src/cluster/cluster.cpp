@@ -186,11 +186,7 @@ RpcResult Cluster::call_result(NodeId from, NodeId to, ServiceId service, Buffer
   slot.call = &pc;
   // Uses start at 1, so no token is 0 ("one-way").
   const std::uint64_t token = (std::uint64_t{++slot.uses} << 32) | idx;
-  if (lossy_) {
-    tx_enqueue(0, from, to, service, token, /*is_reply=*/false, std::move(payload));
-  } else {
-    deliver(0, from, to, service, std::move(payload), token);
-  }
+  deliver(0, from, to, service, std::move(payload), token);
 
   while (!pc.done) eng->park();
   call_slots_[idx].call = nullptr;

@@ -137,11 +137,20 @@ class Node {
 // the next synchronization or communication point. Exact for data-race-free
 // programs (the only ones the Java Memory Model gives determinate answers
 // for anyway).
+//
+// The in-line locality check (java_ic, hybrid's ic-mode pages) runs on every
+// access, so it is only counted: charge_check() is one increment, and
+// flush() settles the count first, adding count x check cost to the batch
+// and the count to the bound node's kInlineChecks tally. Time is an integer
+// and every observer of time or the tally runs behind a flush, so both read
+// exactly as if each check had been charged and tallied on the spot.
 class CpuClock {
  public:
   explicit CpuClock(const CpuParams* cpu) : cpu_(cpu) {}
 
   void charge(Time t) { pending_ += t; }
+  // One in-line locality check (needs a bound clock: see bind()).
+  void charge_check() { ++checks_; }
   // Application compute: subject to the sub-linear clock scaling. App loops
   // charge the same constant cycle count once per element, so the
   // cycles->time conversion (double multiply + divide in app_cycles) is
@@ -155,11 +164,18 @@ class CpuClock {
     pending_ += memo_time_;
   }
 
-  // Binds the clock to a node CPU: flushes then contend for the processor
-  // FIFO instead of advancing free-running (multiple threads per node).
-  void bind_cpu(sim::FifoServer* cpu_server) { cpu_server_ = cpu_server; }
+  // Binds the clock to a node: its CPU (flushes then contend for the
+  // processor FIFO instead of advancing free-running, for multiple threads
+  // per node) and the stats its checks settle into. A rebind flushes first,
+  // so the time and the tally of earlier checks both land on the old node.
+  void bind(sim::FifoServer* cpu_server, Stats* stats) {
+    flush();
+    cpu_server_ = cpu_server;
+    stats_ = stats;
+  }
 
   void flush() {
+    settle();
     if (pending_ == 0) return;
     total_ += pending_;
     if (cpu_server_ == nullptr) {
@@ -177,13 +193,24 @@ class CpuClock {
     }
   }
 
-  Time pending() const { return pending_; }
+  // Unflushed time, the unsettled checks included.
+  Time pending() const { return pending_ + checks_ * cpu_->check_cost(); }
   Time total_charged() const { return total_; }
   const CpuParams& cpu() const { return *cpu_; }
 
  private:
+  // Folds the counted checks into the batch and the bound node's tally.
+  void settle() {
+    if (checks_ == 0) return;
+    pending_ += checks_ * cpu_->check_cost();
+    stats_->add(Counter::kInlineChecks, checks_);
+    checks_ = 0;
+  }
+
   const CpuParams* cpu_;
   sim::FifoServer* cpu_server_ = nullptr;
+  Stats* stats_ = nullptr;
+  std::uint64_t checks_ = 0;  // in-line checks since the last settle
   Time pending_ = 0;
   Time total_ = 0;
   // charge_cycles memo (app_cycles(0) == 0, so the zero init is consistent).

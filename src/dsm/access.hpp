@@ -4,9 +4,13 @@
 // Hyperion's java2c compiler emitted one access sequence per protocol:
 //
 //   IcPolicy (java_ic): every access executes an explicit locality check —
-//     we run a *real* presence test and additionally charge the modeled
-//     check cost (what the check cost on the paper's CPUs). Misses go
-//     through the checked fetch path. Non-home stores are recorded in the
+//     we run a *real* presence test and additionally count the check on the
+//     thread's clock (CpuClock::charge_check, one increment). The clock's
+//     next flush settles the count: the modeled check cost (what the check
+//     cost on the paper's CPUs) per check, and the node's inline_checks
+//     tally. Every miss, sleep, monitor operation and updateMainMemory
+//     flushes first, so nothing observes a check before it settles. Misses
+//     go through the checked fetch path. Non-home stores are recorded in the
 //     write log, field by field.
 //
 //   PfPolicy (java_pf): accesses compile to bare loads/stores. The presence
@@ -62,8 +66,7 @@ struct IcPolicyT {
 
   template <DsmScalar T>
   static T get(ThreadCtx& t, Gva a) {
-    t.clock.charge(t.check_cost);  // the in-line locality check, every access
-    t.stats->add(Counter::kInlineChecks);
+    t.clock.charge_check();  // the in-line locality check, every access
     const PageId p = static_cast<PageId>(a >> t.page_shift);
     if ((t.presence[p] & NodeDsm::kPresentBit) == 0) [[unlikely]] {
       t.dsm->miss(t, p);
@@ -78,8 +81,7 @@ struct IcPolicyT {
 
   template <DsmScalar T>
   static void put(ThreadCtx& t, Gva a, T v) {
-    t.clock.charge(t.check_cost);
-    t.stats->add(Counter::kInlineChecks);
+    t.clock.charge_check();
     const PageId p = static_cast<PageId>(a >> t.page_shift);
     const std::uint8_t st = t.presence[p];
     if ((st & NodeDsm::kPresentBit) == 0) [[unlikely]] {
@@ -137,10 +139,11 @@ struct PfPolicyT {
 // hybrid: the per-page detection mode lives in the same presence byte
 // (NodeDsm::kPfModeBit), so the fast path is still one indexed load — a
 // non-home page whose bit is clear (a fresh page is 0) is in ic mode and
-// charges the inline check; pf-mode pages and home pages access bare. The
-// raw tally of the node's heat slot of the page (ThreadCtx::heat: the node's
-// base awin plus one shift of the page id into the page-major table) is a
-// host-only increment feeding the switch decision on the miss cold path.
+// counts the inline check, as java_ic does; pf-mode pages and home pages
+// access bare. The raw tally of the node's heat slot of the page
+// (ThreadCtx::heat: the node's base awin plus one shift of the page id into
+// the page-major table) is a host-only increment feeding the switch
+// decision on the miss cold path.
 template <bool RaceHooks = false>
 struct HybridPolicyT {
   static constexpr ProtocolKind kKind = ProtocolKind::kHybrid;
@@ -154,8 +157,7 @@ struct HybridPolicyT {
     ++heat.raw;
     const std::uint8_t st = t.presence[p];
     if ((st & kBare) == 0) {
-      t.clock.charge(t.check_cost);
-      t.stats->add(Counter::kInlineChecks);
+      t.clock.charge_check();
       // Dense-generation escape: a present ic page whose raw tally has
       // reached the break-even R has already paid a fault's worth of checks
       // with no miss to re-decide at — flip it to pf now (yield-free; the
@@ -182,8 +184,7 @@ struct HybridPolicyT {
     ++heat.raw;
     std::uint8_t st = t.presence[p];
     if ((st & kBare) == 0) {
-      t.clock.charge(t.check_cost);
-      t.stats->add(Counter::kInlineChecks);
+      t.clock.charge_check();
       if ((st & NodeDsm::kPresentBit) != 0 && heat.raw >= t.ic_giveup) [[unlikely]] {
         t.dsm->give_up_ic(t, p);
         // The flip set the pf bit: the store below must go bare and be

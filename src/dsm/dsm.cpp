@@ -70,27 +70,32 @@ std::unique_ptr<ThreadCtx> DsmSystem::make_thread(NodeId node) {
   auto t = std::make_unique<ThreadCtx>(&cluster_->params().cpu);
   t->uid = next_thread_uid_++;
   t->dsm = this;
-  t->node = node;
-  t->nd = &node_dsm(node);
-  t->base = t->nd->arena();
-  t->presence = t->nd->presence_data();
   t->page_shift = layout_.page_shift();
-  t->check_cost = cluster_->params().cpu.check_cost();
   if (kind_ == ProtocolKind::kHybrid) {
-    t->awin = access_window(node);
     t->awin_shift = wheat_.byte_shift();
     t->ic_giveup = hybrid_r_;
   }
-  t->stats = &cluster_->node(node).stats();
+  bind_thread(*t, node);
   if (race_ != nullptr) {
     t->race = race_;
     t->race_tid = t->uid;
     race_->register_thread(t->uid, node);
   }
-  // One processor per node: compute by this node's threads serializes.
-  t->clock.bind_cpu(&cluster_->node(node).app_cpu());
   threads_.push_back(t.get());
   return t;
+}
+
+void DsmSystem::bind_thread(ThreadCtx& t, NodeId node) {
+  cluster::Node& host = cluster_->node(node);
+  t.node = node;
+  t.nd = &node_dsm(node);
+  t.base = t.nd->arena();
+  t.presence = t.nd->presence_data();
+  t.stats = &host.stats();
+  if (kind_ == ProtocolKind::kHybrid) t.awin = access_window(node);
+  if (t.race != nullptr) t.race->set_thread_node(t.race_tid, node);
+  // One processor per node: compute by this node's threads serializes.
+  t.clock.bind(&host.app_cpu(), t.stats);
 }
 
 ThreadCtx::~ThreadCtx() {

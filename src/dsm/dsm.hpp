@@ -80,7 +80,8 @@ class DsmSystem;
 
 // Per-Java-thread DSM context: the thread's node binding, its CPU clock, its
 // write log (java_ic) and cached hot-path constants. Created by
-// DsmSystem::make_thread and owned by the runtime's thread object.
+// DsmSystem::make_thread, bound to a node by DsmSystem::bind_thread, and
+// owned by the runtime's thread object.
 struct ThreadCtx {
   DsmSystem* dsm = nullptr;
   NodeId node = -1;
@@ -109,8 +110,9 @@ struct ThreadCtx {
   // fault-equivalent of checks. Zero under java_ic/java_pf.
   std::uint64_t ic_giveup = 0;
   std::uint64_t uid = 0;  // unique thread id (monitor ownership)
+  // Bound to the node's CPU and stats: the in-line checks it counts settle
+  // into that node's inline_checks tally at its next flush.
   cluster::CpuClock clock;
-  Time check_cost = 0;  // CpuParams::check_cost(), cached
   WriteLog wlog;
   FlushScratch scratch;    // reusable updateMainMemory state (host-perf only)
   Stats* stats = nullptr;  // the node's stats (single-threaded simulation)
@@ -147,6 +149,13 @@ class DsmSystem {
   Gva alloc(NodeId node, std::size_t bytes, std::size_t align = 8);
 
   std::unique_ptr<ThreadCtx> make_thread(NodeId node);
+  // Binds `t` to `node`: every per-node field of the context (node, arena,
+  // presence table, stats, hybrid's heat base), the race detector's node
+  // attribution, and the node CPU and stats its clock flushes into (the
+  // clock flushes first, so time and checks charged on the old node land
+  // there). make_thread and a thread migration both bind through here, so
+  // neither can miss a field.
+  void bind_thread(ThreadCtx& t, NodeId node);
 
   // --- Table 2 primitives -------------------------------------------------
   // (get/put are the templated fast paths in dsm/access.hpp)

@@ -58,16 +58,9 @@ void JavaEnv::migrate_to(NodeId target, std::size_t state_bytes) {
 
   // Rebind the execution context to the target node. The fiber (the "stack")
   // does not move in the simulation — iso-addressing made that a no-op in
-  // PM2 as well.
-  ctx_->node = target;
-  ctx_->nd = &vm_->dsm_.node_dsm(target);
-  ctx_->base = ctx_->nd->arena();
-  ctx_->presence = ctx_->nd->presence_data();
-  ctx_->stats = &vm_->cluster_.node(target).stats();
-  if (ctx_->awin != nullptr) ctx_->awin = vm_->dsm_.access_window(target);
-  ctx_->clock.bind_cpu(&vm_->cluster_.node(target).app_cpu());
-  // The thread's clock travels with it; only the report attribution moves.
-  if (ctx_->race != nullptr) ctx_->race->set_thread_node(ctx_->race_tid, target);
+  // PM2 as well. The clock was flushed above, so every check the thread ran
+  // on `source` is already in source's tally.
+  vm_->dsm_.bind_thread(*ctx_, target);
 
   // Arriving: start with a coherent view (and flush the empty log state).
   vm_->dsm_.on_acquire(*ctx_);

@@ -188,6 +188,44 @@ TEST(Cluster, CpuClockBatchesCharges) {
   EXPECT_EQ(clock.pending(), 0u);
 }
 
+// In-line checks are only counted until a flush settles them: pending()
+// includes them, the bound node's tally moves only at flush() (by exactly
+// the count), and time advances by count x check cost. A rebind flushes, so
+// the checks counted so far land on the old node, time and tally both.
+TEST(Cluster, CpuClockSettlesChecksAtFlush) {
+  Cluster c(tiny_params(), 2);
+  const Time cost = c.params().cpu.check_cost();  // 10 cycles at 100 MHz
+  ASSERT_EQ(cost, 100 * kNanosecond);
+  Stats& s0 = c.node(0).stats();
+  Stats& s1 = c.node(1).stats();
+  CpuClock clock(&c.params().cpu);
+  clock.bind(&c.node(0).app_cpu(), &s0);
+  Time after = 0;
+  c.spawn_thread(0, "worker", [&] {
+    for (int i = 0; i < 7; ++i) clock.charge_check();
+    EXPECT_EQ(clock.pending(), 7 * cost);
+    EXPECT_EQ(s0.get(Counter::kInlineChecks), 0u);
+    clock.flush();
+    after = c.engine().now();
+    EXPECT_EQ(s0.get(Counter::kInlineChecks), 7u);
+
+    for (int i = 0; i < 3; ++i) clock.charge_check();
+    clock.bind(&c.node(1).app_cpu(), &s1);
+    EXPECT_EQ(s0.get(Counter::kInlineChecks), 10u);
+    EXPECT_EQ(clock.pending(), 0u);
+    EXPECT_EQ(c.engine().now(), 10 * cost);
+    clock.charge_check();
+    clock.flush();
+  });
+  c.run();
+  EXPECT_EQ(after, 7 * cost);
+  EXPECT_EQ(c.engine().now(), 11 * cost);
+  EXPECT_EQ(s0.get(Counter::kInlineChecks), 10u);
+  EXPECT_EQ(s1.get(Counter::kInlineChecks), 1u);
+  EXPECT_EQ(clock.total_charged(), 11 * cost);
+  EXPECT_EQ(clock.pending(), 0u);
+}
+
 TEST(ClusterDeath, LoopbackSendAborts) {
   Cluster c(tiny_params(), 2);
   c.spawn_thread(0, "bad", [&] {

@@ -292,6 +292,23 @@ TEST(DsmJavaIc, ChecksOnEveryAccessAndNeverFaults) {
   });
 }
 
+// A check is one count on the thread's clock: home-only accesses never
+// flush, so the node's tally reads 0 until updateMainMemory settles exactly
+// the count.
+TEST(DsmJavaIc, ChecksSettleIntoTheTallyAtFlush) {
+  constexpr ProtocolKind kIc = ProtocolKind::kJavaIc;
+  run_two_nodes(kIc, [&](DsmSystem& dsm, ThreadCtx&, ThreadCtx& t1) {
+    const Gva a = dsm.alloc(1, 64);  // home: no miss, so no flush
+    for (int i = 0; i < 8; ++i) do_put<std::int64_t>(kIc, t1, a + 8 * i, i);
+    for (int i = 0; i < 8; ++i) do_get<std::int64_t>(kIc, t1, a + 8 * i);
+    EXPECT_EQ(t1.stats->get(Counter::kInlineChecks), 0u);
+    EXPECT_EQ(t1.clock.pending(), 16 * t1.clock.cpu().check_cost());
+    dsm.update_main_memory(t1);
+    EXPECT_EQ(t1.stats->get(Counter::kInlineChecks), 16u);
+    EXPECT_EQ(t1.clock.pending(), 0u);
+  });
+}
+
 TEST(DsmJavaIc, HomeWritesAreNotLogged) {
   run_two_nodes(ProtocolKind::kJavaIc, [&](DsmSystem& dsm, ThreadCtx&, ThreadCtx& t1) {
     const Gva home_field = dsm.alloc(1, 8);
@@ -380,10 +397,26 @@ TEST(DsmTiming, IcChargesCheckCostPerAccessPfChargesNothingWhenLocal) {
       const Gva a = dsm.alloc(0, 8);  // home access for t0
       for (int i = 0; i < 100; ++i) do_get<std::int64_t>(kind, t0, a);
       const Time expected =
-          kind == ProtocolKind::kJavaIc ? 100 * t0.check_cost : 0;
+          kind == ProtocolKind::kJavaIc ? 100 * t0.clock.cpu().check_cost() : 0;
       EXPECT_EQ(t0.clock.pending(), expected) << protocol_name(kind);
     });
   }
+  // hybrid checks an ic-mode replica (a fresh page starts in ic mode) as
+  // java_ic does, well below the give-up tally; its home pages go bare.
+  run_two_nodes(ProtocolKind::kHybrid, [&](DsmSystem& dsm, ThreadCtx& t0, ThreadCtx&) {
+    const Gva home = dsm.alloc(0, 8);
+    const Gva replica = dsm.alloc(1, 8);
+    do_get<std::int64_t>(ProtocolKind::kHybrid, t0, replica);  // the miss flushes
+    ASSERT_TRUE(dsm.node_dsm(0).ic_mode(dsm.layout().page_of(replica)));
+    ASSERT_EQ(t0.clock.pending(), 0u);
+    for (int i = 0; i < 100; ++i) {
+      do_get<std::int64_t>(ProtocolKind::kHybrid, t0, replica);
+      do_get<std::int64_t>(ProtocolKind::kHybrid, t0, home);
+    }
+    EXPECT_EQ(t0.clock.pending(), 100 * t0.clock.cpu().check_cost());
+    dsm.update_main_memory(t0);
+    EXPECT_EQ(t0.stats->get(Counter::kInlineChecks), 101u);  // the missing access too
+  });
 }
 
 TEST(DsmTiming, PfMissCostsAtLeastTheFaultConstant) {

@@ -15,6 +15,7 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/ha_hooks.hpp"
+#include "cluster/race_hooks.hpp"
 #include "cluster/trace.hpp"
 #include "hyperion/japi.hpp"
 #include "hyperion/vm.hpp"
@@ -178,6 +179,34 @@ TEST(FaultTransport, EchoSurvivesHeavyChaos) {
   EXPECT_GT(s.get(Counter::kRetransmits), 0u);
   EXPECT_GT(s.get(Counter::kAcksSent), 0u);
   EXPECT_EQ(s.get(Counter::kRpcTimeouts), 0u);
+}
+
+// Counts the logical messages the transport hands the race detector's hook.
+struct CountingRaceHooks : RaceHooks {
+  int messages = 0;
+  void on_message(NodeId, NodeId, int, std::size_t) override { ++messages; }
+};
+
+// Both transports hand every logical message to the race hook once: one
+// echo call is its request and its reply (acks and retransmits are transport
+// packets, not messages).
+TEST(FaultTransport, RaceHookSeesBothMessagesOfACall) {
+  for (const char* profile : {"", "drop1%,seed=1"}) {
+    ClusterParams p = tiny_params();
+    p.fault = FaultProfile::parse(profile);
+    Cluster c(p, 2);
+    ASSERT_EQ(c.transport_active(), *profile != '\0');
+    CountingRaceHooks race;
+    c.set_race_hooks(&race);
+    register_echo(c, 1);
+    c.spawn_thread(0, "caller", [&] {
+      Buffer req;
+      req.put<std::uint32_t>(7);
+      c.call(0, 1, kEcho, std::move(req));
+    });
+    c.run();
+    EXPECT_EQ(race.messages, 2) << "profile '" << profile << "'";
+  }
 }
 
 TEST(FaultTransport, OneWaySendsDeliverExactlyOnceUnderDup) {

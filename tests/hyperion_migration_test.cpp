@@ -195,6 +195,23 @@ TEST(MigrationHeat, HybridAccessesCountInTheCurrentNodesSlot) {
   EXPECT_EQ(on1_end.stamp, on1_left.stamp);
 }
 
+// java_ic: a check is tallied on the node the thread ran it on. migrate_to
+// flushes before it rebinds, so the checks made before the move land on the
+// source node and those after it on the target.
+TEST(MigrationChecks, InlineChecksStayWithTheNodeThatRanThem) {
+  constexpr std::uint64_t kBefore = 9, kAfter = 4;
+  HyperionVM vm(test_config(dsm::ProtocolKind::kJavaIc, 2));
+  vm.run_main([&](JavaEnv& main) {
+    Mem<dsm::IcPolicy> mem(main.ctx());
+    auto cell = main.new_cell<std::int64_t>(0);  // homed on node 0
+    for (std::uint64_t i = 0; i < kBefore; ++i) mem.put(cell, std::int64_t{1});
+    main.migrate_to(1);
+    for (std::uint64_t i = 0; i < kAfter; ++i) EXPECT_EQ(mem.get(cell), 1);
+  });
+  EXPECT_EQ(vm.cluster().node(0).stats().get(Counter::kInlineChecks), kBefore);
+  EXPECT_EQ(vm.cluster().node(1).stats().get(Counter::kInlineChecks), kAfter);
+}
+
 TEST(MigrationDeath, TargetOutOfRangeAborts) {
   HyperionVM vm(test_config(dsm::ProtocolKind::kJavaPf, 2));
   EXPECT_DEATH(vm.run_main([](JavaEnv& main) { main.migrate_to(9); }), "out of range");
